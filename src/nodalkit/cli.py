@@ -206,11 +206,12 @@ def cmd_solve(args):
         problem = EigenProblem.from_json(obj)
         op = assemble_operator(problem)
         sol = solve_eigen(op, args.k, tol=args.tol)
-    except (NodalkitError, ValueError, AssertionError) as exc:
+    except KeyError as exc:
+        raise InputError("problem has no field %s" % exc)
+    except (NodalkitError, ValueError, TypeError) as exc:
         raise InputError(str(exc))
     out = sol.to_json()
-    out["vectors"] = [[float(v) for v in sol.vectors[:, i]]
-                      for i in range(sol.vectors.shape[1])]
+    out["vectors"] = sol.vectors.T.tolist()
     _emit(args, out)
     return 0
 

@@ -47,3 +47,7 @@ class NoFit(NodalkitError):
 
 class InfeasibleOrder(NodalkitError):
     """Jet matrix has full rank; requested vanishing order not reachable."""
+
+
+class InvalidProblem(NodalkitError):
+    """An eigenproblem or its operator violates a stated precondition."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ import scipy.sparse.linalg
 
 from .bounds import bessel_j0_first_zero, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
-                     MalformedEmbedding, NoConvergence, NoFit)
+                     InvalidProblem, MalformedEmbedding, NoConvergence, NoFit)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
 from .surface import SurfaceSpec
 
@@ -74,58 +75,124 @@ class MaskedGrid:
         return {"shape": "MaskedGrid", "bitmap": [list(r) for r in self.bitmap]}
 
 
-_ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                  "sqrt": math.sqrt, "abs": abs, "tan": math.tan,
-                  "log": math.log}
-_ALLOWED_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Num,
-                  ast.Constant, ast.Name, ast.Call, ast.Load, ast.Add,
-                  ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd,
-                  ast.Mod)
+def _per_element(fn):
+    """fn applied with Python floats to each element of its broadcast
+    arguments: the bits of a scalar evaluation at every grid site."""
+    def apply(*args):
+        args = np.broadcast_arrays(*(np.asarray(a, float) for a in args))
+        out = np.empty(args[0].shape)
+        flat = out.reshape(-1)
+        for i, xs in enumerate(zip(*(a.ravel().tolist() for a in args))):
+            v = fn(*xs)
+            if not isinstance(v, float):   # negative base, fractional power
+                raise ValueError("%s%r is not real" % (fn.__name__, xs))
+            flat[i] = v
+        return out
+    return apply
+
+
+# + - * / run as numpy operations on whole arrays, which round exactly as
+# Python floats do.  ** % and the functions run per element, because numpy's
+# vectorised pow and transcendentals may differ from libm in the last bit.
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.Pow: _per_element(operator.pow),
+           ast.Mod: _per_element(operator.mod)}
+_UNARY = {ast.USub: np.negative, ast.UAdd: np.positive}
+_FUNCS = {name: _per_element(fn) for name, fn in
+          {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+           "sqrt": math.sqrt, "abs": abs, "tan": math.tan,
+           "log": math.log}.items()}
+_NAMES = {"x": lambda x, y: x, "y": lambda x, y: y,
+          "pi": lambda x, y: math.pi}
+
+
+def _compile_potential(node):
+    """Closure f(x, y) for one node of a potential's syntax tree; anything
+    outside the grammar raises ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        try:
+            c = float(node.value)
+        except OverflowError:
+            raise ValueError("integer constant in potential is too large "
+                             "for a float") from None
+        return lambda x, y: c
+    if isinstance(node, ast.Name):
+        if node.id not in _NAMES:
+            raise ValueError("unknown name %r in potential" % node.id)
+        return _NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        fn, a = _UNARY[type(node.op)], _compile_potential(node.operand)
+        return lambda x, y: fn(a(x, y))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        fn = _BINARY[type(node.op)]
+        a, b = _compile_potential(node.left), _compile_potential(node.right)
+        return lambda x, y: fn(a(x, y), b(x, y))
+    if isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS \
+                or len(node.args) != 1 or node.keywords:
+            raise ValueError("unknown function or arity in potential")
+        fn, a = _FUNCS[node.func.id], _compile_potential(node.args[0])
+        return lambda x, y: fn(a(x, y))
+    raise ValueError("disallowed token in potential: %r" % type(node).__name__)
 
 
 def parse_potential(expr):
     """Compile a potential V(x, y) from a small arithmetic grammar.
 
     Allowed: numbers, x, y, pi, + - * / ** %, and sin/cos/tan/exp/sqrt/log/abs.
+    Number literals are floats.  V takes coordinate arrays (or floats) and
+    gives, element for element, the bits a Python float evaluation gives.
+    Division by zero, overflow, domain errors and non-finite values raise
+    ValueError.
     """
     if expr is None:
         return None
     if isinstance(expr, (int, float)):
         c = float(expr)
         return (lambda x, y: c) if c != 0.0 else None
-    tree = ast.parse(str(expr), mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError("disallowed token in potential: %r"
-                             % type(node).__name__)
-        if isinstance(node, ast.Name) and node.id not in ("x", "y", "pi"):
-            if node.id not in _ALLOWED_FUNCS:
-                raise ValueError("unknown name %r in potential" % node.id)
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or \
-                    node.func.id not in _ALLOWED_FUNCS:
-                raise ValueError("unknown function in potential")
-    code = compile(tree, "<potential>", "eval")
-    env = dict(_ALLOWED_FUNCS, pi=math.pi)
+    try:
+        tree = ast.parse(str(expr), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError("potential %r: %s" % (expr, exc.msg)) from None
+    f = _compile_potential(tree.body)
 
     def V(x, y):
-        return float(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)))
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                v = f(x, y)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError("potential %r fails on the grid: %s"
+                             % (expr, exc)) from None
+        if not np.all(np.isfinite(v)):
+            raise ValueError("potential %r is not finite on the grid" % expr)
+        return v
     return V
 
 
 @dataclass(frozen=True)
 class EigenProblem:
+    """-Delta + V on a domain at grid step h with one boundary condition.
+
+    `potential` is None or a callable V(x, y) that receives the coordinate
+    arrays of all grid sites at once and returns an array of the same shape
+    (or a scalar), as `parse_potential` does.  Bad input raises
+    InvalidProblem."""
     domain: object
     grid_step: float
     bc: str = DIRICHLET
     robin_h: float = 0.0
-    potential: object = None  # callable V(x, y) or None
+    potential: object = None  # callable V(x, y) on coordinate arrays, or None
 
     def __post_init__(self):
-        assert self.grid_step > 0
-        assert self.bc in (DIRICHLET, NEUMANN, ROBIN)
-        if self.bc == ROBIN:
-            assert self.robin_h >= 0
+        if not self.grid_step > 0:
+            raise InvalidProblem("grid step must be positive, got %r"
+                                 % (self.grid_step,))
+        if self.bc not in (DIRICHLET, NEUMANN, ROBIN):
+            raise InvalidProblem("unknown boundary condition %r (choose from "
+                                 "Dirichlet, Neumann, Robin)" % (self.bc,))
+        if self.bc == ROBIN and not self.robin_h >= 0:
+            raise InvalidProblem("Robin coefficient must be >= 0, got %r"
+                                 % (self.robin_h,))
         _check_divisibility(self.domain, self.grid_step)
 
     def to_json(self):
@@ -171,7 +238,9 @@ def _check_divisibility(dom, h):
     elif isinstance(dom, Disk):
         divides(2 * dom.r)
     elif isinstance(dom, Annulus):
-        assert 0 < dom.r_in < dom.r_out
+        if not 0 < dom.r_in < dom.r_out:
+            raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
+                                 % (dom.r_in, dom.r_out))
         divides(2 * dom.r_out)
 
 
@@ -183,7 +252,8 @@ def domain_area(dom, h=None):
     if isinstance(dom, Annulus):
         return math.pi * (dom.r_out ** 2 - dom.r_in ** 2)
     if isinstance(dom, MaskedGrid):
-        assert h is not None
+        if h is None:
+            raise InvalidProblem("the area of a MaskedGrid needs the grid step")
         return sum(sum(row) for row in dom.bitmap) * h * h
     raise ValueError("unknown domain")
 
@@ -276,21 +346,13 @@ class AssembledOperator:
     matrix: scipy.sparse.csr_matrix
     problem: EigenProblem
     layout: str              # "nodes" (Dirichlet rectangle) or "cells"
-    index_of: dict           # (ix, iy) -> row
-    sites: list              # row -> (ix, iy)
+    sites: tuple             # (iy, ix) index arrays: row -> site on the grid
     origin: tuple
-    mask: np.ndarray | None  # cell mask for "cells" layout
+    mask: np.ndarray         # cell mask of the domain
 
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def site_xy(self, row):
-        ix, iy = self.sites[row]
-        h = self.problem.grid_step
-        if self.layout == "nodes":
-            return self.origin[0] + ix * h, self.origin[1] + iy * h
-        return self.origin[0] + (ix + 0.5) * h, self.origin[1] + (iy + 0.5) * h
 
     def to_field(self, vec) -> GridField:
         """Cell-centered field for nodal extraction.
@@ -300,135 +362,66 @@ class AssembledOperator:
         h = self.problem.grid_step
         if self.layout == "cells":
             vals = np.zeros(self.mask.shape)
-            for row, (ix, iy) in enumerate(self.sites):
-                vals[iy, ix] = vec[row]
+            vals[self.sites] = vec
             return GridField(vals, self.mask.copy(), self.origin, h)
-        dom = self.problem.domain
-        nx, ny = round(dom.w / h), round(dom.h / h)
+        ny, nx = self.mask.shape
         nodes = np.zeros((ny + 1, nx + 1))
-        for row, (ix, iy) in enumerate(self.sites):
-            nodes[iy, ix] = vec[row]
+        nodes[self.sites] = vec
         cells = 0.25 * (nodes[:-1, :-1] + nodes[1:, :-1]
                         + nodes[:-1, 1:] + nodes[1:, 1:])
-        return GridField(cells, np.ones((ny, nx), bool), self.origin, h)
+        return GridField(cells, self.mask.copy(), self.origin, h)
 
 
 def assemble_operator(problem: EigenProblem) -> AssembledOperator:
-    """Five-point Laplacian + diagonal potential; exactly symmetric."""
+    """Five-point Laplacian + diagonal potential; exactly symmetric.
+
+    One stencil over a boolean site grid: the interior nodes of a Dirichlet
+    rectangle, else the cell mask.  A neighbour off the site grid is a ghost
+    holding g times the site's value (g = 0 Dirichlet, 1 Neumann,
+    (2 - h_R h)/(2 + h_R h) Robin), which puts -g/h^2 on the diagonal."""
     h = problem.grid_step
     dom = problem.domain
-    V = problem.potential
+    if not isinstance(dom, Rectangle) and problem.bc != DIRICHLET:
+        raise ValueError("masked domains support Dirichlet conditions only")
+    mask, origin = _domain_mask(dom, h)
+    ny, nx = mask.shape
     if isinstance(dom, Rectangle) and problem.bc == DIRICHLET:
-        nx, ny = round(dom.w / h), round(dom.h / h)
         if nx - 1 < 3 or ny - 1 < 3:
             raise DegenerateGrid("need at least 3 interior nodes per dimension")
-        sites = [(ix, iy) for iy in range(1, ny) for ix in range(1, nx)]
-        index = {s: i for i, s in enumerate(sites)}
-        rows, cols, vals = [], [], []
-        inv_h2 = 1.0 / (h * h)
-        for i, (ix, iy) in enumerate(sites):
-            diag = 4.0 * inv_h2
-            if V is not None:
-                diag += V(ix * h, iy * h)
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-                j = index.get((jx, jy))
-                if j is not None:   # off-grid neighbor: Dirichlet zero
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(-inv_h2)
-        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(sites),) * 2)
-        op = AssembledOperator(A, problem, "nodes", index, sites, (0.0, 0.0), None)
-    elif isinstance(dom, Rectangle):
-        # cell centers with ghost reflection on all four sides
-        nx, ny = round(dom.w / h), round(dom.h / h)
-        if nx < 3 or ny < 3:
-            raise DegenerateGrid("need at least 3 cells per dimension")
-        sites = [(ix, iy) for iy in range(ny) for ix in range(nx)]
-        index = {s: i for i, s in enumerate(sites)}
-        rows, cols, vals = [], [], []
-        inv_h2 = 1.0 / (h * h)
-        hr = problem.robin_h if problem.bc == ROBIN else 0.0
-        # ghost value = g * interior value; Neumann: g = 1
-        g = (2.0 - hr * h) / (2.0 + hr * h)
-        for i, (ix, iy) in enumerate(sites):
-            diag = 4.0 * inv_h2
-            if V is not None:
-                x, y = (ix + 0.5) * h, (iy + 0.5) * h
-                diag += V(x, y)
-            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-                j = index.get((jx, jy))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(-inv_h2)
-                else:
-                    diag -= g * inv_h2   # ghost cell reflected onto the center
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(sites),) * 2)
-        op = AssembledOperator(A, problem, "cells", index, sites, (0.0, 0.0),
-                               np.ones((ny, nx), bool))
+        layout, offset = "nodes", 0.0
+        grid = np.zeros((ny + 1, nx + 1), bool)
+        grid[1:-1, 1:-1] = True
     else:
-        if problem.bc != DIRICHLET:
-            raise ValueError("masked domains support Dirichlet conditions only")
-        mask, origin = _domain_mask(dom, h)
-        ny, nx = mask.shape
-        cols_span = mask.any(axis=0).sum()
-        rows_span = mask.any(axis=1).sum()
-        if cols_span < 3 or rows_span < 3:
+        if mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
             raise DegenerateGrid("mask thinner than 3 cells")
-        sites = [(ix, iy) for iy in range(ny) for ix in range(nx) if mask[iy, ix]]
-        index = {s: i for i, s in enumerate(sites)}
-        rows, cols, vals = [], [], []
-        inv_h2 = 1.0 / (h * h)
-        for i, (ix, iy) in enumerate(sites):
-            diag = 4.0 * inv_h2
-            if V is not None:
-                x = origin[0] + (ix + 0.5) * h
-                y = origin[1] + (iy + 0.5) * h
-                diag += V(x, y)
-            rows.append(i)
-            cols.append(i)
-            vals.append(diag)
-            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
-                j = index.get((jx, jy))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(-inv_h2)
-        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(sites),) * 2)
-        op = AssembledOperator(A, problem, "cells", index, sites, origin, mask)
-    asym = abs(op.matrix - op.matrix.T)
-    assert asym.nnz == 0 or asym.max() == 0.0, "assembled operator not symmetric"
-    return op
+        layout, offset, grid = "cells", 0.5, mask
+    hr = problem.robin_h if problem.bc == ROBIN else 0.0
+    g = 0.0 if problem.bc == DIRICHLET else (2.0 - hr * h) / (2.0 + hr * h)
 
-
-def assemble_interval(n, h, bc_left, bc_right, robin_h=0.0):
-    """1-D cell-centered operator -u'' on n cells; used as a cross-check
-    oracle for the Robin/Neumann ghost treatment."""
+    iy, ix = np.nonzero(grid)
+    n = iy.size
+    row_of = np.full((grid.shape[0] + 2, grid.shape[1] + 2), -1)
+    row_of[1:-1, 1:-1][grid] = np.arange(n)
     inv_h2 = 1.0 / (h * h)
-
-    def ghost(bc):
-        if bc == DIRICHLET:
-            return -1.0  # antisymmetric ghost
-        if bc == NEUMANN:
-            return 1.0
-        return (2.0 - robin_h * h) / (2.0 + robin_h * h)
-    A = np.zeros((n, n))
-    for i in range(n):
-        diag = 2.0 * inv_h2
-        for j in (i - 1, i + 1):
-            if 0 <= j < n:
-                A[i, j] = -inv_h2
-            else:
-                g = ghost(bc_left if j < 0 else bc_right)
-                diag -= g * inv_h2
-        A[i, i] = diag
-    return A
+    diag = np.full(n, 4.0 * inv_h2)
+    if problem.potential is not None:
+        diag = diag + problem.potential(origin[0] + (ix + offset) * h,
+                                        origin[1] + (iy + offset) * h)
+    rows, cols = [np.arange(n)], [np.arange(n)]
+    # W, E, S, N: the order in which ghost terms enter each diagonal sum
+    for dy, dx in ((0, -1), (0, 1), (-1, 0), (1, 0)):
+        j = row_of[iy + 1 + dy, ix + 1 + dx]
+        has = j >= 0
+        diag[~has] -= g * inv_h2
+        rows.append(np.flatnonzero(has))
+        cols.append(j[has])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.concatenate([diag, np.full(rows.size - n, -inv_h2)])
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    asym = abs(A - A.T)
+    if asym.nnz and asym.max() != 0.0:
+        raise InvalidProblem("assembled operator not symmetric")
+    return AssembledOperator(A, problem, layout, (iy, ix), origin, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +485,11 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
         radii = np.abs(A).sum(axis=1).A1 - np.abs(diag)
         sigma = float((diag - radii).min()) - 1.0
         try:
-            w, v = scipy.sparse.linalg.eigsh(A, k=K, sigma=sigma, which="LM")
+            # a fixed random start vector makes the solve repeatable; a
+            # constant one would be orthogonal to modes odd in x or y
+            v0 = np.random.default_rng(0).standard_normal(n)
+            w, v = scipy.sparse.linalg.eigsh(A, k=K, sigma=sigma, which="LM",
+                                             v0=v0)
         except Exception as exc:
             raise NoConvergence("eigsh failed: %s" % exc)
         order = np.argsort(w)
@@ -506,7 +503,9 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
                             % (res.max(), tol))
     if K >= 2:
         scale = max(abs(evs[1]), 1.0)
-        assert (evs[1] - evs[0]) / scale > 1e-12, "ground state must be simple"
+        if not (evs[1] - evs[0]) / scale > 1e-12:
+            raise InvalidProblem("ground state must be simple (is the domain "
+                                 "connected?)")
     clusters = cluster_multiplicities(evs, cluster_rel_tol)
     return EigenSolution(evs, vecs, clusters, cluster_rel_tol, res, op)
 
@@ -595,7 +594,6 @@ def extract_nodal(u: GridField, problem: EigenProblem | None = None,
     ny, nx = sign.shape
 
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    _, npos = scipy.ndimage.label((sign > 0), structure), None
     lab_pos, npos = scipy.ndimage.label(sign > 0, structure)
     lab_neg, nneg = scipy.ndimage.label(sign < 0, structure)
     kappa = int(npos + nneg)

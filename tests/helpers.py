@@ -2,13 +2,23 @@
 
 Hand-built embedded partitions (circle, theta, figure-eight, disk with a
 diameter, Moebius-strip curves) plus a random planar-partition generator
-based on Delaunay triangulations of random point sets.
+based on Delaunay triangulations of random point sets.  Also the per-site
+loop assembler and the eval-based potential that the array assembler and
+`parse_potential` are checked against bit for bit, and a 1-D interval
+operator used as an oracle for the ghost-cell treatment.
 """
 
+import ast
+import math
+
 import numpy as np
+import scipy.sparse
 from scipy.spatial import Delaunay
 
+from nodalkit.errors import DegenerateGrid
 from nodalkit.partition import PartitionBuilder, dart
+from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
+                               _domain_mask)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -163,3 +173,129 @@ def random_planar_partition(rng, planar_holes=None):
             m = bld.circle()
             bld.edge(m, m, boundary=True, component=comp)
     return bld.build()
+
+
+# ---------------------------------------------------------------------------
+# reference implementations for the spectral module
+# ---------------------------------------------------------------------------
+
+_REFERENCE_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                    "sqrt": math.sqrt, "abs": abs, "tan": math.tan,
+                    "log": math.log}
+
+
+def reference_potential(expr):
+    """V(x, y) on Python floats by `eval` of the expression, one site per
+    call: the evaluation the array potential must reproduce bit for bit."""
+    code = compile(ast.parse(expr, mode="eval"), "<potential>", "eval")
+    env = dict(_REFERENCE_FUNCS, pi=math.pi)
+
+    def V(x, y):
+        return float(eval(code, {"__builtins__": {}}, dict(env, x=x, y=y)))
+    return V
+
+
+def reference_assemble(problem, V=None):
+    """CSR matrix of the problem from three per-site loops, one per site
+    layout.  V(x, y) is called once per site with Python floats; it defaults
+    to the problem's potential."""
+    h = problem.grid_step
+    dom = problem.domain
+    if V is None:
+        V = problem.potential
+    inv_h2 = 1.0 / (h * h)
+    rows, cols, vals = [], [], []
+    if isinstance(dom, Rectangle) and problem.bc == DIRICHLET:
+        nx, ny = round(dom.w / h), round(dom.h / h)
+        if nx - 1 < 3 or ny - 1 < 3:
+            raise DegenerateGrid("need at least 3 interior nodes per dimension")
+        sites = [(ix, iy) for iy in range(1, ny) for ix in range(1, nx)]
+        index = {s: i for i, s in enumerate(sites)}
+        for i, (ix, iy) in enumerate(sites):
+            diag = 4.0 * inv_h2
+            if V is not None:
+                diag += V(ix * h, iy * h)
+            rows.append(i)
+            cols.append(i)
+            vals.append(diag)
+            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+                j = index.get((jx, jy))
+                if j is not None:   # off-grid neighbor: Dirichlet zero
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(-inv_h2)
+    elif isinstance(dom, Rectangle):
+        # cell centers with ghost reflection on all four sides
+        nx, ny = round(dom.w / h), round(dom.h / h)
+        if nx < 3 or ny < 3:
+            raise DegenerateGrid("need at least 3 cells per dimension")
+        sites = [(ix, iy) for iy in range(ny) for ix in range(nx)]
+        index = {s: i for i, s in enumerate(sites)}
+        hr = problem.robin_h if problem.bc == ROBIN else 0.0
+        # ghost value = g * interior value; Neumann: g = 1
+        g = (2.0 - hr * h) / (2.0 + hr * h)
+        for i, (ix, iy) in enumerate(sites):
+            diag = 4.0 * inv_h2
+            if V is not None:
+                x, y = (ix + 0.5) * h, (iy + 0.5) * h
+                diag += V(x, y)
+            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+                j = index.get((jx, jy))
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(-inv_h2)
+                else:
+                    diag -= g * inv_h2   # ghost cell reflected onto the center
+            rows.append(i)
+            cols.append(i)
+            vals.append(diag)
+    else:
+        if problem.bc != DIRICHLET:
+            raise ValueError("masked domains support Dirichlet conditions only")
+        mask, origin = _domain_mask(dom, h)
+        ny, nx = mask.shape
+        if mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
+            raise DegenerateGrid("mask thinner than 3 cells")
+        sites = [(ix, iy) for iy in range(ny) for ix in range(nx) if mask[iy, ix]]
+        index = {s: i for i, s in enumerate(sites)}
+        for i, (ix, iy) in enumerate(sites):
+            diag = 4.0 * inv_h2
+            if V is not None:
+                x = origin[0] + (ix + 0.5) * h
+                y = origin[1] + (iy + 0.5) * h
+                diag += V(x, y)
+            rows.append(i)
+            cols.append(i)
+            vals.append(diag)
+            for jx, jy in ((ix - 1, iy), (ix + 1, iy), (ix, iy - 1), (ix, iy + 1)):
+                j = index.get((jx, jy))
+                if j is not None:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(-inv_h2)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(len(sites),) * 2)
+
+
+def assemble_interval(n, h, bc_left, bc_right, robin_h=0.0):
+    """1-D cell-centered operator -u'' on n cells; used as a cross-check
+    oracle for the Robin/Neumann ghost treatment."""
+    inv_h2 = 1.0 / (h * h)
+
+    def ghost(bc):
+        if bc == DIRICHLET:
+            return -1.0  # antisymmetric ghost
+        if bc == NEUMANN:
+            return 1.0
+        return (2.0 - robin_h * h) / (2.0 + robin_h * h)
+    A = np.zeros((n, n))
+    for i in range(n):
+        diag = 2.0 * inv_h2
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                A[i, j] = -inv_h2
+            else:
+                g = ghost(bc_left if j < 0 else bc_right)
+                diag -= g * inv_h2
+        A[i, i] = diag
+    return A

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,6 +129,65 @@ def test_solve_deterministic(tmp_path):
     assert main(["solve", str(prob), "-k", "3", "-o", str(a)]) == 0
     assert main(["solve", str(prob), "-k", "3", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _problem_file(tmp_path, obj):
+    f = tmp_path / "prob.json"
+    f.write_text(json.dumps(obj))
+    return str(f)
+
+
+def _nodalkit(*argv, optimize=False):
+    """Run the CLI in a fresh interpreter; optimize=True strips asserts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    cmd = [sys.executable] + (["-O"] if optimize else []) + \
+        ["-m", "nodalkit.cli"] + list(argv)
+    return subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _square_with_potential(V):
+    doc = EigenProblem(Rectangle(1, 1), 1 / 8).to_json()
+    doc["V"] = V
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _square_with_potential(V) for V in ("1/(x-0.5)", "9**9**9", "1e400", "x +")
+] + [{}, [1], {"domain": 5, "gridStep": 0.125}])
+def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
+    assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip()) > len("error:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"formatVersion": 1, "domain": {"shape": "Rectangle", "w": 1.0, "h": 1.0},
+     "gridStep": 0.125, "bc": "Foo"},
+    {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+     "domain": {"shape": "MaskedGrid",
+                "bitmap": [[1] * 8] * 3 + [[0] * 8] * 2 + [[1] * 8] * 3}},
+], ids=["unknown-bc", "two-piece-mask"])
+def test_invalid_problem_exits_2_under_optimize(tmp_path, doc):
+    r = _nodalkit("solve", _problem_file(tmp_path, doc), "-k", "3",
+                  optimize=True)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ")
+    assert len(r.stderr.strip()) > len("error:")
+    assert r.stdout == ""
+
+
+def test_solve_repeatable_across_processes(tmp_path):
+    # n = 47^2 takes the sparse eigsh path; k = 10 includes degenerate pairs
+    prob = _problem_file(tmp_path, EigenProblem(Rectangle(1, 1), 1 / 48).to_json())
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        r = _nodalkit("solve", prob, "-k", "10", "-o", str(out))
+        assert r.returncode == 0, r.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_plot(solution_file, tmp_path):

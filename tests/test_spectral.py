@@ -7,16 +7,17 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
+import helpers
 from nodalkit.bounds import bessel_j0_first_zero
 from nodalkit.errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
-                             NoFit)
+                             InvalidProblem, NoFit)
 from nodalkit.partition import check_boundary_parity, partition_stats, verify_euler
 from nodalkit.spectral import (Annulus, Disk, EigenProblem, GridField,
-                               MaskedGrid, Rectangle, assemble_interval,
-                               assemble_operator, cluster_multiplicities,
-                               domain_area, extract_nodal, local_ray_fit,
-                               parse_potential, prescribe_singular,
-                               sample_field, solve_eigen, verify_spectral_laws)
+                               MaskedGrid, Rectangle, assemble_operator,
+                               cluster_multiplicities, domain_area,
+                               extract_nodal, local_ray_fit, parse_potential,
+                               prescribe_singular, sample_field, solve_eigen,
+                               verify_spectral_laws)
 
 
 def test_assembly_shape_and_symmetry():
@@ -39,13 +40,13 @@ def test_neumann_constant_null_vector():
 def test_robin_interval_cross_check():
     # -u'' on [0,1], Neumann left, Robin right: sqrt(l) tan(sqrt(l)) = h
     n, hr = 400, 1.0
-    A = assemble_interval(n, 1.0 / n, "Neumann", "Robin", robin_h=hr)
+    A = helpers.assemble_interval(n, 1.0 / n, "Neumann", "Robin", robin_h=hr)
     lam1 = np.linalg.eigvalsh(A)[0]
     root = brentq(lambda l: math.sqrt(l) * math.tan(math.sqrt(l)) - hr,
                   0.1, (math.pi / 2) ** 2 * 0.999)
     assert abs(lam1 - root) / root < 1e-5
     # h -> 0 recovers the Neumann null eigenvalue
-    A0 = assemble_interval(n, 1.0 / n, "Neumann", "Robin", robin_h=0.0)
+    A0 = helpers.assemble_interval(n, 1.0 / n, "Neumann", "Robin", robin_h=0.0)
     assert abs(np.linalg.eigvalsh(A0)[0]) < 1e-9
 
 
@@ -83,6 +84,14 @@ def test_convergence_second_order():
     assert 3.0 < e2 / e3 < 5.0
 
 
+def test_sparse_solve_repeatable():
+    # n = 47^2 takes the eigsh path; clusters [2, 3], [5, 6], ... are degenerate
+    op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 48))
+    a, b = solve_eigen(op, 10), solve_eigen(op, 10)
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+
+
 def test_disk_eigenvalue():
     p = EigenProblem(Disk(1.0), 1 / 64)
     sol = solve_eigen(assemble_operator(p), 1)
@@ -114,6 +123,128 @@ def test_potential_parsing():
         parse_potential("__import__('os')")
     with pytest.raises(ValueError):
         parse_potential("open('x')")
+
+
+def _with_potential(p, expr):
+    return EigenProblem(p.domain, p.grid_step, p.bc, p.robin_h,
+                        parse_potential(expr))
+
+
+_TWO_PIECES = tuple(tuple(1 if iy in (0, 1, 2, 5, 6, 7) else 0
+                          for _ in range(8)) for iy in range(8))
+
+# every problem the suite and the demos assemble, the three cli-pipeline
+# benchmark problems (the last three with h = 1/128 or 1/64), and each site
+# layout with a potential
+_ORACLE_PROBLEMS = [
+    (EigenProblem(Rectangle(1, 1), h), None)
+    for h in (0.25, 1 / 8, 1 / 16, 1 / 24, 1 / 32, 1 / 48, 1 / 64)
+] + [
+    (EigenProblem(Rectangle(1, 1), 0.25, bc="Neumann"), None),
+    (EigenProblem(Rectangle(1, 1), 1 / 16, bc="Robin", robin_h=2.0), None),
+    (EigenProblem(Rectangle(2, 1), 1 / 8, bc="Robin", robin_h=1.5), None),
+    (EigenProblem(Rectangle(1, 1), 1 / 16), "7"),
+    (EigenProblem(Disk(0.5), 1 / 48), None),
+    (EigenProblem(Disk(1.0), 1 / 32), None),
+    (EigenProblem(Disk(1.0), 1 / 64), None),
+    (EigenProblem(Disk(1.0), 1 / 96), None),
+    (EigenProblem(Disk(1.0), 1 / 128), None),
+    (EigenProblem(Annulus(0.25, 1.0), 1 / 32), None),
+    (EigenProblem(MaskedGrid(tuple(tuple(1 for _ in range(8))
+                                   for _ in range(8))), 1 / 8), None),
+    (EigenProblem(MaskedGrid(_TWO_PIECES), 1 / 8), None),
+    (EigenProblem(Rectangle(2, 1), 1 / 32, bc="Neumann"),
+     "sin(pi*x)*cos(3*y) + x**2 % 0.3 + exp(-y) - log(y+2)/tan(x+0.1)"),
+    (EigenProblem(Annulus(0.25, 1.0), 1 / 32),
+     "sqrt(x*x+y*y) + abs(x-y)**1.5 - 2.5/(1+y*y)"),
+    (EigenProblem(Rectangle(1, 1), 1 / 128), None),
+    (EigenProblem(Disk(0.5), 1 / 128), "12.3456*(x*x+y*y)"),
+    (EigenProblem(Rectangle(2, 1), 1 / 64, bc="Robin", robin_h=2.0), None),
+]
+
+
+@pytest.mark.parametrize("problem,expr", _ORACLE_PROBLEMS)
+def test_assembler_matches_loop_reference(problem, expr):
+    ref_V = None
+    if expr is not None:
+        problem = _with_potential(problem, expr)
+        ref_V = helpers.reference_potential(expr)
+    A = assemble_operator(problem).matrix
+    R = helpers.reference_assemble(problem, ref_V)
+    assert np.array_equal(A.indptr, R.indptr)
+    assert np.array_equal(A.indices, R.indices)
+    assert A.data.dtype == R.data.dtype and A.data.tobytes() == R.data.tobytes()
+
+
+@pytest.mark.parametrize("problem", [EigenProblem(Rectangle(2, 1), 1 / 8),
+                                     EigenProblem(Rectangle(2, 1), 1 / 8,
+                                                  bc="Neumann"),
+                                     EigenProblem(Disk(1.0), 1 / 8)])
+def test_to_field_places_rows_in_grid_order(problem):
+    op = assemble_operator(problem)
+    vec = np.arange(1.0, op.n + 1)
+    f = op.to_field(vec)
+    if op.layout == "cells":
+        # rows run over the mask cells with x fastest
+        assert np.array_equal(f.values[f.mask], vec)
+        assert not f.values[~f.mask].any()
+    else:
+        ny, nx = f.mask.shape
+        nodes = np.zeros((ny + 1, nx + 1))
+        nodes[1:-1, 1:-1] = vec.reshape(ny - 1, nx - 1)
+        expect = 0.25 * (nodes[:-1, :-1] + nodes[1:, :-1]
+                         + nodes[:-1, 1:] + nodes[1:, 1:])
+        assert np.array_equal(f.values, expect) and f.mask.all()
+
+
+@pytest.mark.parametrize("expr", [
+    "sin(3*x+y)", "cos(x*y-1)", "tan(x-0.3*y)", "exp(x-2*y)",
+    "sqrt(x+y+3)", "log(x+2)", "abs(x-y)", "(x+1)**2.5 + (y+2)**x - 2**-x",
+    "x % 0.3 - y % -0.7 + 7 % 3", "-x*pi/3 + +y - 1/7",
+    "12.3456*(x*x+y*y)"])
+def test_potential_array_bits_equal_scalar_eval(expr):
+    rng = np.random.default_rng(5)
+    X, Y = rng.uniform(-1, 1, (2, 7, 9))
+    ref = helpers.reference_potential(expr)
+    expect = np.array([[ref(x, y) for x, y in zip(xr, yr)]
+                       for xr, yr in zip(X.tolist(), Y.tolist())])
+    V = parse_potential(expr)
+    assert V(X, Y).tobytes() == expect.tobytes()
+    x, y = float(X[0, 0]), float(Y[0, 0])
+    assert float(V(x, y)) == ref(x, y)
+
+
+@pytest.mark.parametrize("expr", ["1/(x-0.5)", "9**9**9", "1e400",
+                                  "exp(1000*x)", "log(x-1)", "(x-0.5)**0.5",
+                                  "x % 0", "1e300*1e300*x"])
+def test_bad_potential_values_raise(expr):
+    # on the node lattice of h = 1/8 the site x = 0.5 exists
+    p = _with_potential(EigenProblem(Rectangle(1, 1), 1 / 8), expr)
+    with pytest.raises(ValueError):
+        assemble_operator(p)
+
+
+@pytest.mark.parametrize("expr", ["x +", "True", "'a'", "sin", "sin(x, y)",
+                                  "x // 2", "x if y else 1", "z"])
+def test_bad_potential_syntax_raises(expr):
+    with pytest.raises(ValueError):
+        parse_potential(expr)
+
+
+def test_invalid_problems_raise():
+    with pytest.raises(InvalidProblem):
+        EigenProblem(Rectangle(1, 1), 1 / 8, bc="Foo")
+    with pytest.raises(InvalidProblem):
+        EigenProblem(Rectangle(1, 1), -0.125)
+    with pytest.raises(InvalidProblem):
+        EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h=-1.0)
+    with pytest.raises(InvalidProblem):
+        EigenProblem(Annulus(1.0, 0.5), 1 / 8)
+    with pytest.raises(InvalidProblem):
+        domain_area(MaskedGrid(_TWO_PIECES))
+    op = assemble_operator(EigenProblem(MaskedGrid(_TWO_PIECES), 1 / 8))
+    with pytest.raises(InvalidProblem, match="ground state"):
+        solve_eigen(op, 3)
 
 
 def test_potential_shifts_spectrum():
