@@ -60,7 +60,7 @@ def faber_krahn_threshold(kappa: int) -> float:
     """Lower bound for lambda_k * |Omega| when the eigenfunction has kappa
     nodal domains: kappa * pi * j01^2."""
     j01 = bessel_j0_first_zero()
-    return kappa * math.pi * j01 * j01
+    return kappa * math.pi * j01 ** 2
 
 
 def weyl_term(lam: float, area: float) -> float:

@@ -29,16 +29,15 @@ import numpy as np
 from . import __version__
 from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
-                        enumerate_interior, first_repeat, labeling_from_type,
-                        parse_tau_text, rotating_limit_check,
-                        shift_invariant_types, validate_interior)
+                        enumerate_interior, labeling_from_type, parse_tau_text,
+                        rotating_limit_check, shift_invariant_types,
+                        validate_interior)
 from .errors import NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
 from .spectral import (EigenProblem, EigenSolution, assemble_operator,
-                       cluster_multiplicities, extract_nodal, solve_eigen,
-                       verify_spectral_laws)
+                       extract_nodal, solve_eigen)
 from .surface import parse_surface
 
 FORMAT_VERSION = 1
@@ -228,8 +227,11 @@ def _load_solution(path, args):
         sol = EigenSolution(evs, vecs, clusters,
                             float(obj.get("clusterRelTol", 1e-3)),
                             np.array(obj.get("residuals", [0] * len(evs))), op)
-    except (KeyError, ValueError, NodalkitError) as exc:
+    except (KeyError, ValueError, TypeError, NodalkitError) as exc:
         raise InputError("invalid solution file: %s" % exc)
+    if evs.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != len(evs):
+        raise InputError("solution needs one vector per eigenvalue, got "
+                         "vectors of shape %s" % (vecs.T.shape,))
     if vecs.shape[0] != op.n:
         raise InputError("solution vectors do not match the problem grid")
     return problem, sol
@@ -295,9 +297,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("-o", dest="output", default=None)
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
 
     part = sub.add_parser("partition").add_subparsers(dest="sub")
     pe = part.add_parser("euler")
@@ -330,6 +330,7 @@ def _build_parser():
     sv = sub.add_parser("solve")
     sv.add_argument("file")
     sv.add_argument("-k", type=int, default=6)
+    sv.add_argument("--tol", type=float, default=1e-9)
     common(sv)
     sv.set_defaults(fn=cmd_solve)
 

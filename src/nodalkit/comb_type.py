@@ -568,24 +568,3 @@ def parse_tau_text(text: str, base: int = 0):
     _require_valid_interior(t)
     return t
 
-
-@dataclass(frozen=True)
-class TypeMatrix:
-    """Generic 2-row matrix with possibly symbolic tokens (parse/print/compare
-    only; no validity constraints are imposed on symbolic entries)."""
-    top: tuple
-    bottom: tuple
-
-    @staticmethod
-    def parse(text: str) -> "TypeMatrix":
-        rows = [line.split() for line in text.strip().splitlines()
-                if line.strip() and not line.lstrip().startswith("#")]
-        if len(rows) != 2 or len(rows[0]) != len(rows[1]):
-            raise InvalidType("expected two rows of equal length")
-        return TypeMatrix(tuple(rows[0]), tuple(rows[1]))
-
-    def __str__(self):
-        width = max(len(s) for s in self.top + self.bottom)
-        fmt = "%%%ds" % width
-        return (" ".join(fmt % s for s in self.top) + "\n"
-                + " ".join(fmt % s for s in self.bottom) + "\n")

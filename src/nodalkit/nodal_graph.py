@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import MalformedEmbedding
 from .partition import (ADDED, BOUNDARY, CIRCLE, INTERIOR, EmbeddedPartition,
-                        _Mutable, _components, dart, partition_stats)
+                        PartitionBuilder, _components, dart, partition_stats)
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,9 @@ class MultigraphCounts:
 
 def _circle_components(p: EmbeddedPartition):
     """Components all of whose vertices are markers / added (i.e. circles)."""
-    c, labels = _components(p)
+    _, labels = _components(p)
     singular = {labels[v.id] for v in p.vertices if v.kind in (INTERIOR, BOUNDARY)}
-    all_labels = set(labels)
-    return c, len(all_labels - singular)
+    return len(set(labels) - singular)
 
 
 def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
@@ -56,7 +55,7 @@ def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
     if any(v.kind == CIRCLE and len(p.rotation[v.id]) != 2 for v in p.vertices):
         raise MalformedEmbedding("circle markers must have degree 2")
     st = partition_stats(p)
-    c, e = _circle_components(p)
+    e = _circle_components(p)
     s_i = [v for v in p.vertices if v.kind == INTERIOR]
     s_b = [v for v in p.vertices if v.kind == BOUNDARY]
     alpha0_formula = e + len(s_i) + len(s_b)
@@ -73,25 +72,23 @@ def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
                                  % (alpha1 - alpha0, st.sigma))
     degsum = sum(len(r) for r in p.rotation.values())
     assert degsum == 2 * alpha1
-    return MultigraphCounts(alpha0, alpha1, e, c, st.kappa)
+    return MultigraphCounts(alpha0, alpha1, e, st.components, st.kappa)
 
 
-def _subdivide(m: _Mutable, edge: int, times: int):
+def _subdivide(m: PartitionBuilder, edge: int, times: int):
     """Replace edge u--v by a path through `times` new Added vertices,
     preserving faces (rotation entries substituted in place)."""
     u, v = m.edge_ends[edge]
-    sig = m.edge_signature[edge]
     bnd = m.edge_boundary[edge]
-    comp = m.edge_component.get(edge)
-    ws = [m.new_vertex(ADDED) for _ in range(times)]
+    comp = m.component_of(edge) if bnd else 0
+    ws = [m.added() for _ in range(times)]
     chain = [u] + ws + [v]
     # reuse the original edge id for the first segment
     m.edge_ends[edge] = (chain[0], chain[1])
-    m.edge_signature[edge] = sig
     new_edges = [edge]
     for i in range(1, times + 1):
-        e = m.new_edge(chain[i], chain[i + 1], boundary=bnd, signature=1,
-                       component=comp)
+        e = m.edge(chain[i], chain[i + 1], boundary=bnd, signature=1,
+                   component=comp)
         new_edges.append(e)
     # rotation at v: the old dart (2*edge+1) is replaced by the last new dart
     last_dart = dart(new_edges[-1], 1)
@@ -109,7 +106,7 @@ def simplify_to_graph(p: EmbeddedPartition):
     processed in id order so output is reproducible.
     """
     st_before = partition_stats(p)
-    m = _Mutable(p)
+    m = PartitionBuilder.from_partition(p)
     for e in range(p.n_edges):
         u, v = m.edge_ends[e]
         if u == v:
@@ -122,7 +119,7 @@ def simplify_to_graph(p: EmbeddedPartition):
             _subdivide(m, e, 1)
         else:
             seen[key] = e
-    out = m.freeze()
+    out = m.build()
     # simplicity check
     keys = set()
     for u, v in out.edge_ends:
@@ -133,12 +130,12 @@ def simplify_to_graph(p: EmbeddedPartition):
             raise MalformedEmbedding("parallel edge survived simplification")
         keys.add(key)
     st_after = partition_stats(out)
-    c_before, _ = _components(p)
-    c_after, _ = _components(out)
     if (out.n_edges - len(out.vertices)) != (p.n_edges - len(p.vertices)):
         raise MalformedEmbedding("alpha1 - alpha0 not preserved")
-    if c_after != c_before or st_after.kappa != st_before.kappa:
+    if (st_after.components != st_before.components
+            or st_after.kappa != st_before.kappa):
         raise MalformedEmbedding("(c, r) not preserved by simplification")
     counts = MultigraphCounts(len(out.vertices), out.n_edges,
-                              _circle_components(out)[1], c_after, st_after.kappa)
+                              _circle_components(out), st_after.components,
+                              st_after.kappa)
     return out, counts

@@ -24,12 +24,18 @@ non-orientable and the defect is positive (a cross-cap hides inside some
 region, which is then non-orientable); on orientable surfaces every region is
 orientable and omega = 0.
 
+Partitions are built with PartitionBuilder, either fresh or as a copy of
+another partition for surgery (the blow-ups of `normalize`, the subdivisions
+of `nodal_graph.simplify_to_graph`), or read with `from_json`.  A partition is
+validated once, when it is constructed, so the functions here take a
+well-formed input for granted.
+
 All arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import MalformedEmbedding
@@ -67,7 +73,9 @@ def dart(edge: int, end: int) -> int:
 
 @dataclass
 class EmbeddedPartition:
-    """Immutable after construction (treat as frozen; operations return new objects)."""
+    """Immutable after construction (treat as frozen; operations return new
+    objects).  Validated once, when constructed: an EmbeddedPartition that
+    exists is well formed."""
     surface: SurfaceSpec
     vertices: list                  # list[PartitionVertex], ids = positions
     edge_ends: list                 # list[(u, v)]; dart 2e at u, 2e+1 at v
@@ -76,6 +84,9 @@ class EmbeddedPartition:
     rotation: dict                  # vertex id -> tuple of darts (cyclic, ccw)
     boundary_components: list       # list[list[edge id]] (cycles of boundary edges)
     nodal: bool = False             # flagged as coming from an eigenfunction
+
+    def __post_init__(self):
+        self.validate()
 
     # ------------------------------------------------------------------
 
@@ -101,6 +112,9 @@ class EmbeddedPartition:
             raise MalformedEmbedding("edge attribute lists disagree in length")
         seen = {}
         for vid, rot in self.rotation.items():
+            if not 0 <= vid < nv:
+                raise MalformedEmbedding("rotation given at %r, which is not a "
+                                         "vertex id" % (vid,))
             for d in rot:
                 if d in seen:
                     raise MalformedEmbedding("dart %d in two rotations" % d)
@@ -206,14 +220,22 @@ class EmbeddedPartition:
             sig.append(int(e.get("signature", 1)))
         rot = {int(k): tuple(int(d) for d in v) for k, v in obj["rotation"].items()}
         comps = [[int(e) for e in c] for c in obj.get("boundaryComponents", [])]
-        p = EmbeddedPartition(surface, vertices, ends, bnd, sig, rot, comps,
-                              nodal=bool(obj.get("nodal", False)))
-        p.validate()
-        return p
+        return EmbeddedPartition(surface, vertices, ends, bnd, sig, rot, comps,
+                                 nodal=bool(obj.get("nodal", False)))
 
 
 class PartitionBuilder:
-    """Convenience builder; rotations of degree <= 2 vertices are inferred."""
+    """Builds a partition, fresh or as a copy of another one for surgery.
+
+    A fresh builder adds vertices and edges one at a time; rotations of
+    degree <= 2 vertices are inferred by `build()`.  `from_partition(p)`
+    copies p so that the blow-ups of `normalize` and the subdivisions of
+    `simplify_to_graph` can edit it in place, with rotations held as lists
+    while a surgery runs.  Each boundary edge joins its component's edge
+    list when it is added, so a fresh builder lists them in edge-id order
+    and a copy keeps the input's order.  `build()` returns the partition,
+    which is validated once, when it is constructed.
+    """
 
     def __init__(self, surface: SurfaceSpec, nodal: bool = False):
         self.surface = surface
@@ -222,8 +244,20 @@ class PartitionBuilder:
         self.edge_ends = []
         self.edge_boundary = []
         self.edge_signature = []
-        self.edge_component = []
         self.rotation = {}
+        self.boundary_components = [[] for _ in
+                                    range(surface.boundary_components)]
+
+    @classmethod
+    def from_partition(cls, p: EmbeddedPartition) -> "PartitionBuilder":
+        b = cls(p.surface, p.nodal)
+        b.vertices = list(p.vertices)
+        b.edge_ends = list(p.edge_ends)
+        b.edge_boundary = list(p.edge_boundary)
+        b.edge_signature = list(p.edge_signature)
+        b.rotation = {v: list(r) for v, r in p.rotation.items()}
+        b.boundary_components = [list(c) for c in p.boundary_components]
+        return b
 
     def _vertex(self, kind, **kw):
         v = PartitionVertex(len(self.vertices), kind, **kw)
@@ -244,36 +278,49 @@ class PartitionBuilder:
 
     def edge(self, u, v, boundary=False, signature=1, component=0):
         e = len(self.edge_ends)
+        if boundary:
+            if not 0 <= component < len(self.boundary_components):
+                raise MalformedEmbedding(
+                    "boundary edge on component %d, but the surface has %d "
+                    "boundary components"
+                    % (component, len(self.boundary_components)))
+            self.boundary_components[component].append(e)
         self.edge_ends.append((u, v))
         self.edge_boundary.append(boundary)
         self.edge_signature.append(signature)
-        self.edge_component.append(component if boundary else None)
         return e
+
+    def component_of(self, e):
+        """Index of the boundary component that lists boundary edge e."""
+        return next(ci for ci, comp in enumerate(self.boundary_components)
+                    if e in comp)
 
     def set_rotation(self, v, darts):
         self.rotation[v] = tuple(darts)
 
+    def reattach(self, d, v):
+        """Move dart d's endpoint to vertex v (its rotation entry is set
+        separately)."""
+        e = d // 2
+        a, b = self.edge_ends[e]
+        self.edge_ends[e] = (v, b) if d % 2 == 0 else (a, v)
+
     def build(self) -> EmbeddedPartition:
+        rotation = {v: tuple(r) for v, r in self.rotation.items()}
         incident = {v.id: [] for v in self.vertices}
         for e, (u, v) in enumerate(self.edge_ends):
-            incident[u].append(dart(e, 0))
-            incident[v].append(dart(e, 1))
+            incident.setdefault(u, []).append(dart(e, 0))
+            incident.setdefault(v, []).append(dart(e, 1))
         for vid, darts in incident.items():
-            if vid not in self.rotation:
+            if vid not in rotation:
                 if len(darts) > 2:
                     raise MalformedEmbedding("vertex %d has degree %d; rotation "
                                              "must be given" % (vid, len(darts)))
-                self.rotation[vid] = tuple(darts)
-        ncomp = self.surface.boundary_components
-        comps = [[] for _ in range(ncomp)]
-        for e in range(len(self.edge_ends)):
-            if self.edge_boundary[e]:
-                comps[self.edge_component[e]].append(e)
-        p = EmbeddedPartition(self.surface, self.vertices, self.edge_ends,
-                              self.edge_boundary, self.edge_signature,
-                              self.rotation, comps, nodal=self.nodal)
-        p.validate()
-        return p
+                rotation[vid] = tuple(darts)
+        return EmbeddedPartition(self.surface, self.vertices, self.edge_ends,
+                                 self.edge_boundary, self.edge_signature,
+                                 rotation, self.boundary_components,
+                                 nodal=self.nodal)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +377,6 @@ def _face_orbits(p: EmbeddedPartition):
 
 def trace_faces(p: EmbeddedPartition):
     """Faces as mirror-orbit pairs; returns a list of FaceWalk (one per face)."""
-    p.validate()
     orbits, orbit_of = _face_orbits(p)
     used = [False] * len(orbits)
     faces = []
@@ -515,60 +561,13 @@ def _violating_vertices(p: EmbeddedPartition):
     return sorted(bad)
 
 
-class _Mutable:
-    """Working copy of a partition for surgeries."""
-
-    def __init__(self, p: EmbeddedPartition):
-        self.surface = p.surface
-        self.nodal = p.nodal
-        self.vertices = list(p.vertices)
-        self.edge_ends = list(p.edge_ends)
-        self.edge_boundary = list(p.edge_boundary)
-        self.edge_signature = list(p.edge_signature)
-        self.rotation = {v: list(r) for v, r in p.rotation.items()}
-        self.bcomp = [list(c) for c in p.boundary_components]
-        self.edge_component = {}
-        for ci, comp in enumerate(self.bcomp):
-            for e in comp:
-                self.edge_component[e] = ci
-
-    def new_vertex(self, kind, **kw):
-        v = PartitionVertex(len(self.vertices), kind, **kw)
-        self.vertices.append(v)
-        return v.id
-
-    def new_edge(self, u, v, boundary=False, signature=1, component=None):
-        e = len(self.edge_ends)
-        self.edge_ends.append((u, v))
-        self.edge_boundary.append(boundary)
-        self.edge_signature.append(signature)
-        if boundary:
-            self.bcomp[component].append(e)
-            self.edge_component[e] = component
-        return e
-
-    def reattach(self, d, new_v):
-        """Move dart d's endpoint to new_v (rotation entry set separately)."""
-        e, side = d // 2, d % 2
-        u, v = self.edge_ends[e]
-        self.edge_ends[e] = (new_v, v) if side == 0 else (u, new_v)
-
-    def freeze(self) -> EmbeddedPartition:
-        p = EmbeddedPartition(self.surface, self.vertices, self.edge_ends,
-                              self.edge_boundary, self.edge_signature,
-                              {v: tuple(r) for v, r in self.rotation.items()},
-                              self.bcomp, nodal=self.nodal)
-        p.validate()
-        return p
-
-
-def _blow_up_interior(m: _Mutable, vid: int):
+def _blow_up_interior(m: PartitionBuilder, vid: int):
     rot = m.rotation.pop(vid)
     n = len(rot)
-    ws = [m.new_vertex(INTERIOR, nu=3) for _ in range(n)]
+    ws = [m.interior(3) for _ in range(n)]
     for i, d in enumerate(rot):
         m.reattach(d, ws[i])
-    circ = [m.new_edge(ws[i], ws[(i + 1) % n]) for i in range(n)]
+    circ = [m.edge(ws[i], ws[(i + 1) % n]) for i in range(n)]
     for i in range(n):
         out_d = dart(circ[i], 0)                 # towards w_{i+1}
         in_d = dart(circ[(i - 1) % n], 1)        # from w_{i-1}
@@ -577,15 +576,11 @@ def _blow_up_interior(m: _Mutable, vid: int):
     _drop_vertex(m, vid)
 
 
-def _blow_up_boundary(m: _Mutable, vid: int):
-    v = m.vertices[vid]
-    rot = list(m.rotation.pop(vid))
+def _blow_up_boundary(m: PartitionBuilder, vid: int):
+    rot = m.rotation.pop(vid)
     # normalize cyclic order to [b1, arcs..., b2]
-    bpos = [i for i, d in enumerate(rot) if m.edge_boundary[d // 2]]
-    if len(bpos) != 2:
-        raise MalformedEmbedding("boundary vertex %d without 2 boundary darts" % vid)
+    i1, i2 = [i for i, d in enumerate(rot) if m.edge_boundary[d // 2]]
     n = len(rot)
-    i1, i2 = bpos
     if i2 - i1 == 1:               # forward gap empty; arcs wrap around
         start = i2
     elif i2 - i1 == n - 1:         # wrap gap empty; arcs lie between them
@@ -597,17 +592,17 @@ def _blow_up_boundary(m: _Mutable, vid: int):
     b1, b2 = rot[0], rot[-1]
     arcs = rot[1:-1]
     rho = len(arcs)
-    ci = m.edge_component[b1 // 2]
-    z1 = m.new_vertex(BOUNDARY, rho=1, component=ci)
-    z2 = m.new_vertex(BOUNDARY, rho=1, component=ci)
-    ws = [m.new_vertex(INTERIOR, nu=3) for _ in range(rho)]
+    ci = m.component_of(b1 // 2)
+    z1 = m.boundary_vertex(1, ci)
+    z2 = m.boundary_vertex(1, ci)
+    ws = [m.interior(3) for _ in range(rho)]
     m.reattach(b1, z1)
     m.reattach(b2, z2)
     for i, d in enumerate(arcs):
         m.reattach(d, ws[i])
     chain = [z1] + ws + [z2]
-    half = [m.new_edge(chain[i], chain[i + 1]) for i in range(rho + 1)]
-    nb = m.new_edge(z1, z2, boundary=True, component=ci)
+    half = [m.edge(chain[i], chain[i + 1]) for i in range(rho + 1)]
+    nb = m.edge(z1, z2, boundary=True, component=ci)
     m.rotation[z1] = [b1, dart(half[0], 0), dart(nb, 0)]
     m.rotation[z2] = [dart(nb, 1), dart(half[rho], 1), b2]
     for i in range(rho):
@@ -615,7 +610,7 @@ def _blow_up_boundary(m: _Mutable, vid: int):
     _drop_vertex(m, vid)
 
 
-def _drop_vertex(m: _Mutable, vid: int):
+def _drop_vertex(m: PartitionBuilder, vid: int):
     """Remove a now-isolated vertex and renumber ids above it."""
     assert vid not in m.rotation
     del m.vertices[vid]
@@ -637,21 +632,16 @@ def normalize(p: EmbeddedPartition) -> EmbeddedPartition:
     The result is a plain graph partition: the surgery introduces odd-valency
     vertices, so the output does not carry the nodal flag even if the input
     did."""
-    current = p
-    if p.nodal:
-        current = EmbeddedPartition(p.surface, p.vertices, p.edge_ends,
-                                    p.edge_boundary, p.edge_signature,
-                                    p.rotation, p.boundary_components,
-                                    nodal=False)
+    current = replace(p, nodal=False) if p.nodal else p
     for _ in range(len(p.vertices) + p.n_edges + 4):
         bad = _violating_vertices(current)
         if not bad:
             return current
-        m = _Mutable(current)
+        m = PartitionBuilder.from_partition(current)
         vid = bad[0]
         if current.vertices[vid].kind == INTERIOR:
             _blow_up_interior(m, vid)
         else:
             _blow_up_boundary(m, vid)
-        current = m.freeze()
+        current = m.build()
     raise MalformedEmbedding("normalization did not terminate")

@@ -17,14 +17,14 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bounds import bessel_j0_first_zero, pleijel_bound, weyl_term
+from .bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                      InvalidProblem, MalformedEmbedding, NoConvergence, NoFit)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
@@ -919,7 +919,6 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
     on a computed spectrum.  Random in-cluster combinations are sampled with
     a seeded generator; the seed is recorded in the report."""
     area = domain_area(problem.domain, problem.grid_step)
-    j01 = bessel_j0_first_zero()
     rng = np.random.default_rng(seed)
     entries = []
     ok = True
@@ -938,7 +937,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
         courant = kappa <= k
         mult_ok = mult <= 2 * kf - 1 and (kf < 3 or mult <= 2 * kf - 2)
         fk_lhs = lam * area
-        fk_rhs = kappa * math.pi * j01 ** 2
+        fk_rhs = faber_krahn_threshold(kappa)
         faber_krahn = fk_lhs >= fk_rhs * (1 - fk_rel_tol)
         pl_bound, _ = pleijel_bound(lam, area)
         pleijel = mult <= pl_bound + 1e-9 or mult <= 2 * kf - 1

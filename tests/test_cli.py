@@ -108,6 +108,12 @@ def test_malformed_input(tmp_path):
     bad.write_text("{not json")
     assert main(["partition", "euler", str(bad)]) == 2
     assert main(["partition", "euler", str(tmp_path / "missing.json")]) == 2
+    # an edge to vertex 5 of a one-vertex partition
+    doc = helpers.circle_on_sphere().to_json()
+    doc["edges"].append({"ends": [5, 5]})
+    doc["rotation"]["5"] = [2, 3]
+    bad.write_text(json.dumps(doc))
+    assert main(["partition", "euler", str(bad)]) == 2
 
 
 def test_solve_and_report(solution_file, tmp_path):
@@ -204,3 +210,27 @@ def test_plot(solution_file, tmp_path):
 
 def test_no_command_shows_help(capsys):
     assert main([]) == 2
+
+
+def _edited_solution(solution_file, tmp_path, **fields):
+    obj = json.loads(open(solution_file).read())
+    obj.update(fields)
+    f = tmp_path / "edited.json"
+    f.write_text(json.dumps(obj))
+    return str(f)
+
+
+def test_null_vectors_exit_2(solution_file, tmp_path, capsys):
+    sol = _edited_solution(solution_file, tmp_path, vectors=None)
+    assert main(["nodal", "report", sol, "1"]) == 2
+    assert "one vector per eigenvalue" in capsys.readouterr().err
+
+
+def test_fewer_vectors_than_eigenvalues_exit_2(solution_file, tmp_path,
+                                              capsys):
+    obj = json.loads(open(solution_file).read())
+    sol = _edited_solution(solution_file, tmp_path,
+                           eigenvalues=obj["eigenvalues"][:3],
+                           vectors=obj["vectors"][:2])
+    assert main(["nodal", "report", sol, "3"]) == 2
+    assert "one vector per eigenvalue" in capsys.readouterr().err

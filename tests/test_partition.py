@@ -174,6 +174,41 @@ def test_degree_invariants_enforced():
         b.build()  # nodal partitions need even interior valency >= 4
 
 
+def test_builder_errors_are_malformed_embedding():
+    b = PartitionBuilder(SurfaceSpec.sphere())
+    m = b.circle()
+    with pytest.raises(MalformedEmbedding, match="component 0"):
+        b.edge(m, m, boundary=True)  # a sphere has no boundary
+    b = PartitionBuilder(SurfaceSpec.planar_domain(0))
+    m = b.circle()
+    with pytest.raises(MalformedEmbedding, match="component 3"):
+        b.edge(m, m, boundary=True, component=3)
+    b.edge(m, 5)
+    with pytest.raises(MalformedEmbedding, match="not a vertex id"):
+        b.build()
+
+
+def test_invalid_partition_cannot_be_constructed():
+    p = helpers.theta_graph()
+    rotation = dict(p.rotation)
+    rotation[1] = rotation[0]  # the darts at u listed again at v
+    with pytest.raises(MalformedEmbedding, match="in two rotations"):
+        EmbeddedPartition(p.surface, p.vertices, p.edge_ends, p.edge_boundary,
+                          p.edge_signature, rotation, p.boundary_components)
+
+
+def test_from_partition_copies():
+    for p in [helpers.theta_graph(), helpers.disk_with_diameter(),
+              helpers.moebius_separating_arc()]:
+        before = json.dumps(p.to_json())
+        b = PartitionBuilder.from_partition(p)
+        assert json.dumps(b.build().to_json()) == before
+        b.added()
+        b.edge(0, 0)
+        b.rotation[0].append(0)
+        assert json.dumps(p.to_json()) == before
+
+
 def test_json_round_trip():
     for p in [helpers.circle_on_sphere(), helpers.disk_with_diameter(),
               helpers.moebius_parallel_circle()]:
