@@ -30,8 +30,7 @@ from . import __version__
 from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
                         enumerate_interior, labeling_from_type, parse_tau_text,
-                        rotating_limit_check, shift_invariant_types,
-                        validate_interior)
+                        rotating_limit_check, shift_invariant_types)
 from .errors import NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
@@ -155,9 +154,6 @@ def cmd_types_label(args):
         raise InputError(str(exc))
     if not isinstance(t, InteriorType):
         raise InputError("labeling needs an interior type")
-    problems = validate_interior(t)
-    if problems:
-        raise InputError("; ".join(problems))
     lab = labeling_from_type(t)
     print("delta = " + " ".join(str(v) for v in lab.delta))
     return 0

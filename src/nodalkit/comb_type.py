@@ -15,6 +15,12 @@ blocks K+ = {1..a-1} and K- = {a+1..2k-3}.  From a boundary type we build the
 interval words m_theta, m^(0), m^(pi) whose first-repeat positions drive the
 rotating-function argument.
 
+Every InteriorType, BoundaryType, DomainLabeling and Word is validated
+once, when it is constructed (InvalidType, or InconsistentLabeling for a
+labeling), so any such object that exists is valid and the functions here
+take it as it is.  Both validators and the labeling sweeps scan the rays
+once with a stack of open loops.
+
 Indexing: canonical form is 0-based for interior types (rays and intervals
 0..2p-1) and 1-based for boundary rays (matching the half-circle picture);
 parsers accept an explicit base flag.
@@ -32,15 +38,25 @@ ENUM_CAP = 10
 ARROW_TOKENS = ("v", "↓", "down", "|")  # accepted spellings of the boundary arrow
 
 
+def _raise_if(problems, error=InvalidType):
+    """Raise `error` listing the problems a validator found, if any."""
+    if problems:
+        raise error("; ".join(problems))
+
+
 # ---------------------------------------------------------------------------
 # interior types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class InteriorType:
-    """Fixed-point-free non-crossing involution on {0..2p-1} with odd differences."""
+    """Fixed-point-free non-crossing involution on {0..2p-1} with odd
+    differences; validated once, when constructed."""
     p: int
     tau: tuple  # tau[j] = image of ray j, length 2p
+
+    def __post_init__(self):
+        _raise_if(validate_interior(self))
 
     def pairs(self):
         """Loops as (i, tau(i)) with i < tau(i), sorted."""
@@ -67,40 +83,44 @@ class InteriorType:
         return InteriorType(len(pairs), tuple(tau))
 
 
-def validate_interior(t: InteriorType):
-    """Return a list of violated-invariant descriptions (empty = valid)."""
-    n = 2 * t.p
+def _matching_problems(tau, lo, hi, name):
+    """Faults of tau as a fixed-point-free non-crossing involution of the
+    rays lo..hi (empty = valid).
+
+    One pass with a stack of the open rays, those whose partner comes later:
+    a ray whose partner comes earlier closes the loop on top of the stack,
+    or else crosses that loop.  A valid matching has odd differences, since
+    each loop encloses whole loops.
+    """
     problems = []
-    if t.p < 1:
-        problems.append("p must be >= 1")
-        return problems
-    if len(t.tau) != n:
-        problems.append("tau must have length 2p = %d" % n)
-        return problems
-    if sorted(t.tau) != list(range(n)):
-        problems.append("tau is not a permutation of 0..%d" % (n - 1))
-        return problems
-    for j in range(n):
-        if t.tau[j] == j:
-            problems.append("fixed point at %d" % j)
-        elif t.tau[t.tau[j]] != j:
-            problems.append("not an involution at %d" % j)
-    for j in range(n):
-        if t.tau[j] != j and (t.tau[j] - j) % 2 == 0:
-            problems.append("even difference on pair (%d,%d)" % (j, t.tau[j]))
-            break
-    pairs = [(i, t.tau[i]) for i in range(n) if i < t.tau[i]]
-    for a, b in pairs:
-        for c, d in pairs:
-            if a < c < b < d:
-                problems.append("crossing pairs (%d,%d) and (%d,%d)" % (a, b, c, d))
+    stack = []
+    for j in range(lo, hi + 1):
+        t = tau[j]
+        if not lo <= t <= hi:
+            problems.append("%s: ray %d pairs with %s, outside rays %d..%d"
+                            % (name, j, t, lo, hi))
+        elif t == j:
+            problems.append("%s: fixed point at ray %d" % (name, j))
+        elif tau[t] != j:
+            problems.append("%s: not an involution at ray %d" % (name, j))
+        elif j < t:
+            stack.append(j)
+        elif stack[-1] == t:
+            stack.pop()
+        else:
+            s = stack[-1]
+            problems.append("%s: crossing pairs (%d,%d) and (%d,%d)"
+                            % (name, t, j, s, tau[s]))
+            stack.remove(t)
     return problems
 
 
-def _require_valid_interior(t: InteriorType):
-    problems = validate_interior(t)
-    if problems:
-        raise InvalidType("; ".join(problems))
+def validate_interior(t: InteriorType):
+    """Return a list of violated-invariant descriptions (empty = valid)."""
+    if t.p < 1 or len(t.tau) != 2 * t.p:
+        return ["tau must have length 2p >= 2, got p=%r and %d rays"
+                % (t.p, len(t.tau))]
+    return _matching_problems(t.tau, 0, 2 * t.p - 1, "tau")
 
 
 def _noncrossing_matchings(points):
@@ -147,8 +167,12 @@ def catalan(n: int) -> int:
 
 @dataclass(frozen=True)
 class DomainLabeling:
-    """delta: interval index 0..2p-1 -> domain label 1..p+1."""
+    """delta: interval index 0..2p-1 -> domain label 1..p+1; validated once,
+    when constructed (InconsistentLabeling)."""
     delta: tuple
+
+    def __post_init__(self):
+        _raise_if(validate_labeling(self), InconsistentLabeling)
 
     @property
     def p(self) -> int:
@@ -174,29 +198,32 @@ def validate_labeling(d: DomainLabeling):
     return problems
 
 
+def _innermost(tau, rays):
+    """After each ray in `rays`, in order, the opening ray of the innermost
+    loop still open (None outside every loop); `rays` must be closed under a
+    valid tau."""
+    stack = []
+    for j in rays:
+        if j < tau[j]:
+            stack.append(j)
+        else:
+            stack.pop()
+        yield stack[-1] if stack else None
+
+
+def _first_encounter(keys, offset=0):
+    """Number the keys offset+1, offset+2, ... in order of first appearance."""
+    labels = {}
+    return tuple(labels.setdefault(key, offset + len(labels) + 1)
+                 for key in keys)
+
+
 def labeling_from_type(t: InteriorType) -> DomainLabeling:
     """Sweep the intervals counter-clockwise; each interval gets the label of
     its domain = the innermost loop enclosing it (or the outer domain); new
-    labels are assigned in first-encounter order starting at 1."""
-    _require_valid_interior(t)
-    n = 2 * t.p
-    pairs = t.pairs()  # loop (a,b) encloses intervals a..b-1
-
-    def innermost(j):
-        best = None
-        for a, b in pairs:
-            if a <= j < b and (best is None or b - a < best[1] - best[0]):
-                best = (a, b)
-        return best  # None = outer domain
-
-    labels = {}
-    delta = []
-    for j in range(n):
-        key = innermost(j)
-        if key not in labels:
-            labels[key] = len(labels) + 1
-        delta.append(labels[key])
-    return DomainLabeling(tuple(delta))
+    labels are assigned in first-encounter order starting at 1.  Interval j
+    follows ray j, so loop (a,b) encloses intervals a..b-1."""
+    return DomainLabeling(_first_encounter(_innermost(t.tau, range(2 * t.p))))
 
 
 def type_from_labeling(d: DomainLabeling) -> InteriorType:
@@ -207,9 +234,6 @@ def type_from_labeling(d: DomainLabeling) -> InteriorType:
     loops; each run [a..b] yields the loop (a, b+1) and recurses.  The outer
     domain is the label of the last interval (which no loop can enclose).
     """
-    problems = validate_labeling(d)
-    if problems:
-        raise InconsistentLabeling("; ".join(problems))
     delta = d.delta
     n = len(delta)
     pairs = []
@@ -232,9 +256,11 @@ def type_from_labeling(d: DomainLabeling) -> InteriorType:
     if len(pairs) != n // 2:
         raise InconsistentLabeling("reconstruction produced %d loops, expected %d"
                                    % (len(pairs), n // 2))
-    t = InteriorType.from_pairs(pairs)
-    if validate_interior(t):
-        raise InconsistentLabeling("reconstructed involution is invalid")
+    try:
+        t = InteriorType.from_pairs(pairs)
+    except InvalidType as exc:
+        raise InconsistentLabeling("reconstructed involution is invalid: %s"
+                                   % exc)
     if labeling_from_type(t).delta != delta:
         raise InconsistentLabeling("labeling is not realizable by any valid involution")
     return t
@@ -246,7 +272,6 @@ def type_from_labeling(d: DomainLabeling) -> InteriorType:
 
 def rotate_type(t: InteriorType, shift: int) -> InteriorType:
     """Conjugate tau by the cyclic shift j -> j+shift (mod 2p)."""
-    _require_valid_interior(t)
     n = 2 * t.p
     s = shift % n
     tau = [0] * n
@@ -271,10 +296,14 @@ class BoundaryType:
 
     tau[0] = a pairs the arrow with the boundary-bound arc at the odd ray a;
     the remaining rays pair up inside the blocks {1..a-1} and {a+1..2k-3},
-    each block non-crossing and fixed-point-free.
+    each block non-crossing and fixed-point-free.  Validated once, when
+    constructed.
     """
     k: int
     tau: tuple  # length 2k-2, index 0 = arrow
+
+    def __post_init__(self):
+        _raise_if(validate_boundary(self))
 
     @property
     def a(self) -> int:
@@ -285,12 +314,6 @@ class BoundaryType:
         """(a-1)/2: number of loops on the + side."""
         return (self.a - 1) // 2
 
-    def block_pairs(self, side: str):
-        """Loop pairs within K+ ('plus': rays 1..a-1) or K- ('minus')."""
-        lo, hi = (1, self.a - 1) if side == "plus" else (self.a + 1, 2 * self.k - 3)
-        return tuple(sorted((i, self.tau[i]) for i in range(lo, hi + 1)
-                            if i < self.tau[i]))
-
     def to_json(self) -> dict:
         return {"k": self.k, "tau": list(self.tau)}
 
@@ -300,48 +323,22 @@ class BoundaryType:
 
 
 def validate_boundary(t: BoundaryType):
-    problems = []
-    if t.k < 3:
-        problems.append("k must be >= 3")
-        return problems
+    """Return a list of violated-invariant descriptions (empty = valid)."""
     n = 2 * t.k - 2  # arrow + 2k-3 rays
-    if len(t.tau) != n:
-        problems.append("tau must have length 2k-2 = %d" % n)
-        return problems
-    if sorted(t.tau) != list(range(n)):
-        problems.append("tau is not a permutation")
-        return problems
+    if t.k < 3 or len(t.tau) != n:
+        return ["tau must have length 2k-2 >= 4, got k=%r and %d entries"
+                % (t.k, len(t.tau))]
     a = t.tau[0]
-    if a % 2 == 0:
-        problems.append("arc position a=%d must be odd" % a)
-    if t.tau[a] != 0:
-        problems.append("tau must pair the arrow with ray a")
-    for lo, hi, name in ((1, a - 1, "K+"), (a + 1, n - 1, "K-")):
-        block = range(lo, hi + 1)
-        for j in block:
-            if not (lo <= t.tau[j] <= hi):
-                problems.append("%s not invariant at ray %d" % (name, j))
-            elif t.tau[j] == j:
-                problems.append("fixed point at ray %d" % j)
-            elif t.tau[t.tau[j]] != j:
-                problems.append("not an involution at ray %d" % j)
-        pairs = [(i, t.tau[i]) for i in block if lo <= t.tau[i] <= hi and i < t.tau[i]]
-        for x, y in pairs:
-            for u, v in pairs:
-                if x < u < y < v:
-                    problems.append("crossing in %s: (%d,%d),(%d,%d)" % (name, x, y, u, v))
-    return problems
-
-
-def _require_valid_boundary(t: BoundaryType):
-    problems = validate_boundary(t)
-    if problems:
-        raise InvalidType("; ".join(problems))
+    if a not in range(1, n, 2):
+        return ["arc position a=%s must be an odd ray in 1..%d" % (a, n - 1)]
+    problems = [] if t.tau[a] == 0 else ["tau must pair the arrow with ray a"]
+    return (problems + _matching_problems(t.tau, 1, a - 1, "K+")
+            + _matching_problems(t.tau, a + 1, n - 1, "K-"))
 
 
 def enumerate_boundary(k: int, cap: int = ENUM_CAP):
     """All valid BoundaryTypes for index 2k-3; count is
-    sum over odd a of Catalan((a-1)/2) * Catalan((2k-3-a+... )/2)."""
+    sum over odd a of Catalan((a-1)/2) * Catalan((2k-3-a)/2)."""
     if k < 3:
         raise InvalidType("k must be >= 3")
     if k > cap:
@@ -368,7 +365,12 @@ def enumerate_boundary(k: int, cap: int = ENUM_CAP):
 
 @dataclass(frozen=True)
 class Word:
+    """Interval labels with no two equal neighbours; validated once, when
+    constructed."""
     letters: tuple
+
+    def __post_init__(self):
+        _raise_if(validate_word(self))
 
     def __str__(self):
         return "".join(str(c) for c in self.letters)
@@ -381,31 +383,8 @@ def validate_word(w: Word):
     problems = []
     for i in range(len(w.letters) - 1):
         if w.letters[i] == w.letters[i + 1]:
-            problems.append("equal adjacent letters at %d" % i)
+            problems.append("word %s: equal adjacent letters at %d" % (w, i))
     return problems
-
-
-def _block_labels(pairs, intervals, offset):
-    """Label intervals of one half-circle block in first-encounter order.
-
-    `pairs` are the block's loops; loop (u,v) encloses intervals u+1..v.
-    Labels start at offset+1.
-    """
-    def innermost(j):
-        best = None
-        for u, v in pairs:
-            if u < j <= v and (best is None or v - u < best[1] - best[0]):
-                best = (u, v)
-        return best
-
-    labels = {}
-    out = []
-    for j in intervals:
-        key = innermost(j)
-        if key not in labels:
-            labels[key] = offset + len(labels) + 1
-        out.append(labels[key])
-    return out
 
 
 def boundary_words(t: BoundaryType):
@@ -414,20 +393,18 @@ def boundary_words(t: BoundaryType):
     m_theta labels the 2k-2 intervals along the half-circle: intervals 1..a on
     the + side of the arc (labels 1..a_plus+1), intervals a+1..2k-2 on the -
     side (labels a_plus+2..k).  m_zero prepends the first - label (the arc has
-    closed into a loop on the - side); m_pi appends the label 1.
+    closed into a loop on the - side); m_pi appends the label 1.  Interval j
+    precedes ray j, so each block starts with the interval outside all its
+    loops and loop (u,v) encloses intervals u+1..v.
     """
-    _require_valid_boundary(t)
     n = 2 * t.k - 2
     a = t.a
-    plus = _block_labels(t.block_pairs("plus"), range(1, a + 1), 0)
-    minus = _block_labels(t.block_pairs("minus"), range(a + 1, n + 1), t.a_plus + 1)
-    m_theta = Word(tuple(plus + minus))
+    plus = _first_encounter([None, *_innermost(t.tau, range(1, a))])
+    minus = _first_encounter([None, *_innermost(t.tau, range(a + 1, n))],
+                             t.a_plus + 1)
+    m_theta = Word(plus + minus)
     m_zero = Word((t.a_plus + 2,) + m_theta.letters)
     m_pi = Word(m_theta.letters + (1,))
-    for w in (m_theta, m_zero, m_pi):
-        problems = validate_word(w)
-        if problems:
-            raise InvalidType("word %s: %s" % (w, "; ".join(problems)))
     return m_theta, m_zero, m_pi
 
 
@@ -476,13 +453,7 @@ def rotating_limit_check(t: BoundaryType) -> RotatingLimitReport:
 
 def canonical_word(w: Word) -> Word:
     """Renumber letters in first-occurrence order (label-bijection canonical form)."""
-    seen = {}
-    out = []
-    for c in w.letters:
-        if c not in seen:
-            seen[c] = len(seen) + 1
-        out.append(seen[c])
-    return Word(tuple(out))
+    return Word(_first_encounter(w.letters))
 
 
 def compare_patterns(w_left: Word, w_right: Word):
@@ -551,10 +522,7 @@ def parse_tau_text(text: str, base: int = 0):
         tau = [0] * n
         for i, j in zip(idx, img):
             tau[i] = j
-        k = (n + 2) // 2
-        t = BoundaryType(k, tuple(tau))
-        _require_valid_boundary(t)
-        return t
+        return BoundaryType((n + 2) // 2, tuple(tau))
 
     idx = [int(x) - base for x in top]
     img = [int(x) - base for x in bot]
@@ -564,7 +532,5 @@ def parse_tau_text(text: str, base: int = 0):
     tau = [0] * n
     for i, j in zip(idx, img):
         tau[i] = j
-    t = InteriorType(n // 2, tuple(tau))
-    _require_valid_interior(t)
-    return t
+    return InteriorType(n // 2, tuple(tau))
 

@@ -187,6 +187,17 @@ class EmbeddedPartition:
                             grow = True
                 if set(degs) != reach:
                     raise MalformedEmbedding("boundary component is not connected")
+        component_of = {e: ci for ci, comp in enumerate(self.boundary_components)
+                        for e in comp}
+        for v in self.vertices:
+            if v.kind != BOUNDARY:
+                continue
+            e = next(d // 2 for d in self.rotation[v.id]
+                     if self.edge_boundary[d // 2])
+            if component_of[e] != v.component:
+                raise MalformedEmbedding("boundary vertex %d says component %d, "
+                                         "but its boundary edges lie on %d"
+                                         % (v.id, v.component, component_of[e]))
 
     # ------------------------------------------------------------------
 
@@ -317,9 +328,10 @@ class PartitionBuilder:
                     raise MalformedEmbedding("vertex %d has degree %d; rotation "
                                              "must be given" % (vid, len(darts)))
                 rotation[vid] = tuple(darts)
-        return EmbeddedPartition(self.surface, self.vertices, self.edge_ends,
-                                 self.edge_boundary, self.edge_signature,
-                                 rotation, self.boundary_components,
+        return EmbeddedPartition(self.surface, list(self.vertices),
+                                 list(self.edge_ends), list(self.edge_boundary),
+                                 list(self.edge_signature), rotation,
+                                 [list(c) for c in self.boundary_components],
                                  nodal=self.nodal)
 
 

@@ -833,10 +833,12 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None,
     constraints are all discrete partial derivatives of total order
     < target_order.  For a boundary site, pass boundary=(outward normal,
     tangent); constraints are the one-sided normal trace and its tangential
-    derivatives of order < target_order.  Raises InfeasibleOrder when the
-    constraint matrix has no null space."""
+    derivatives of order < target_order.  Raises InfeasibleOrder when fewer
+    than 2 basis fields are given or the constraint matrix has no null
+    space."""
     m = len(basis)
-    assert m >= 2
+    if m < 2:
+        raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
     fns = [f.sample if isinstance(f, GridField) else f for f in basis]
     if h is None:
         h = basis[0].h if isinstance(basis[0], GridField) else 1e-3

@@ -4,8 +4,10 @@ Hand-built embedded partitions (circle, theta, figure-eight, disk with a
 diameter, Moebius-strip curves) plus a random planar-partition generator
 based on Delaunay triangulations of random point sets.  Also the per-site
 loop assembler and the eval-based potential that the array assembler and
-`parse_potential` are checked against bit for bit, and a 1-D interval
-operator used as an oracle for the ghost-cell treatment.
+`parse_potential` are checked against bit for bit, a 1-D interval
+operator used as an oracle for the ghost-cell treatment, and the
+pair-by-pair type validators that the constructors of `InteriorType` and
+`BoundaryType` must agree with.
 """
 
 import ast
@@ -173,6 +175,77 @@ def random_planar_partition(rng, planar_holes=None):
             m = bld.circle()
             bld.edge(m, m, boundary=True, component=comp)
     return bld.build()
+
+
+# ---------------------------------------------------------------------------
+# reference validators for the combinatorial types
+# ---------------------------------------------------------------------------
+
+def reference_validate_interior(p, tau):
+    """Problems of (p, tau) as an interior type, checked invariant by
+    invariant with an all-pairs crossing test (empty = valid)."""
+    n = 2 * p
+    problems = []
+    if p < 1:
+        problems.append("p must be >= 1")
+        return problems
+    if len(tau) != n:
+        problems.append("tau must have length 2p = %d" % n)
+        return problems
+    if sorted(tau) != list(range(n)):
+        problems.append("tau is not a permutation of 0..%d" % (n - 1))
+        return problems
+    for j in range(n):
+        if tau[j] == j:
+            problems.append("fixed point at %d" % j)
+        elif tau[tau[j]] != j:
+            problems.append("not an involution at %d" % j)
+    for j in range(n):
+        if tau[j] != j and (tau[j] - j) % 2 == 0:
+            problems.append("even difference on pair (%d,%d)" % (j, tau[j]))
+            break
+    pairs = [(i, tau[i]) for i in range(n) if i < tau[i]]
+    for a, b in pairs:
+        for c, d in pairs:
+            if a < c < b < d:
+                problems.append("crossing pairs (%d,%d) and (%d,%d)" % (a, b, c, d))
+    return problems
+
+
+def reference_validate_boundary(k, tau):
+    """Problems of (k, tau) as a boundary type, checked invariant by
+    invariant with an all-pairs crossing test per block (empty = valid)."""
+    problems = []
+    if k < 3:
+        problems.append("k must be >= 3")
+        return problems
+    n = 2 * k - 2  # arrow + 2k-3 rays
+    if len(tau) != n:
+        problems.append("tau must have length 2k-2 = %d" % n)
+        return problems
+    if sorted(tau) != list(range(n)):
+        problems.append("tau is not a permutation")
+        return problems
+    a = tau[0]
+    if a % 2 == 0:
+        problems.append("arc position a=%d must be odd" % a)
+    if tau[a] != 0:
+        problems.append("tau must pair the arrow with ray a")
+    for lo, hi, name in ((1, a - 1, "K+"), (a + 1, n - 1, "K-")):
+        block = range(lo, hi + 1)
+        for j in block:
+            if not (lo <= tau[j] <= hi):
+                problems.append("%s not invariant at ray %d" % (name, j))
+            elif tau[j] == j:
+                problems.append("fixed point at ray %d" % j)
+            elif tau[tau[j]] != j:
+                problems.append("not an involution at ray %d" % j)
+        pairs = [(i, tau[i]) for i in block if lo <= tau[i] <= hi and i < tau[i]]
+        for x, y in pairs:
+            for u, v in pairs:
+                if x < u < y < v:
+                    problems.append("crossing in %s: (%d,%d),(%d,%d)" % (name, x, y, u, v))
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,12 @@ def test_malformed_input(tmp_path):
     doc["rotation"]["5"] = [2, 3]
     bad.write_text(json.dumps(doc))
     assert main(["partition", "euler", str(bad)]) == 2
+    # boundary vertices that name a component their boundary edges are not on
+    doc = helpers.disk_with_diameter().to_json()
+    for v in doc["vertices"]:
+        v["component"] = 3
+    bad.write_text(json.dumps(doc))
+    assert main(["partition", "euler", str(bad)]) == 2
 
 
 def test_solve_and_report(solution_file, tmp_path):
@@ -159,6 +165,27 @@ def _square_with_potential(V):
     doc = EigenProblem(Rectangle(1, 1), 1 / 8).to_json()
     doc["V"] = V
     return doc
+
+
+def _invalid_type_commands(tmp_path):
+    crossing = tmp_path / "crossing.tau"
+    crossing.write_text("0 1 2 3 4 5\n3 4 5 0 1 2\n")
+    even_a = tmp_path / "even_a.tau"
+    even_a.write_text("v 1 2 3\n2 3 1 v\n")
+    return [("types", "label", str(crossing)), ("types", "words", str(even_a))]
+
+
+def test_invalid_type_files_exit_2(tmp_path, capsys):
+    for argv in _invalid_type_commands(tmp_path):
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_invalid_type_files_exit_2_under_optimize(tmp_path):
+    for argv in _invalid_type_commands(tmp_path):
+        r = _nodalkit(*argv, optimize=True)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize("doc", [

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from nodalkit.comb_type import (BoundaryType, InteriorType, Word, boundary_words,
                                 canonical_word, catalan, compare_patterns,
                                 enumerate_boundary, enumerate_interior,
@@ -81,13 +82,45 @@ def test_enumeration_sorted_and_capped():
 
 def test_validate_interior_rejections():
     assert validate_interior(InteriorType(2, (1, 0, 3, 2))) == []
-    # fixed point
-    assert validate_interior(InteriorType(2, (0, 1, 3, 2))) != []
-    # even difference
-    assert validate_interior(InteriorType(2, (2, 3, 0, 1))) != []
-    # crossing
-    assert validate_interior(InteriorType(2, (2, 3, 0, 1))) != []
-    assert validate_interior(InteriorType(2, (1, 0, 3))) != []
+    for p, tau in ((2, (0, 1, 3, 2)),         # fixed point
+                   (2, (2, 3, 0, 1)),         # even difference, crossing
+                   (3, (3, 4, 5, 0, 1, 2)),   # crossing, all differences odd
+                   (2, (1, 0, 3))):           # wrong length
+        with pytest.raises(InvalidType):
+            InteriorType(p, tau)
+
+
+def _constructs(cls, n, tau):
+    try:
+        cls(n, tau)
+    except InvalidType:
+        return False
+    return True
+
+
+def test_constructors_accept_exactly_the_reference():
+    for p in range(5):
+        for tau in itertools.permutations(range(2 * p)):
+            assert _constructs(InteriorType, p, tau) == \
+                (helpers.reference_validate_interior(p, tau) == []), tau
+    for k in range(3, 6):
+        for tau in itertools.permutations(range(2 * k - 2)):
+            assert _constructs(BoundaryType, k, tau) == \
+                (helpers.reference_validate_boundary(k, tau) == []), tau
+
+
+@given(st.integers(min_value=-1, max_value=7), st.data())
+@settings(max_examples=300, deadline=None)
+def test_constructors_match_reference_on_random_tuples(n, data):
+    rays = st.integers(min_value=-1, max_value=2 * max(n, 1))
+    tau = tuple(data.draw(st.one_of(
+        st.lists(rays, max_size=2 * max(n, 1) + 1),
+        st.permutations(range(2 * max(n, 0))),
+        st.permutations(range(max(2 * n - 2, 0))))))
+    assert _constructs(InteriorType, n, tau) == \
+        (helpers.reference_validate_interior(n, tau) == [])
+    assert _constructs(BoundaryType, n, tau) == \
+        (helpers.reference_validate_boundary(n, tau) == [])
 
 
 def test_worked_example_round_trip():
@@ -154,7 +187,8 @@ def test_boundary_enumeration_and_validation():
         counts[t.a] = counts.get(t.a, 0) + 1
     assert counts == {1: 2, 3: 1, 5: 2}
     # arrow at an even position is invalid
-    assert validate_boundary(BoundaryType(3, (2, 3, 1, 0))) != []
+    with pytest.raises(InvalidType):
+        BoundaryType(3, (2, 3, 1, 0))
 
 
 def test_boundary_word_shapes():

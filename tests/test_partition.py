@@ -4,6 +4,7 @@ Random sphere / planar-domain partitions come from Delaunay triangulations
 (tests/helpers.py); the Euler identity must hold exactly on every sample.
 """
 
+import dataclasses
 import json
 import time
 
@@ -195,6 +196,12 @@ def test_invalid_partition_cannot_be_constructed():
     with pytest.raises(MalformedEmbedding, match="in two rotations"):
         EmbeddedPartition(p.surface, p.vertices, p.edge_ends, p.edge_boundary,
                           p.edge_signature, rotation, p.boundary_components)
+    # boundary vertices naming a component their boundary edges are not on
+    p = helpers.disk_with_diameter()
+    vertices = [dataclasses.replace(v, component=3) for v in p.vertices]
+    with pytest.raises(MalformedEmbedding, match="component 3"):
+        EmbeddedPartition(p.surface, vertices, p.edge_ends, p.edge_boundary,
+                          p.edge_signature, p.rotation, p.boundary_components)
 
 
 def test_from_partition_copies():
@@ -202,11 +209,14 @@ def test_from_partition_copies():
               helpers.moebius_separating_arc()]:
         before = json.dumps(p.to_json())
         b = PartitionBuilder.from_partition(p)
-        assert json.dumps(b.build().to_json()) == before
+        q = b.build()
+        assert json.dumps(q.to_json()) == before
         b.added()
         b.edge(0, 0)
         b.rotation[0].append(0)
         assert json.dumps(p.to_json()) == before
+        assert json.dumps(q.to_json()) == before  # build() shares no list
+        q.validate()
 
 
 def test_json_round_trip():

@@ -371,6 +371,8 @@ def test_prescribe_infeasible():
     b2 = lambda x, y: 2.0
     with pytest.raises(InfeasibleOrder):
         prescribe_singular([b1, b2], (0, 0), 3, h=1e-3)
+    with pytest.raises(InfeasibleOrder, match="at least 2 basis fields"):
+        prescribe_singular([b1], (0, 0), 0, h=1e-3)
 
 
 def test_verify_laws_square():
