@@ -50,6 +50,7 @@ from .spectral import (
     solve_eigen,
     cluster_multiplicities,
     extract_nodal,
+    nodal_count,
     local_ray_fit,
     prescribe_singular,
     verify_spectral_laws,

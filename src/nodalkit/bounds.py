@@ -31,8 +31,7 @@ def _j0_series(x: float) -> float:
 @lru_cache(maxsize=1)
 def bessel_j0_first_zero(tol: float = 1e-12) -> float:
     """First positive zero of J0 by bisection on [2, 3]."""
-    lo, hi = 2.0, 3.0
-    assert _j0_series(lo) > 0 > _j0_series(hi)
+    lo, hi = 2.0, 3.0   # J0(2) > 0 > J0(3)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if _j0_series(mid) > 0:

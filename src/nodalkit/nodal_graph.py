@@ -70,8 +70,6 @@ def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
     if Fraction(alpha1 - alpha0) != st.sigma:
         raise MalformedEmbedding("alpha1 - alpha0 = %d != sigma = %s"
                                  % (alpha1 - alpha0, st.sigma))
-    degsum = sum(len(r) for r in p.rotation.values())
-    assert degsum == 2 * alpha1
     return MultigraphCounts(alpha0, alpha1, e, st.components, st.kappa)
 
 

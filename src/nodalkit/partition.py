@@ -623,8 +623,8 @@ def _blow_up_boundary(m: PartitionBuilder, vid: int):
 
 
 def _drop_vertex(m: PartitionBuilder, vid: int):
-    """Remove a now-isolated vertex and renumber ids above it."""
-    assert vid not in m.rotation
+    """Remove a vertex whose rotation the caller has popped, and renumber
+    ids above it."""
     del m.vertices[vid]
 
     def ren(x):

@@ -5,9 +5,10 @@ diameter, Moebius-strip curves) plus a random planar-partition generator
 based on Delaunay triangulations of random point sets.  Also the per-site
 loop assembler and the eval-based potential that the array assembler and
 `parse_potential` are checked against bit for bit, a 1-D interval
-operator used as an oracle for the ghost-cell treatment, and the
+operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
-`BoundaryType` must agree with.
+`BoundaryType` must agree with, and the law report's combination checks
+with a full nodal extraction per sampled eigenspace member.
 """
 
 import ast
@@ -20,7 +21,7 @@ from scipy.spatial import Delaunay
 from nodalkit.errors import DegenerateGrid
 from nodalkit.partition import PartitionBuilder, dart
 from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
-                               _domain_mask)
+                               _domain_mask, extract_nodal)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -372,3 +373,29 @@ def assemble_interval(n, h, bc_left, bc_right, robin_h=0.0):
                 diag -= g * inv_h2
         A[i, i] = diag
     return A
+
+
+def reference_combo_checks(sol, problem, seed, n_combos):
+    """`comboChecks` of a law report, each sampled combination counted by a
+    full `extract_nodal`: what `verify_spectral_laws` must reproduce with
+    its kappa-only count."""
+    rng = np.random.default_rng(seed)
+    combo_checks = []
+    for cluster in sol.clusters:
+        if len(cluster) < 2:
+            continue
+        k_hi = cluster[-1]
+        worst = 0
+        good = True
+        for _ in range(n_combos):
+            c = rng.standard_normal(len(cluster))
+            c /= np.linalg.norm(c)
+            vec = sum(ci * sol.vectors[:, idx - 1]
+                      for ci, idx in zip(c, cluster))
+            ext = extract_nodal(sol.operator.to_field(vec), problem)
+            worst = max(worst, ext.domain_count)
+            if ext.domain_count > k_hi:
+                good = False
+        combo_checks.append({"cluster": list(cluster), "samples": n_combos,
+                             "maxKappa": worst, "bound": k_hi, "passed": good})
+    return combo_checks

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
 import helpers
+from nodalkit import spectral
 from nodalkit.bounds import bessel_j0_first_zero
 from nodalkit.errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                              InvalidProblem, NoFit)
@@ -15,9 +16,9 @@ from nodalkit.partition import check_boundary_parity, partition_stats, verify_eu
 from nodalkit.spectral import (Annulus, Disk, EigenProblem, GridField,
                                MaskedGrid, Rectangle, assemble_operator,
                                cluster_multiplicities, domain_area,
-                               extract_nodal, local_ray_fit, parse_potential,
-                               prescribe_singular, sample_field, solve_eigen,
-                               verify_spectral_laws)
+                               extract_nodal, local_ray_fit, nodal_count,
+                               parse_potential, prescribe_singular,
+                               sample_field, solve_eigen, verify_spectral_laws)
 
 
 def test_assembly_shape_and_symmetry():
@@ -302,6 +303,85 @@ def test_extract_closed_loop_circle():
     st = partition_stats(e.as_partition)
     assert st.beta == 1
     assert verify_euler(e.as_partition).passed
+
+
+def _comb_hole_problem():
+    """14 x 14 cells with a comb-shaped hole: a spine at x = 2, y = 2..11
+    and teeth at y = 2, 4, 6, 8, 10, x = 2..11.  The hole's boundary is
+    twice as long as the outer one."""
+    bitmap = [[1] * 14 for _ in range(14)]
+    for y in range(2, 12):
+        bitmap[y][2] = 0
+    for y in (2, 4, 6, 8, 10):
+        for x in range(2, 12):
+            bitmap[y][x] = 0
+    return EigenProblem(MaskedGrid(tuple(map(tuple, bitmap))), 1 / 14)
+
+
+def test_boundary_cycles_outer_first():
+    p = _comb_hole_problem()
+    mask = np.array(p.domain.bitmap, bool)
+    outer, hole = spectral._boundary_cycles(mask)
+    assert (len(outer), len(hole)) == (56, 112)
+    assert outer[0] == (0, 0)
+    e = extract_nodal(solve_eigen(assemble_operator(p), 2).field(2), p)
+    assert e.as_partition.surface.boundary_components == 2
+    on_bottom = [c for (x, y), _, c in e.boundary_singular if y == 0.0]
+    assert on_bottom and all(c == 0 for c in on_bottom)
+    assert verify_euler(e.as_partition).passed
+
+
+def _count_problems():
+    """The square, a disk, an annulus (h = 1/32) and a Robin 2 x 1
+    rectangle (h = 1/16), each with its first 10 eigenpairs."""
+    problems = [EigenProblem(Rectangle(1, 1), 1 / 32),
+                EigenProblem(Disk(0.5), 1 / 32),
+                EigenProblem(Annulus(0.2, 0.5), 1 / 32),
+                EigenProblem(Rectangle(2, 1), 1 / 16, bc="Robin", robin_h=1.5)]
+    return [(p, solve_eigen(assemble_operator(p), 10)) for p in problems]
+
+
+def test_nodal_count_matches_extract_nodal():
+    rng = np.random.default_rng(5)
+    for p, sol in _count_problems():
+        fields = [sol.field(k) for k in range(1, 11)]
+        for _ in range(20):
+            c = rng.standard_normal(10)
+            fields.append(sol.operator.to_field(sol.vectors @ (c / np.linalg.norm(c))))
+        for f in fields:
+            sign, kappa = nodal_count(f)
+            e = extract_nodal(f, p)
+            assert np.array_equal(sign, e.sign_field)
+            assert sign.dtype == e.sign_field.dtype
+            assert kappa == e.domain_count
+    with pytest.raises(AllZeroField):
+        nodal_count(sample_field(EigenProblem(Rectangle(1, 1), 1 / 16),
+                                 lambda x, y: 0.0))
+
+
+@pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
+                         ids=["square", "disk"])
+def test_combo_checks_match_extract_reference(domain):
+    p = EigenProblem(domain, 1 / 32)
+    sol = solve_eigen(assemble_operator(p), 10)
+    for seed in (1, 2):
+        rep = verify_spectral_laws(sol, p, seed=seed, n_combos=50)
+        assert rep.combo_checks == helpers.reference_combo_checks(sol, p, seed, 50)
+        assert rep.combo_checks
+
+
+def test_law_report_extracts_eigenvectors_only(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return extract_nodal(*args, **kwargs)
+    monkeypatch.setattr(spectral, "extract_nodal", counting)
+    p = EigenProblem(Rectangle(1, 1), 1 / 24)
+    sol = solve_eigen(assemble_operator(p), 6)
+    rep = verify_spectral_laws(sol, p, seed=1, n_combos=50)
+    assert [c["samples"] for c in rep.combo_checks] == [50, 50]
+    assert len(calls) == len(sol.eigenvalues)
 
 
 def test_ray_fit_monomials():
