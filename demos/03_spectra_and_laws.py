@@ -33,7 +33,7 @@ print("unit disk: lambda_1 = %.4f vs j01^2 = %.4f" %
 print("\nnodal extraction of sin(2 pi x) sin(2 pi y):")
 f = sample_field(p, lambda x, y: math.sin(2 * math.pi * x)
                  * math.sin(2 * math.pi * y))
-e = extract_nodal(f, p)
+e = extract_nodal(f)
 st = partition_stats(e.as_partition)
 print("  kappa=%d, interior singular %s, boundary singular %d points"
       % (e.domain_count, [nu for _, nu in e.interior_singular],

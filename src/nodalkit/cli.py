@@ -13,8 +13,8 @@ Subcommands:
     bounds SURFACE -k K         classical multiplicity bounds + Pleijel data
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
-Reports are JSON with sorted keys, so fixed inputs and seed give
-byte-identical output.
+Reports are JSON with sorted keys, so fixed inputs give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ def _digest(text):
 def _report(args, checks, extra=None):
     rep = {"formatVersion": FORMAT_VERSION, "toolVersion": __version__,
            "command": args._echo, "checks": checks}
-    if getattr(args, "seed", None) is not None:
-        rep["seed"] = args.seed
     if getattr(args, "_digest", None) is not None:
         rep["inputDigest"] = args._digest
     if extra:
@@ -230,19 +228,19 @@ def _load_solution(path, args):
                          "vectors of shape %s" % (vecs.T.shape,))
     if vecs.shape[0] != op.n:
         raise InputError("solution vectors do not match the problem grid")
-    return problem, sol
+    return sol
 
 
 def _extract_for_index(path, index, args):
-    problem, sol = _load_solution(path, args)
+    sol = _load_solution(path, args)
     if not 1 <= index <= len(sol.eigenvalues):
         raise InputError("index %d out of range 1..%d"
                          % (index, len(sol.eigenvalues)))
-    return problem, sol, extract_nodal(sol.field(index), problem)
+    return sol, extract_nodal(sol.field(index))
 
 
 def cmd_nodal_report(args):
-    problem, sol, ext = _extract_for_index(args.file, args.index, args)
+    sol, ext = _extract_for_index(args.file, args.index, args)
     er = verify_euler(ext.as_partition)
     parity = check_boundary_parity(ext.as_partition)
     checks = [{"name": "euler", "passed": er.passed,
@@ -260,7 +258,7 @@ def cmd_nodal_report(args):
 def cmd_plot(args):
     if not args.output:
         raise InputError("-o OUT.svg is required")
-    _, _, ext = _extract_for_index(args.file, args.index, args)
+    _, ext = _extract_for_index(args.file, args.index, args)
     svg = render_svg(ext)
     with open(args.output, "w") as fh:
         fh.write(svg)
@@ -293,7 +291,6 @@ def _build_parser():
 
     def common(p):
         p.add_argument("-o", dest="output", default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     part = sub.add_parser("partition").add_subparsers(dest="sub")
     pe = part.add_parser("euler")

@@ -3,10 +3,14 @@
 The boundary set of a regular partition (together with the boundary of the
 surface, when there is one) is stored as a multigraph embedded via a signed
 rotation system: darts (half-edges), a cyclic dart order per vertex, an edge
-pairing, and a +-1 orientation signature per edge.  Faces are traced as mirror
-pairs of orbits of the usual embedding-scheme permutation; the number of
-complement regions of the graph is F - (c-1) over graph components (each extra
-component nests inside a face of the rest).
+pairing, and a +-1 orientation signature per edge.  Each face is traced once,
+as one orbit of the usual embedding-scheme permutation on (dart, sign) states;
+the orbit that walks it the other way is found through the reversal map
+(d, s) -> (theta d, -s * sigma(d)) and not walked (Mohar & Thomassen, Graphs
+on Surfaces, 2001).  The number of complement regions of the graph is
+F - (c-1) over graph components (each extra component nests inside a face of
+the rest), and chi = V - E + F - 2(c-1) is the Euler characteristic of the
+cellular completion.
 
 Planar domains are modeled on the sphere with q+1 distinguished hole faces
 (one per boundary circle: the unique traced face whose walk uses only that
@@ -39,7 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import MalformedEmbedding
-from .surface import SurfaceSpec
+from .surface import SurfaceSpec, euler_characteristic
 
 INTERIOR = "InteriorSingular"   # interior singular point, index nu >= 3
 BOUNDARY = "BoundarySingular"   # boundary singular point, index rho >= 1
@@ -341,7 +345,7 @@ class PartitionBuilder:
 
 @dataclass(frozen=True)
 class FaceWalk:
-    """One face, represented by one of its two orbit orientations.
+    """One face, walked once, in one of its two directions.
 
     states: ((dart, sign), ...) in walk order; each element means "traverse
     this dart with the current orientation sign".
@@ -355,52 +359,47 @@ class FaceWalk:
         return len(self.states)
 
 
-def _face_orbits(p: EmbeddedPartition):
+def trace_faces(p: EmbeddedPartition):
+    """One FaceWalk per face, in the order of each face's first state.
+
+    The states (d, s) are visited in order of d, then s = +1, -1.  A state
+    not yet seen starts a walk of the embedding-scheme permutation
+    next(d, s); when the walk has closed, the states of the reverse walk of
+    the same face are marked as seen through the involution
+    mu(d, s) = (theta d, -s * sigma(d)), which satisfies
+    next(mu(next x)) = mu(x).  So each face is walked once."""
     pos = {}
     for vid, rot in p.rotation.items():
         for i, d in enumerate(rot):
             pos[d] = (vid, i)
+    sig = p.edge_signature
 
     def next_state(d, s):
         e = p.theta(d)
-        s2 = s * p.edge_signature[d // 2]
+        s2 = s * sig[d // 2]
         vid, i = pos[e]
         rot = p.rotation[vid]
         nd = rot[(i + 1) % len(rot)] if s2 > 0 else rot[(i - 1) % len(rot)]
         return nd, s2
 
-    orbits = []
-    orbit_of = {}
+    seen = set()
+    faces = []
     for d0 in range(2 * p.n_edges):
         for s0 in (1, -1):
-            if (d0, s0) in orbit_of:
+            if (d0, s0) in seen:
                 continue
             orbit = []
             st = (d0, s0)
-            while st not in orbit_of:
-                orbit_of[st] = len(orbits)
+            while st not in seen:
+                seen.add(st)
                 orbit.append(st)
                 st = next_state(*st)
             if st != (d0, s0):
                 raise MalformedEmbedding("face tracing did not close up")
-            orbits.append(tuple(orbit))
-    return orbits, orbit_of
-
-
-def trace_faces(p: EmbeddedPartition):
-    """Faces as mirror-orbit pairs; returns a list of FaceWalk (one per face)."""
-    orbits, orbit_of = _face_orbits(p)
-    used = [False] * len(orbits)
-    faces = []
-    for i, orbit in enumerate(orbits):
-        if used[i]:
-            continue
-        d, s = orbit[0]
-        j = orbit_of[(p.theta(d), -s)]
-        used[i] = used[j] = True
-        edges = frozenset(d // 2 for d, _ in orbit)
-        corners = tuple(p.vertex_of(p.theta(d)) for d, _ in orbit)
-        faces.append(FaceWalk(orbit, edges, corners))
+            seen.update((p.theta(d), -s * sig[d // 2]) for d, s in orbit)
+            edges = frozenset(d // 2 for d, _ in orbit)
+            corners = tuple(p.vertex_of(p.theta(d)) for d, _ in orbit)
+            faces.append(FaceWalk(tuple(orbit), edges, corners))
     return faces
 
 
@@ -470,19 +469,11 @@ def _hole_faces(p: EmbeddedPartition, faces):
 def partition_stats(p: EmbeddedPartition) -> PartitionStats:
     faces = trace_faces(p)
     F = len(faces)
-    c, labels = _components(p)
-    # per-component Euler characteristic of the cellular completion
-    vcnt, ecnt, fcnt = {}, {}, {}
-    for v in range(len(p.vertices)):
-        vcnt[labels[v]] = vcnt.get(labels[v], 0) + 1
-    for u, v in p.edge_ends:
-        ecnt[labels[u]] = ecnt.get(labels[u], 0) + 1
-    for f in faces:
-        lab = labels[p.vertex_of(next(iter(f.states))[0])]
-        fcnt[lab] = fcnt.get(lab, 0) + 1
-    chi_completion = sum(vcnt[l] - ecnt.get(l, 0) + fcnt.get(l, 0) for l in vcnt) \
-        - 2 * (c - 1)
-    defect = chi_completion - p.surface.closed_model_euler()
+    c, _ = _components(p)
+    # Euler characteristic of the cellular completion: the c components are
+    # joined into one surface by c - 1 connected sums
+    chi = len(p.vertices) - p.n_edges + F - 2 * (c - 1)
+    defect = chi - p.surface.closed_model_euler()
 
     regions = F - (c - 1)
     b0 = p.surface.boundary_components
@@ -525,7 +516,6 @@ def verify_euler(p: EmbeddedPartition) -> EulerReport:
     + sigma; other closed surfaces: kappa >= chi + sigma."""
     st = partition_stats(p)
     kind = p.surface.kind
-    from .surface import euler_characteristic
     if kind == "PlanarDomain" or (kind == "ClosedOrientable" and p.surface.param == 0):
         predicted = 1 + st.beta + st.sigma
         return EulerReport(p.surface, st, "equality", predicted, st.kappa,

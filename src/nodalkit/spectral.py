@@ -599,8 +599,7 @@ def nodal_count(u: GridField):
     return sign, int(npos + nneg)
 
 
-def extract_nodal(u: GridField, problem: EigenProblem | None = None,
-                  nodal: bool = True) -> NodalExtract:
+def extract_nodal(u: GridField) -> NodalExtract:
     """Sign pattern -> nodal domains + embedded partition.
 
     The sign array and kappa, the number of 4-connected same-sign cell
@@ -674,9 +673,9 @@ def extract_nodal(u: GridField, problem: EigenProblem | None = None,
                 used.add((min(a, b), max(a, b)))
             chains.append(path)
     loops = []
-    remaining = sorted(s for s in segments if s not in used)
-    while remaining:
-        a, b = remaining[0]
+    for a, b in sorted(segments):
+        if (a, b) in used:
+            continue
         path = [a, b]
         prev, cur = a, b
         while cur != a:
@@ -687,12 +686,11 @@ def extract_nodal(u: GridField, problem: EigenProblem | None = None,
         for p, q in zip(path, path[1:]):
             used.add((min(p, q), max(p, q)))
         loops.append(path)
-        remaining = sorted(s for s in segments if s not in used)
 
     # surface: planar domain with (number of boundary cycles - 1) holes
     holes = len(cycles) - 1
     surface = SurfaceSpec.planar_domain(holes)
-    b = PartitionBuilder(surface, nodal=nodal)
+    b = PartitionBuilder(surface, nodal=True)
 
     vid = {}
     interior_list = []
@@ -948,7 +946,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
             last_of[idx] = cluster[-1]
     for k in range(1, len(sol.eigenvalues) + 1):
         lam = float(sol.eigenvalues[k - 1])
-        ext = extract_nodal(sol.field(k), problem)
+        ext = extract_nodal(sol.field(k))
         kappa = ext.domain_count
         mult = last_of[k] - first_of[k] + 1
         kf = first_of[k]

@@ -7,8 +7,9 @@ loop assembler and the eval-based potential that the array assembler and
 `parse_potential` are checked against bit for bit, a 1-D interval
 operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
-`BoundaryType` must agree with, and the law report's combination checks
-with a full nodal extraction per sampled eigenspace member.
+`BoundaryType` must agree with, the law report's combination checks
+with a full nodal extraction per sampled eigenspace member, and the face
+tracer that walks every orbit and pairs each with its mirror afterwards.
 """
 
 import ast
@@ -18,8 +19,8 @@ import numpy as np
 import scipy.sparse
 from scipy.spatial import Delaunay
 
-from nodalkit.errors import DegenerateGrid
-from nodalkit.partition import PartitionBuilder, dart
+from nodalkit.errors import DegenerateGrid, MalformedEmbedding
+from nodalkit.partition import FaceWalk, PartitionBuilder, dart
 from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
                                _domain_mask, extract_nodal)
 from nodalkit.surface import SurfaceSpec
@@ -392,10 +393,66 @@ def reference_combo_checks(sol, problem, seed, n_combos):
             c /= np.linalg.norm(c)
             vec = sum(ci * sol.vectors[:, idx - 1]
                       for ci, idx in zip(c, cluster))
-            ext = extract_nodal(sol.operator.to_field(vec), problem)
+            ext = extract_nodal(sol.operator.to_field(vec))
             worst = max(worst, ext.domain_count)
             if ext.domain_count > k_hi:
                 good = False
         combo_checks.append({"cluster": list(cluster), "samples": n_combos,
                              "maxKappa": worst, "bound": k_hi, "passed": good})
     return combo_checks
+
+
+# ---------------------------------------------------------------------------
+# reference face tracer
+# ---------------------------------------------------------------------------
+
+def _reference_face_orbits(p):
+    pos = {}
+    for vid, rot in p.rotation.items():
+        for i, d in enumerate(rot):
+            pos[d] = (vid, i)
+
+    def next_state(d, s):
+        e = p.theta(d)
+        s2 = s * p.edge_signature[d // 2]
+        vid, i = pos[e]
+        rot = p.rotation[vid]
+        nd = rot[(i + 1) % len(rot)] if s2 > 0 else rot[(i - 1) % len(rot)]
+        return nd, s2
+
+    orbits = []
+    orbit_of = {}
+    for d0 in range(2 * p.n_edges):
+        for s0 in (1, -1):
+            if (d0, s0) in orbit_of:
+                continue
+            orbit = []
+            st = (d0, s0)
+            while st not in orbit_of:
+                orbit_of[st] = len(orbits)
+                orbit.append(st)
+                st = next_state(*st)
+            if st != (d0, s0):
+                raise MalformedEmbedding("face tracing did not close up")
+            orbits.append(tuple(orbit))
+    return orbits, orbit_of
+
+
+def reference_trace_faces(p):
+    """Faces by walking all 4E (dart, sign) states into orbits and then
+    pairing each orbit with the one holding (theta d, -s).  That pairing is
+    the reverse walk only where sigma(d) = +1; on signature +1 embeddings
+    `trace_faces` must give the same walks in the same order."""
+    orbits, orbit_of = _reference_face_orbits(p)
+    used = [False] * len(orbits)
+    faces = []
+    for i, orbit in enumerate(orbits):
+        if used[i]:
+            continue
+        d, s = orbit[0]
+        j = orbit_of[(p.theta(d), -s)]
+        used[i] = used[j] = True
+        edges = frozenset(d // 2 for d, _ in orbit)
+        corners = tuple(p.vertex_of(p.theta(d)) for d, _ in orbit)
+        faces.append(FaceWalk(orbit, edges, corners))
+    return faces

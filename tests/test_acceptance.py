@@ -155,7 +155,7 @@ def test_acceptance_7_nodal_extraction():
     p = EigenProblem(Rectangle(1, 1), 1 / 64)
     f = sample_field(p, lambda x, y: math.sin(2 * math.pi * x)
                      * math.sin(2 * math.pi * y))
-    e = extract_nodal(f, p)
+    e = extract_nodal(f)
     st = partition_stats(e.as_partition)
     ok = e.domain_count == 4
     ok = ok and [nu for _, nu in e.interior_singular] == [4]

@@ -93,6 +93,7 @@ def test_partition_euler(partition_file, tmp_path):
     assert obj["checks"][0]["passed"]
     assert obj["stats"]["kappa"] == 2
     assert "inputDigest" in obj
+    assert "seed" not in obj
 
 
 def test_partition_normalize(partition_file, tmp_path):
@@ -120,6 +121,16 @@ def test_malformed_input(tmp_path):
         v["component"] = 3
     bad.write_text(json.dumps(doc))
     assert main(["partition", "euler", str(bad)]) == 2
+    # no subcommand takes a seed: nothing random runs behind them
+    for argv in (["partition", "euler", "p.json"],
+                 ["partition", "normalize", "p.json"],
+                 ["types", "enum", "-p", "3"], ["types", "label", "t.tau"],
+                 ["types", "rotate-check", "-p", "3"],
+                 ["types", "words", "t.tau"], ["solve", "p.json"],
+                 ["nodal", "report", "s.json", "1"],
+                 ["plot", "s.json", "1", "-o", "out.svg"],
+                 ["bounds", "sphere"]):
+        assert main(argv + ["--seed", "1"]) == 2
 
 
 def test_solve_and_report(solution_file, tmp_path):

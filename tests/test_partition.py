@@ -1,7 +1,11 @@
-"""Tests for embedded partitions: Euler counts, parity, normalization.
+"""Tests for embedded partitions: Euler counts, parity, normalization,
+face tracing.
 
 Random sphere / planar-domain partitions come from Delaunay triangulations
 (tests/helpers.py); the Euler identity must hold exactly on every sample.
+Random signed embeddings (any rotations and signatures, loops and parallel
+edges allowed) check that face tracing sees through a local orientation
+switch.
 """
 
 import dataclasses
@@ -234,3 +238,86 @@ def test_euler_property(seed):
     p = helpers.random_planar_partition(rng, planar_holes=seed % 3 - 1
                                         if seed % 3 else None)
     assert verify_euler(p).passed
+
+
+def _fixtures():
+    torus = PartitionBuilder(SurfaceSpec.closed_orientable(1), nodal=True)
+    c = torus.circle()
+    torus.edge(c, c)
+    return [helpers.circle_on_sphere(), helpers.theta_graph(),
+            helpers.figure_eight(), helpers.disk_with_diameter(),
+            helpers.disk_tangent_loop(), torus.build()] + \
+        helpers.moebius_fixtures()
+
+
+def test_trace_faces_matches_reference():
+    # FaceWalk equality compares states, edges and corners
+    for p in _fixtures():
+        assert trace_faces(p) == helpers.reference_trace_faces(p)
+    rng = np.random.default_rng(31)
+    for i in range(200):
+        p = helpers.random_planar_partition(rng, (None, 0, 1, 2)[i % 4])
+        assert trace_faces(p) == helpers.reference_trace_faces(p), i
+
+
+def _random_signed_embedding(rng):
+    """Any rotations and signatures on a random multigraph with loops."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 7))
+    ends = [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(m)]
+    used = sorted({x for e in ends for x in e})
+    b = PartitionBuilder(SurfaceSpec.sphere())
+    vid = {x: b.added() for x in used}
+    at = {vid[x]: [] for x in used}
+    for u, v in ends:
+        e = b.edge(vid[u], vid[v], signature=int(rng.choice([1, -1])))
+        at[vid[u]].append(dart(e, 0))
+        at[vid[v]].append(dart(e, 1))
+    for v, darts in at.items():
+        b.set_rotation(v, [darts[i] for i in rng.permutation(len(darts))])
+    return b.build()
+
+
+def _switch(p, v):
+    """Local orientation switch at v: reverse its rotation and negate the
+    signature of its non-loop edges.  The embedding stays the same."""
+    rotation = dict(p.rotation)
+    rotation[v] = tuple(reversed(rotation[v]))
+    sig = [-s if (v in ends and ends[0] != ends[1]) else s
+           for ends, s in zip(p.edge_ends, p.edge_signature)]
+    return dataclasses.replace(p, rotation=rotation, edge_signature=sig)
+
+
+def _face_key(faces):
+    return sorted((sorted(d // 2 for d, _ in f.states), sorted(f.corners))
+                  for f in faces)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_local_switch_keeps_faces(seed):
+    rng = np.random.default_rng(seed)
+    p = _random_signed_embedding(rng)
+    v = int(rng.integers(0, len(p.vertices)))
+    assert _face_key(trace_faces(_switch(p, v))) == _face_key(trace_faces(p))
+
+
+def test_twisted_theta_on_torus():
+    # all three edges twisted: a switch at one end untwists them and leaves
+    # the same cyclic order at both ends, the one-face torus embedding
+    p = dataclasses.replace(helpers.theta_graph(),
+                            surface=SurfaceSpec.closed_orientable(1),
+                            edge_signature=[-1, -1, -1])
+    st_ = partition_stats(p)
+    assert (st_.faces, st_.kappa, st_.defect) == (1, 1, 0)
+
+
+def test_twisted_pendant_edge():
+    b = PartitionBuilder(SurfaceSpec.sphere())
+    u = b.interior(3)
+    w = b.added()
+    loop = b.edge(u, u)
+    pendant = b.edge(u, w, signature=-1)
+    b.set_rotation(u, [dart(loop, 0), dart(loop, 1), dart(pendant, 0)])
+    faces = trace_faces(b.build())
+    assert sorted(f.degree for f in faces) == [1, 3]

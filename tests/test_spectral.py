@@ -12,7 +12,8 @@ from nodalkit import spectral
 from nodalkit.bounds import bessel_j0_first_zero
 from nodalkit.errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                              InvalidProblem, NoFit)
-from nodalkit.partition import check_boundary_parity, partition_stats, verify_euler
+from nodalkit.partition import (check_boundary_parity, partition_stats,
+                                trace_faces, verify_euler)
 from nodalkit.spectral import (Annulus, Disk, EigenProblem, GridField,
                                MaskedGrid, Rectangle, assemble_operator,
                                cluster_multiplicities, domain_area,
@@ -104,7 +105,7 @@ def test_annulus_runs():
     p = EigenProblem(Annulus(0.25, 1.0), 1 / 32)
     sol = solve_eigen(assemble_operator(p), 2)
     assert sol.eigenvalues[0] > 0
-    e = extract_nodal(sol.field(1), p)
+    e = extract_nodal(sol.field(1))
     assert verify_euler(e.as_partition).passed
 
 
@@ -259,7 +260,7 @@ def test_potential_shifts_spectrum():
 def test_extract_single_line():
     p = EigenProblem(Rectangle(1, 1), 1 / 32)
     f = sample_field(p, lambda x, y: math.sin(2 * math.pi * x) * math.sin(math.pi * y))
-    e = extract_nodal(f, p)
+    e = extract_nodal(f)
     assert e.domain_count == 2
     assert e.interior_singular == []
     assert len(e.boundary_singular) == 2
@@ -270,7 +271,7 @@ def test_extract_single_line():
 def test_extract_nodal_cross():
     p = EigenProblem(Rectangle(1, 1), 1 / 32)
     f = sample_field(p, lambda x, y: math.sin(2 * math.pi * x) * math.sin(2 * math.pi * y))
-    e = extract_nodal(f, p)
+    e = extract_nodal(f)
     assert e.domain_count == 4
     assert len(e.interior_singular) == 1
     assert e.interior_singular[0][1] == 4
@@ -285,19 +286,19 @@ def test_extract_nodal_cross():
 def test_extract_ground_state_and_zero_field():
     p = EigenProblem(Rectangle(1, 1), 1 / 16)
     f = sample_field(p, lambda x, y: math.sin(math.pi * x) * math.sin(math.pi * y))
-    e = extract_nodal(f, p)
+    e = extract_nodal(f)
     assert e.domain_count == 1
     assert verify_euler(e.as_partition).passed
     z = sample_field(p, lambda x, y: 0.0)
     with pytest.raises(AllZeroField):
-        extract_nodal(z, p)
+        extract_nodal(z)
 
 
 def test_extract_closed_loop_circle():
     # radial sign change inside a disk: nodal set is a circle, no singular pts
     p = EigenProblem(Disk(1.0), 1 / 32)
     f = sample_field(p, lambda x, y: 0.25 - x * x - y * y)
-    e = extract_nodal(f, p)
+    e = extract_nodal(f)
     assert e.domain_count == 2
     assert e.interior_singular == [] and e.boundary_singular == []
     st = partition_stats(e.as_partition)
@@ -324,7 +325,7 @@ def test_boundary_cycles_outer_first():
     outer, hole = spectral._boundary_cycles(mask)
     assert (len(outer), len(hole)) == (56, 112)
     assert outer[0] == (0, 0)
-    e = extract_nodal(solve_eigen(assemble_operator(p), 2).field(2), p)
+    e = extract_nodal(solve_eigen(assemble_operator(p), 2).field(2))
     assert e.as_partition.surface.boundary_components == 2
     on_bottom = [c for (x, y), _, c in e.boundary_singular if y == 0.0]
     assert on_bottom and all(c == 0 for c in on_bottom)
@@ -350,13 +351,22 @@ def test_nodal_count_matches_extract_nodal():
             fields.append(sol.operator.to_field(sol.vectors @ (c / np.linalg.norm(c))))
         for f in fields:
             sign, kappa = nodal_count(f)
-            e = extract_nodal(f, p)
+            e = extract_nodal(f)
             assert np.array_equal(sign, e.sign_field)
             assert sign.dtype == e.sign_field.dtype
             assert kappa == e.domain_count
     with pytest.raises(AllZeroField):
         nodal_count(sample_field(EigenProblem(Rectangle(1, 1), 1 / 16),
                                  lambda x, y: 0.0))
+
+
+def test_trace_faces_matches_reference_on_extracts():
+    for domain in (Disk(0.5), Annulus(0.2, 0.5)):
+        p = EigenProblem(domain, 1 / 32)
+        sol = solve_eigen(assemble_operator(p), 10)
+        for k in range(1, 11):
+            q = extract_nodal(sol.field(k)).as_partition
+            assert trace_faces(q) == helpers.reference_trace_faces(q), k
 
 
 @pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
