@@ -96,14 +96,13 @@ def cmd_partition_euler(args):
     p = _load_partition(args.file, args)
     er = verify_euler(p)
     parity = check_boundary_parity(p) if p.surface.has_boundary else []
-    st = partition_stats(p)
     checks = [{"name": "euler", "passed": er.passed,
                "relation": er.relation, "predicted": str(er.predicted),
                "kappa": er.kappa}]
     checks += [{"name": "boundary-parity-%d" % r["component"],
                 "passed": r["passed"], "rhoSum": r["rhoSum"], "met": r["met"]}
                for r in parity]
-    _emit(args, _report(args, checks, {"stats": st.to_json()}))
+    _emit(args, _report(args, checks, {"stats": er.stats.to_json()}))
     return _exit_code(checks)
 
 

@@ -270,20 +270,27 @@ def type_from_labeling(d: DomainLabeling) -> InteriorType:
 # rotation / shift invariance
 # ---------------------------------------------------------------------------
 
+def _rotated_tau(tau: tuple, shift: int) -> tuple:
+    """tau conjugated by the cyclic shift j -> j+shift (mod len(tau))."""
+    n = len(tau)
+    s = shift % n
+    out = [0] * n
+    for j in range(n):
+        out[(j + s) % n] = (tau[j] + s) % n
+    return tuple(out)
+
+
 def rotate_type(t: InteriorType, shift: int) -> InteriorType:
     """Conjugate tau by the cyclic shift j -> j+shift (mod 2p)."""
-    n = 2 * t.p
-    s = shift % n
-    tau = [0] * n
-    for j in range(n):
-        tau[(j + s) % n] = (t.tau[j] + s) % n
-    return InteriorType(t.p, tuple(tau))
+    return InteriorType(t.p, _rotated_tau(t.tau, shift))
 
 
 def shift_invariant_types(p: int, cap: int = ENUM_CAP):
     """Types fixed by the elementary rotation.  The rotating-function argument
-    on the sphere predicts the empty list for p >= 2."""
-    return [t for t in enumerate_interior(p, cap) if rotate_type(t, 1) == t]
+    on the sphere predicts the empty list for p >= 2.  A rotation of a valid
+    type is valid, so the census compares tau tuples and builds no type."""
+    return [t for t in enumerate_interior(p, cap)
+            if _rotated_tau(t.tau, 1) == t.tau]
 
 
 # ---------------------------------------------------------------------------

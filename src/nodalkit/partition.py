@@ -31,8 +31,12 @@ orientable and omega = 0.
 Partitions are built with PartitionBuilder, either fresh or as a copy of
 another partition for surgery (the blow-ups of `normalize`, the subdivisions
 of `nodal_graph.simplify_to_graph`), or read with `from_json`.  A partition is
-validated once, when it is constructed, so the functions here take a
-well-formed input for granted.
+frozen and validated once, when it is constructed, so the functions here take
+a well-formed input for granted.  Its PartitionStats (one face trace) are
+computed once per partition, on first use, and kept on it: `partition_stats`,
+`verify_euler`, `simplify_to_graph` and `build_multigraph` all read the same
+object.  Only that small object is kept, not the face walks, and a failure is
+raised again on every call rather than kept.
 
 All arithmetic is exact (int / Fraction).
 """
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import MalformedEmbedding
 from .surface import SurfaceSpec, euler_characteristic
@@ -75,11 +80,12 @@ def dart(edge: int, end: int) -> int:
     return 2 * edge + end
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddedPartition:
-    """Immutable after construction (treat as frozen; operations return new
-    objects).  Validated once, when constructed: an EmbeddedPartition that
-    exists is well formed."""
+    """Frozen: operations return new objects (`dataclasses.replace` too, with
+    stats of their own).  Validated once, when constructed: an
+    EmbeddedPartition that exists is well formed.  Its stats are computed
+    once, on first use (see `stats`)."""
     surface: SurfaceSpec
     vertices: list                  # list[PartitionVertex], ids = positions
     edge_ends: list                 # list[(u, v)]; dart 2e at u, 2e+1 at v
@@ -104,6 +110,12 @@ class EmbeddedPartition:
 
     def theta(self, d: int) -> int:
         return d ^ 1
+
+    @cached_property
+    def stats(self) -> PartitionStats:
+        """PartitionStats of this partition, computed on first use and kept;
+        a MalformedEmbedding is not kept, so it is raised on every use."""
+        return _compute_stats(self)
 
     def validate(self):
         nv, ne = len(self.vertices), self.n_edges
@@ -467,6 +479,11 @@ def _hole_faces(p: EmbeddedPartition, faces):
 
 
 def partition_stats(p: EmbeddedPartition) -> PartitionStats:
+    """The stats of p, computed once per partition (`EmbeddedPartition.stats`)."""
+    return p.stats
+
+
+def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
     faces = trace_faces(p)
     F = len(faces)
     c, _ = _components(p)

@@ -8,19 +8,23 @@ loop assembler and the eval-based potential that the array assembler and
 operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
-with a full nodal extraction per sampled eigenspace member, and the face
-tracer that walks every orbit and pairs each with its mirror afterwards.
+with a full nodal extraction per sampled eigenspace member, the face
+tracer that walks every orbit and pairs each with its mirror afterwards,
+and the partition statistics traced afresh on every call.
 """
 
 import ast
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
 from scipy.spatial import Delaunay
 
 from nodalkit.errors import DegenerateGrid, MalformedEmbedding
-from nodalkit.partition import FaceWalk, PartitionBuilder, dart
+from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
+                                PartitionBuilder, PartitionStats, _components,
+                                _hole_faces, dart, trace_faces)
 from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
                                _domain_mask, extract_nodal)
 from nodalkit.surface import SurfaceSpec
@@ -456,3 +460,37 @@ def reference_trace_faces(p):
         corners = tuple(p.vertex_of(p.theta(d)) for d, _ in orbit)
         faces.append(FaceWalk(orbit, edges, corners))
     return faces
+
+
+# ---------------------------------------------------------------------------
+# reference partition statistics
+# ---------------------------------------------------------------------------
+
+def reference_partition_stats(p):
+    """PartitionStats traced afresh on every call, kept on nothing; the
+    cached `partition_stats` must give equal stats."""
+    faces = trace_faces(p)
+    F = len(faces)
+    c, _ = _components(p)
+    chi = len(p.vertices) - p.n_edges + F - 2 * (c - 1)
+    defect = chi - p.surface.closed_model_euler()
+
+    regions = F - (c - 1)
+    b0 = p.surface.boundary_components
+    if b0:
+        _hole_faces(p, faces)  # existence check
+        kappa = regions - b0
+    elif p.surface.param == 0 and p.surface.orientable:
+        kappa = regions
+    else:
+        kappa = regions - max(0, defect) // 2
+    beta = c - b0
+    sigma_i = sum((Fraction(v.nu - 2, 2) for v in p.vertices if v.kind == INTERIOR),
+                  Fraction(0))
+    sigma_b = sum((Fraction(v.rho, 2) for v in p.vertices if v.kind == BOUNDARY),
+                  Fraction(0))
+    omega = 1 if (not p.surface.orientable and defect > 0) else 0
+    if kappa < 1:
+        raise MalformedEmbedding("computed kappa %d < 1" % kappa)
+    return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
+                          F, c, regions, defect)

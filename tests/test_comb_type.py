@@ -173,6 +173,12 @@ def test_shift_invariant_types():
     assert time.perf_counter() - start < 10
 
 
+def test_shift_census_matches_rotate_type():
+    for p in range(1, 11):
+        want = [t for t in enumerate_interior(p) if rotate_type(t, 1) == t]
+        assert shift_invariant_types(p) == want, p
+
+
 def test_boundary_enumeration_and_validation():
     # k=3: a in {1, 3}; each side has a unique matching -> 2 types
     ts = enumerate_boundary(3)

@@ -1,5 +1,5 @@
 """Tests for embedded partitions: Euler counts, parity, normalization,
-face tracing.
+face tracing, and statistics computed once per partition.
 
 Random sphere / planar-domain partitions come from Delaunay triangulations
 (tests/helpers.py); the Euler identity must hold exactly on every sample.
@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from nodalkit import partition
 from nodalkit.errors import MalformedEmbedding
-from nodalkit.partition import (EmbeddedPartition, PartitionBuilder,
+from nodalkit.nodal_graph import build_multigraph, simplify_to_graph
+from nodalkit.partition import (EmbeddedPartition, FaceWalk, PartitionBuilder,
                                 check_boundary_parity, dart, normalize,
                                 partition_stats, trace_faces, verify_euler)
 from nodalkit.surface import SurfaceSpec
@@ -321,3 +323,89 @@ def test_twisted_pendant_edge():
     b.set_rotation(u, [dart(loop, 0), dart(loop, 1), dart(pendant, 0)])
     faces = trace_faces(b.build())
     assert sorted(f.degree for f in faces) == [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# statistics computed once per partition
+# ---------------------------------------------------------------------------
+
+def _corpus():
+    """The combinatorics benchmark's partition corpus: 1 000 partitions drawn
+    from seed 1, cycling through no holes, 0 holes and 2 holes."""
+    rng = np.random.default_rng(1)
+    holes = (None, 0, 2)
+    return [helpers.random_planar_partition(rng, holes[i % 3])
+            for i in range(1000)]
+
+
+def test_partition_stats_match_reference():
+    for i, p in enumerate(_fixtures() + _corpus()):
+        assert partition_stats(p) == helpers.reference_partition_stats(p), i
+        assert partition_stats(p) is p.stats
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """The partitions `trace_faces` is called on, in call order."""
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return trace_faces(p)
+    monkeypatch.setattr(partition, "trace_faces", counting)
+    return calls
+
+
+def test_stats_traced_once_per_partition(traced):
+    p = helpers.figure_eight()
+    rep = verify_euler(p)
+    assert partition_stats(p) is rep.stats
+    simplify_to_graph(p)
+    assert build_multigraph(p).r == rep.kappa
+    # simplify_to_graph also traces the simple partition it builds, once
+    assert sum(q is p for q in traced) == 1
+    assert len(traced) == 2
+
+
+def test_replace_gets_its_own_stats(traced):
+    p = helpers.figure_eight()
+    st_ = partition_stats(p)
+    q = dataclasses.replace(p, nodal=False)
+    assert "stats" not in vars(q)
+    assert partition_stats(q) == st_ and partition_stats(q) is not st_
+    assert [id(x) for x in traced] == [id(p), id(q)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.nodal = False
+
+
+def test_stats_failure_not_kept(monkeypatch):
+    p = helpers.theta_graph()
+    calls = []
+
+    def broken(q):
+        calls.append(q)
+        raise MalformedEmbedding("face tracing did not close up")
+    monkeypatch.setattr(partition, "trace_faces", broken)
+    for _ in range(2):
+        with pytest.raises(MalformedEmbedding):
+            partition_stats(p)
+    assert len(calls) == 2 and "stats" not in vars(p)
+    monkeypatch.undo()
+    assert partition_stats(p) == helpers.reference_partition_stats(p)
+
+
+def _holds_face_walk(value):
+    if isinstance(value, FaceWalk):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_holds_face_walk(x) for x in value)
+    return False
+
+
+def test_cached_stats_hold_no_face_walks():
+    for p in _fixtures():
+        partition_stats(p)
+        assert set(vars(p)) == {f.name for f in dataclasses.fields(p)} | {"stats"}
+        assert not any(_holds_face_walk(v) for v in vars(p).values())

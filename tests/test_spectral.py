@@ -369,6 +369,15 @@ def test_trace_faces_matches_reference_on_extracts():
             assert trace_faces(q) == helpers.reference_trace_faces(q), k
 
 
+def test_partition_stats_match_reference_on_extracts():
+    for domain in (Disk(0.5), Annulus(0.2, 0.5)):
+        p = EigenProblem(domain, 1 / 32)
+        sol = solve_eigen(assemble_operator(p), 10)
+        for k in range(1, 11):
+            q = extract_nodal(sol.field(k)).as_partition
+            assert partition_stats(q) == helpers.reference_partition_stats(q), k
+
+
 @pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
                          ids=["square", "disk"])
 def test_combo_checks_match_extract_reference(domain):
