@@ -75,11 +75,18 @@ def _report(args, checks, extra=None):
     return rep
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc))
+
+
 def _emit(args, obj):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -210,6 +217,9 @@ def cmd_solve(args):
 
 def _load_solution(path, args):
     obj = _read_json(path)
+    if not isinstance(obj, dict):
+        raise InputError("invalid solution file: the top level must be a "
+                         "JSON object, got %s" % type(obj).__name__)
     args._digest = _digest(json.dumps(obj.get("eigenvalues", [])))
     try:
         problem = EigenProblem.from_json(obj["problem"])
@@ -258,9 +268,7 @@ def cmd_plot(args):
     if not args.output:
         raise InputError("-o OUT.svg is required")
     _, ext = _extract_for_index(args.file, args.index, args)
-    svg = render_svg(ext)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    _write_text(args.output, render_svg(ext))
     return 0
 
 

@@ -32,17 +32,18 @@ Partitions are built with PartitionBuilder, either fresh or as a copy of
 another partition for surgery (the blow-ups of `normalize`, the subdivisions
 of `nodal_graph.simplify_to_graph`), or read with `from_json`.  A partition is
 frozen and validated once, when it is constructed, so the functions here take
-a well-formed input for granted.  Its PartitionStats (one face trace) are
-computed once per partition, on first use, and kept on it: `partition_stats`,
-`verify_euler`, `simplify_to_graph` and `build_multigraph` all read the same
-object.  Only that small object is kept, not the face walks, and a failure is
-raised again on every call rather than kept.
+a well-formed input for granted.  Its PartitionStats (one face trace, which
+also lists the vertices `normalize` blows up) are computed once per
+partition, on first use, and kept for `partition_stats`, `verify_euler`,
+`normalize`, `simplify_to_graph` and `build_multigraph`.  Only that small
+object is kept, not the face walks; a failure is raised again on every call.
 
 All arithmetic is exact (int / Fraction).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -449,6 +450,7 @@ class PartitionStats:
     components: int
     regions: int
     defect: int
+    locally_disconnected: tuple     # vertex ids that `normalize` blows up
 
     @property
     def sigma(self) -> Fraction:
@@ -510,7 +512,22 @@ def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
     if kappa < 1:
         raise MalformedEmbedding("computed kappa %d < 1" % kappa)
     return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
-                          F, c, regions, defect)
+                          F, c, regions, defect,
+                          _locally_disconnected(p, faces))
+
+
+def _locally_disconnected(p: EmbeddedPartition, faces):
+    """Singular vertices some face meets in two or more sectors: its corners
+    there, less its darts there on edges it walks twice (as on a bridge)."""
+    bad = set()
+    for f in faces:
+        sectors = Counter(f.corners)
+        for e, n in Counter(d // 2 for d, _ in f.states).items():
+            if n == 2:
+                sectors.subtract(p.edge_ends[e])
+        bad.update(v for v, n in sectors.items()
+                   if n >= 2 and p.vertices[v].kind in (INTERIOR, BOUNDARY))
+    return tuple(sorted(bad))
 
 
 @dataclass(frozen=True)
@@ -566,20 +583,6 @@ def check_boundary_parity(p: EmbeddedPartition):
 # normalization (blow-up of locally-disconnected singular points)
 # ---------------------------------------------------------------------------
 
-def _violating_vertices(p: EmbeddedPartition):
-    """Singular vertices some face visits in two or more rotation corners."""
-    faces = trace_faces(p)
-    bad = set()
-    for f in faces:
-        seen = {}
-        for v in f.corners:
-            seen[v] = seen.get(v, 0) + 1
-        for v, n in seen.items():
-            if n >= 2 and p.vertices[v].kind in (INTERIOR, BOUNDARY):
-                bad.add(v)
-    return sorted(bad)
-
-
 def _blow_up_interior(m: PartitionBuilder, vid: int):
     rot = m.rotation.pop(vid)
     n = len(rot)
@@ -591,8 +594,6 @@ def _blow_up_interior(m: PartitionBuilder, vid: int):
         out_d = dart(circ[i], 0)                 # towards w_{i+1}
         in_d = dart(circ[(i - 1) % n], 1)        # from w_{i-1}
         m.rotation[ws[i]] = [rot[i], out_d, in_d]
-    # vid keeps its slot but becomes degree-0; drop it by re-indexing
-    _drop_vertex(m, vid)
 
 
 def _blow_up_boundary(m: PartitionBuilder, vid: int):
@@ -626,41 +627,38 @@ def _blow_up_boundary(m: PartitionBuilder, vid: int):
     m.rotation[z2] = [dart(nb, 1), dart(half[rho], 1), b2]
     for i in range(rho):
         m.rotation[ws[i]] = [arcs[i], dart(half[i + 1], 0), dart(half[i], 1)]
-    _drop_vertex(m, vid)
 
 
-def _drop_vertex(m: PartitionBuilder, vid: int):
-    """Remove a vertex whose rotation the caller has popped, and renumber
-    ids above it."""
-    del m.vertices[vid]
-
-    def ren(x):
-        return x - 1 if x > vid else x
-
-    m.vertices = [PartitionVertex(i, v.kind, nu=v.nu, rho=v.rho,
-                                  component=v.component)
-                  for i, v in enumerate(m.vertices)]
-    m.edge_ends = [(ren(u), ren(v)) for u, v in m.edge_ends]
-    m.rotation = {ren(v): r for v, r in m.rotation.items()}
+def _drop_vertices(m: PartitionBuilder, gone):
+    """Remove the blown-up vertices and renumber the rest in order."""
+    kept = [v for v in m.vertices if v.id not in gone]
+    new_id = {v.id: i for i, v in enumerate(kept)}
+    m.vertices = [replace(v, id=i) for i, v in enumerate(kept)]
+    m.edge_ends = [(new_id[u], new_id[v]) for u, v in m.edge_ends]
+    m.rotation = {new_id[v]: r for v, r in m.rotation.items()}
 
 
 def normalize(p: EmbeddedPartition) -> EmbeddedPartition:
     """Blow up every locally-disconnected singular point by inserting a small
     disk face; preserves (beta, kappa - sigma, omega); idempotent.
 
+    One pass blows up the vertices the input's stats list: a blow-up at v
+    changes only the corners at v, and its degree-3 vertices are never bad.
+
     The result is a plain graph partition: the surgery introduces odd-valency
     vertices, so the output does not carry the nodal flag even if the input
     did."""
-    current = replace(p, nodal=False) if p.nodal else p
-    for _ in range(len(p.vertices) + p.n_edges + 4):
-        bad = _violating_vertices(current)
-        if not bad:
-            return current
-        m = PartitionBuilder.from_partition(current)
-        vid = bad[0]
-        if current.vertices[vid].kind == INTERIOR:
-            _blow_up_interior(m, vid)
-        else:
-            _blow_up_boundary(m, vid)
-        current = m.build()
-    raise MalformedEmbedding("normalization did not terminate")
+    bad = p.stats.locally_disconnected
+    plain = replace(p, nodal=False) if p.nodal else p
+    if not bad:
+        return plain
+    m = PartitionBuilder.from_partition(plain)
+    for vid in bad:
+        blow_up = (_blow_up_interior if p.vertices[vid].kind == INTERIOR
+                   else _blow_up_boundary)
+        blow_up(m, vid)
+    _drop_vertices(m, set(bad))
+    out = m.build()
+    if out.stats.locally_disconnected:
+        raise MalformedEmbedding("normalization left a bad vertex")
+    return out

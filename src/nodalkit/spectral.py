@@ -261,25 +261,39 @@ def domain_area(dom, h=None):
 
 
 def _domain_mask(dom, h):
-    """Cell mask (ny, nx boolean) and lower-left origin of the cell grid."""
+    """Cell mask (ny, nx boolean) and lower-left origin of the cell grid.
+
+    Raises InvalidProblem where two mask cells meet only at a lattice
+    corner (a 2x2 block [[1, 0], [0, 1]] or [[0, 1], [1, 0]]): the boundary
+    would leave that corner twice, and the nodal extraction walks it as a
+    simple curve."""
     if isinstance(dom, Rectangle):
         nx, ny = round(dom.w / h), round(dom.h / h)
-        return np.ones((ny, nx), bool), (0.0, 0.0)
-    if isinstance(dom, Disk):
+        mask, origin = np.ones((ny, nx), bool), (0.0, 0.0)
+    elif isinstance(dom, Disk):
         n = round(2 * dom.r / h)
         cx = (np.arange(n) + 0.5) * h - dom.r
         X, Y = np.meshgrid(cx, cx)
-        return X ** 2 + Y ** 2 < dom.r ** 2, (-dom.r, -dom.r)
-    if isinstance(dom, Annulus):
+        mask, origin = X ** 2 + Y ** 2 < dom.r ** 2, (-dom.r, -dom.r)
+    elif isinstance(dom, Annulus):
         n = round(2 * dom.r_out / h)
         cx = (np.arange(n) + 0.5) * h - dom.r_out
         X, Y = np.meshgrid(cx, cx)
         R2 = X ** 2 + Y ** 2
-        return (R2 < dom.r_out ** 2) & (R2 > dom.r_in ** 2), \
-            (-dom.r_out, -dom.r_out)
-    if isinstance(dom, MaskedGrid):
-        return np.array(dom.bitmap, bool), (0.0, 0.0)
-    raise ValueError("unknown domain")
+        mask = (R2 < dom.r_out ** 2) & (R2 > dom.r_in ** 2)
+        origin = (-dom.r_out, -dom.r_out)
+    elif isinstance(dom, MaskedGrid):
+        mask, origin = np.array(dom.bitmap, bool), (0.0, 0.0)
+    else:
+        raise ValueError("unknown domain")
+    sw, se, nw, ne = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]
+    pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
+    if pinch.any():
+        iy, ix = np.argwhere(pinch)[0] + 1
+        raise InvalidProblem("the domain mask pinches at lattice corner "
+                             "(%d, %d): two cells meet only at that corner"
+                             % (ix, iy))
+    return mask, origin
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +308,6 @@ class GridField:
     mask: np.ndarray
     origin: tuple
     h: float
-
-    def cell_center(self, ix, iy):
-        return (self.origin[0] + (ix + 0.5) * self.h,
-                self.origin[1] + (iy + 0.5) * self.h)
 
     def sample(self, x, y):
         """Bilinear interpolation between cell centers."""
@@ -474,6 +484,9 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
                 cluster_rel_tol: float = 1e-3) -> EigenSolution:
     """First K eigenpairs, sorted; dense below a size threshold, else
     shift-invert Lanczos."""
+    if not 0 <= tol < math.inf:
+        raise InvalidProblem("residual tolerance must be finite and >= 0, "
+                             "got %r" % (tol,))
     A = op.matrix
     n = A.shape[0]
     if K > n:
@@ -533,11 +546,6 @@ class NodalExtract:
                                       "component": c}
                                      for p, r, c in self.boundary_singular],
                 "partition": self.as_partition.to_json()}
-
-
-def _corner_cells(ix, iy):
-    """The four cells around lattice corner (ix, iy): SW, SE, NE, NW."""
-    return ((ix - 1, iy - 1), (ix, iy - 1), (ix, iy), (ix - 1, iy))
 
 
 def _boundary_cycles(mask):

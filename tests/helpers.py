@@ -10,10 +10,13 @@ pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
 with a full nodal extraction per sampled eigenspace member, the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
-and the partition statistics traced afresh on every call.
+the partition statistics traced afresh on every call (with the locally
+disconnected vertices found from rotation wedges), and the iterative
+normalization that blew up one vertex per face trace.
 """
 
 import ast
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,8 +26,10 @@ from scipy.spatial import Delaunay
 
 from nodalkit.errors import DegenerateGrid, MalformedEmbedding
 from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
-                                PartitionBuilder, PartitionStats, _components,
-                                _hole_faces, dart, trace_faces)
+                                PartitionBuilder, PartitionStats,
+                                PartitionVertex, _blow_up_boundary,
+                                _blow_up_interior, _components, _hole_faces,
+                                dart, trace_faces)
 from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
                                _domain_mask, extract_nodal)
 from nodalkit.surface import SurfaceSpec
@@ -493,4 +498,81 @@ def reference_partition_stats(p):
     if kappa < 1:
         raise MalformedEmbedding("computed kappa %d < 1" % kappa)
     return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
-                          F, c, regions, defect)
+                          F, c, regions, defect,
+                          reference_locally_disconnected(p, faces))
+
+
+def reference_locally_disconnected(p, faces):
+    """Singular vertices where some face's wedges fall into two or more
+    sectors.  Wedge j at v lies between rotation darts j and j + 1; two
+    wedges of one face on either side of a dart are one sector, so a sector
+    starts at each wedge of the face whose predecessor is not the face's."""
+    pos = {d: (vid, i) for vid, rot in p.rotation.items()
+           for i, d in enumerate(rot)}
+    bad = set()
+    for f in faces:
+        wedges = {}
+        for d, s in f.states:
+            vid, i = pos[p.theta(d)]
+            n = len(p.rotation[vid])
+            j = i if s * p.edge_signature[d // 2] > 0 else (i - 1) % n
+            wedges.setdefault(vid, set()).add(j)
+        for vid, ws in wedges.items():
+            n = len(p.rotation[vid])
+            sectors = sum(1 for j in ws if (j - 1) % n not in ws) or 1
+            if sectors >= 2 and p.vertices[vid].kind in (INTERIOR, BOUNDARY):
+                bad.add(vid)
+    return tuple(sorted(bad))
+
+
+# ---------------------------------------------------------------------------
+# reference normalization
+# ---------------------------------------------------------------------------
+
+def _reference_violating_vertices(p):
+    """Singular vertices some face visits in two or more rotation corners."""
+    faces = trace_faces(p)
+    bad = set()
+    for f in faces:
+        seen = {}
+        for v in f.corners:
+            seen[v] = seen.get(v, 0) + 1
+        for v, n in seen.items():
+            if n >= 2 and p.vertices[v].kind in (INTERIOR, BOUNDARY):
+                bad.add(v)
+    return sorted(bad)
+
+
+def _reference_drop_vertex(m, vid):
+    del m.vertices[vid]
+
+    def ren(x):
+        return x - 1 if x > vid else x
+
+    m.vertices = [PartitionVertex(i, v.kind, nu=v.nu, rho=v.rho,
+                                  component=v.component)
+                  for i, v in enumerate(m.vertices)]
+    m.edge_ends = [(ren(u), ren(v)) for u, v in m.edge_ends]
+    m.rotation = {ren(v): r for v, r in m.rotation.items()}
+
+
+def reference_normalize(p):
+    """Normalization to a fixed point: blow up the lowest vertex that some
+    face visits in two corners, rebuild, trace again.  It never terminates
+    on a partition with a bridge, whose face visits both ends twice after
+    any number of blow-ups; `normalize` must give the same partition on
+    every input this one normalizes."""
+    current = dataclasses.replace(p, nodal=False) if p.nodal else p
+    for _ in range(len(p.vertices) + p.n_edges + 4):
+        bad = _reference_violating_vertices(current)
+        if not bad:
+            return current
+        m = PartitionBuilder.from_partition(current)
+        vid = bad[0]
+        if current.vertices[vid].kind == INTERIOR:
+            _blow_up_interior(m, vid)
+        else:
+            _blow_up_boundary(m, vid)
+        _reference_drop_vertex(m, vid)
+        current = m.build()
+    raise MalformedEmbedding("normalization did not terminate")

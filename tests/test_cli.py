@@ -199,9 +199,18 @@ def test_invalid_type_files_exit_2_under_optimize(tmp_path):
         assert r.stderr.startswith("error: ")
 
 
+def _pinched_mask():
+    """The 6x6 square without cells (2, 2) and (3, 3), which touch the rest
+    of the mask diagonally at lattice corner (3, 3)."""
+    bitmap = [[1] * 6 for _ in range(6)]
+    bitmap[2][2] = bitmap[3][3] = 0
+    return {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+            "domain": {"shape": "MaskedGrid", "bitmap": bitmap}}
+
+
 @pytest.mark.parametrize("doc", [
     _square_with_potential(V) for V in ("1/(x-0.5)", "9**9**9", "1e400", "x +")
-] + [{}, [1], {"domain": 5, "gridStep": 0.125}])
+] + [{}, [1], {"domain": 5, "gridStep": 0.125}, _pinched_mask()])
 def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
     assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
     err = capsys.readouterr().err
@@ -272,3 +281,42 @@ def test_fewer_vectors_than_eigenvalues_exit_2(solution_file, tmp_path,
                            vectors=obj["vectors"][:2])
     assert main(["nodal", "report", sol, "3"]) == 2
     assert "one vector per eigenvalue" in capsys.readouterr().err
+
+
+def test_partition_normalize_bridge(tmp_path):
+    src = Path(__file__).resolve().parent / "data" / "bridge_833.json"
+    out = tmp_path / "norm.json"
+    assert main(["partition", "normalize", str(src), "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["checks"][0]["passed"]
+    assert obj["before"] == obj["after"]
+
+
+def test_report_on_non_object_json_exits_2(tmp_path, capsys):
+    f = tmp_path / "list.json"
+    f.write_text("[1, 2, 3]")
+    assert main(["nodal", "report", str(f), "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_output_exits_2(solution_file, tmp_path, capsys):
+    prob = _problem_file(tmp_path, EigenProblem(Rectangle(1, 1), 1 / 8).to_json())
+    missing = tmp_path / "missing"
+    for argv in (["solve", prob, "-k", "3", "-o", str(missing / "x.json")],
+                 ["plot", solution_file, "1", "-o", str(missing / "x.svg")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_solve_rejects_bad_tolerance(tmp_path, capsys, tol):
+    prob = _problem_file(tmp_path, EigenProblem(Rectangle(1, 1), 1 / 8).to_json())
+    assert main(["solve", prob, "-k", "3", "--tol=" + tol]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_report_on_pinched_mask_exits_2(solution_file, tmp_path, capsys):
+    # a solution file of a pinched mask is rejected on reading
+    sol = _edited_solution(solution_file, tmp_path, problem=_pinched_mask())
+    assert main(["nodal", "report", sol, "1"]) == 2
+    assert "lattice corner (3, 3)" in capsys.readouterr().err

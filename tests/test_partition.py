@@ -1,6 +1,10 @@
 """Tests for embedded partitions: Euler counts, parity, normalization,
 face tracing, and statistics computed once per partition.
 
+Normalization is checked against the iterative reference in
+tests/helpers.py, on two corpus partitions with a bridge kept as JSON
+fixtures in tests/data/, and on random partitions with pendant trees.
+
 Random sphere / planar-domain partitions come from Delaunay triangulations
 (tests/helpers.py); the Euler identity must hold exactly on every sample.
 Random signed embeddings (any rotations and signatures, loops and parallel
@@ -11,6 +15,7 @@ switch.
 import dataclasses
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,8 @@ import helpers
 from nodalkit import partition
 from nodalkit.errors import MalformedEmbedding
 from nodalkit.nodal_graph import build_multigraph, simplify_to_graph
-from nodalkit.partition import (EmbeddedPartition, FaceWalk, PartitionBuilder,
+from nodalkit.partition import (ADDED, INTERIOR, EmbeddedPartition, FaceWalk,
+                                PartitionBuilder, PartitionVertex,
                                 check_boundary_parity, dart, normalize,
                                 partition_stats, trace_faces, verify_euler)
 from nodalkit.surface import SurfaceSpec
@@ -409,3 +415,102 @@ def test_cached_stats_hold_no_face_walks():
         partition_stats(p)
         assert set(vars(p)) == {f.name for f in dataclasses.fields(p)} | {"stats"}
         assert not any(_holds_face_walk(v) for v in vars(p).values())
+
+
+# ---------------------------------------------------------------------------
+# normalization in one pass, bridges included
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _invariants(st_):
+    return (st_.beta, st_.kappa - st_.sigma, st_.omega)
+
+
+def test_normalize_matches_reference():
+    failed = []
+    for i, p in enumerate(_corpus()):
+        try:
+            want = helpers.reference_normalize(p)
+        except MalformedEmbedding:
+            failed.append(i)
+            continue
+        assert normalize(p).to_json() == want.to_json(), i
+    # the reference never terminates on a partition with a bridge
+    assert failed == [330, 833]
+
+
+@pytest.mark.parametrize("index, stats", [
+    (330, {"kappa": 10, "beta": 1, "sigmaI": "8", "sigmaB": "0", "sigma": "8",
+           "omega": 0, "b0Boundary": 0, "faces": 10, "components": 1,
+           "regions": 10, "defect": 0}),
+    (833, {"kappa": 12, "beta": 1, "sigmaI": "10", "sigmaB": "0",
+           "sigma": "10", "omega": 0, "b0Boundary": 3, "faces": 18,
+           "components": 4, "regions": 15, "defect": 0}),
+])
+def test_normalize_bridge_fixtures(index, stats):
+    """Corpus partitions 330 and 833 (seed 1): the face along both sides of
+    a bridge meets each end in one sector, so nothing is blown up."""
+    obj = json.loads((DATA / ("bridge_%d.json" % index)).read_text())
+    p = EmbeddedPartition.from_json(obj)
+    assert p.to_json() == _corpus()[index].to_json()
+    with pytest.raises(MalformedEmbedding, match="did not terminate"):
+        helpers.reference_normalize(p)
+    n = normalize(p)
+    assert partition_stats(n).to_json() == stats
+    assert _invariants(partition_stats(n)) == _invariants(partition_stats(p))
+    assert partition_stats(n).locally_disconnected == ()
+    assert n.to_json() == p.to_json() == normalize(n).to_json()
+
+
+def _with_pendant_trees(p, rng, n_edges):
+    """p with n_edges pendant edges, each added from a random interior or
+    added vertex (earlier leaves included) into a random gap of its
+    rotation; every one of them is a bridge."""
+    m = PartitionBuilder.from_partition(p)
+    m.nodal = False
+    for _ in range(n_edges):
+        ids = [v.id for v in m.vertices if v.kind in (INTERIOR, ADDED)]
+        v = ids[int(rng.integers(len(ids)))]
+        w = m.added()
+        e = m.edge(v, w)
+        m.rotation[w] = [dart(e, 1)]
+        rot = m.rotation[v]
+        rot.insert(int(rng.integers(len(rot) + 1)), dart(e, 0))
+        if len(rot) >= 3:
+            m.vertices[v] = PartitionVertex(v, INTERIOR, nu=len(rot))
+    return m.build()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=8))
+@settings(max_examples=100, deadline=None)
+def test_normalize_with_pendant_trees(seed, n_edges):
+    rng = np.random.default_rng(seed)
+    kind = seed % 5
+    base = (helpers.figure_eight() if kind == 3 else
+            helpers.theta_graph() if kind == 4 else
+            helpers.random_planar_partition(rng, (None, 0, 2)[kind]))
+    p = _with_pendant_trees(base, rng, n_edges)
+    assert partition_stats(p) == helpers.reference_partition_stats(p)
+    n = normalize(p)
+    assert _invariants(partition_stats(n)) == _invariants(partition_stats(p))
+    assert partition_stats(n).locally_disconnected == ()
+    assert normalize(n).to_json() == n.to_json()
+
+
+def test_normalize_traces_no_input(traced):
+    p = EmbeddedPartition.from_json(
+        json.loads((DATA / "bridge_330.json").read_text()))
+    partition_stats(p)
+    traced.clear()
+    assert normalize(p) is p
+    assert traced == []
+    # a blow-up: only the result is traced, for the stats its callers read
+    f = helpers.figure_eight()
+    partition_stats(f)
+    traced.clear()
+    n = normalize(f)
+    assert partition_stats(n).locally_disconnected == ()
+    assert [id(q) for q in traced] == [id(n)]

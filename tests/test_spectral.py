@@ -516,3 +516,18 @@ def test_grid_field_json_round_trip():
     g = GridField.from_json(f.to_json())
     assert np.allclose(g.values, f.values)
     assert g.h == f.h
+
+
+@pytest.mark.parametrize("removed, corner", [
+    (((2, 2), (3, 3)), (3, 3)),     # [[0, 1], [1, 0]] around the corner
+    (((2, 3), (3, 2)), (3, 3)),     # [[1, 0], [0, 1]]
+    (((0, 1), (1, 0)), (1, 1)),     # cell (0, 0) hangs on by its corner
+])
+def test_pinched_mask_rejected(removed, corner):
+    bitmap = [[1] * 6 for _ in range(6)]
+    bitmap[removed[0][0]][removed[0][1]] = 0
+    assemble_operator(EigenProblem(MaskedGrid(bitmap), 1 / 8))  # one gap: fine
+    for iy, ix in removed[1:]:
+        bitmap[iy][ix] = 0
+    with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
+        assemble_operator(EigenProblem(MaskedGrid(bitmap), 1 / 8))
