@@ -15,6 +15,12 @@ blocks K+ = {1..a-1} and K- = {a+1..2k-3}.  From a boundary type we build the
 interval words m_theta, m^(0), m^(pi) whose first-repeat positions drive the
 rotating-function argument.
 
+Both enumerations read one table: the tau tuples of all non-crossing
+matchings of a block of rays, built bottom-up from a Catalan table in
+lexicographic order (a boundary type is such a matching with the arrow as
+ray 0).  The shift census compares those tuples and builds a type only for
+a hit.
+
 Every InteriorType, BoundaryType, DomainLabeling and Word is validated
 once, when it is constructed (InvalidType, or InconsistentLabeling for a
 labeling), so any such object that exists is valid and the functions here
@@ -123,34 +129,41 @@ def validate_interior(t: InteriorType):
     return _matching_problems(t.tau, 0, 2 * t.p - 1, "tau")
 
 
-def _noncrossing_matchings(points):
-    """All non-crossing perfect matchings of the (sorted) point list.
+def _check_size(name, value, least, cap):
+    """InvalidType below `least`, CapExceeded above `cap`."""
+    if value < least:
+        raise InvalidType("%s must be >= %d" % (name, least))
+    if value > cap:
+        raise CapExceeded("%s=%d exceeds cap %d" % (name, value, cap))
 
-    Classic Catalan recursion: the first point matches a point leaving even
-    blocks on both sides.
+
+def _matching_taus(p: int):
+    """tau tuples of all non-crossing perfect matchings of the rays
+    0..2p-1, in lexicographic order.
+
+    Built bottom-up from a Catalan table whose row q holds the matchings of
+    2q rays: ray 0 pairs with an odd ray 2i+1, which encloses a block of i
+    loops and leaves a block of q-1-i loops after it, both taken from
+    earlier rows and shifted into place.  Taking 2i+1 upward, then the inner
+    block, then the outer block, each in row order, gives lexicographic
+    order.  The table is built per call and dropped with it.
     """
-    if not points:
-        yield ()
-        return
-    first = points[0]
-    for idx in range(1, len(points), 2):
-        inner = points[1:idx]
-        outer = points[idx + 1:]
-        for m_in in _noncrossing_matchings(inner):
-            for m_out in _noncrossing_matchings(outer):
-                yield ((first, points[idx]),) + m_in + m_out
+    table = [[()]]
+    for q in range(1, p + 1):
+        row = []
+        for i in range(q):
+            heads = [(2 * i + 1,) + tuple(x + 1 for x in m) + (0,)
+                     for m in table[i]]
+            tails = [tuple(x + 2 * i + 2 for x in m) for m in table[q - 1 - i]]
+            row.extend([h + t for h in heads for t in tails])
+        table.append(row)
+    return table[p]
 
 
 def enumerate_interior(p: int, cap: int = ENUM_CAP):
     """All valid InteriorTypes for p loops, lexicographically sorted by tau."""
-    if p < 1:
-        raise InvalidType("p must be >= 1")
-    if p > cap:
-        raise CapExceeded("p=%d exceeds cap %d" % (p, cap))
-    out = [InteriorType.from_pairs(m)
-           for m in _noncrossing_matchings(list(range(2 * p)))]
-    out.sort(key=lambda t: t.tau)
-    return out
+    _check_size("p", p, 1, cap)
+    return [InteriorType(p, tau) for tau in _matching_taus(p)]
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +300,13 @@ def rotate_type(t: InteriorType, shift: int) -> InteriorType:
 
 def shift_invariant_types(p: int, cap: int = ENUM_CAP):
     """Types fixed by the elementary rotation.  The rotating-function argument
-    on the sphere predicts the empty list for p >= 2.  A rotation of a valid
-    type is valid, so the census compares tau tuples and builds no type."""
-    return [t for t in enumerate_interior(p, cap)
-            if _rotated_tau(t.tau, 1) == t.tau]
+    on the sphere predicts the empty list for p >= 2.  The census compares
+    tau tuples and builds a type only for a hit.  A fixed tau has
+    tau[1] = tau[0] + 1 (mod 2p), so that entry is compared first."""
+    _check_size("p", p, 1, cap)
+    n = 2 * p
+    return [InteriorType(p, tau) for tau in _matching_taus(p)
+            if tau[1] == (tau[0] + 1) % n and _rotated_tau(tau, 1) == tau]
 
 
 # ---------------------------------------------------------------------------
@@ -344,26 +360,14 @@ def validate_boundary(t: BoundaryType):
 
 
 def enumerate_boundary(k: int, cap: int = ENUM_CAP):
-    """All valid BoundaryTypes for index 2k-3; count is
-    sum over odd a of Catalan((a-1)/2) * Catalan((2k-3-a)/2)."""
-    if k < 3:
-        raise InvalidType("k must be >= 3")
-    if k > cap:
-        raise CapExceeded("k=%d exceeds cap %d" % (k, cap))
-    n = 2 * k - 2
-    out = []
-    for a in range(1, n, 2):
-        for m_plus in _noncrossing_matchings(list(range(1, a))):
-            for m_minus in _noncrossing_matchings(list(range(a + 1, n))):
-                tau = [0] * n
-                tau[0] = a
-                tau[a] = 0
-                for i, j in m_plus + m_minus:
-                    tau[i] = j
-                    tau[j] = i
-                out.append(BoundaryType(k, tuple(tau)))
-    out.sort(key=lambda t: t.tau)
-    return out
+    """All valid BoundaryTypes for index 2k-3, lexicographically sorted by
+    tau.  With the arrow as ray 0, a boundary type is a non-crossing
+    matching of 2k-2 rays: the arrow pairs with the odd ray a, and K+ and
+    K- are the blocks inside and after that loop.  So the count is
+    Catalan(k-1), the sum over odd a of Catalan((a-1)/2) *
+    Catalan((2k-3-a)/2)."""
+    _check_size("k", k, 3, cap)
+    return [BoundaryType(k, tau) for tau in _matching_taus(k - 1)]
 
 
 # ---------------------------------------------------------------------------

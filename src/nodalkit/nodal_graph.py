@@ -101,23 +101,29 @@ def simplify_to_graph(p: EmbeddedPartition):
 
     Loops get 2 added vertices (3 edges); each parallel edge beyond the first
     gets 1 added vertex.  alpha1 - alpha0, c and r are preserved.  Edges are
-    processed in id order so output is reproducible.
+    processed in id order so output is reproducible.  A partition that is
+    already simple is returned itself, with its stats.
     """
     st_before = partition_stats(p)
-    m = PartitionBuilder.from_partition(p)
-    for e in range(p.n_edges):
-        u, v = m.edge_ends[e]
-        if u == v:
-            _subdivide(m, e, 2)
-    seen = {}
-    for e in range(len(m.edge_ends)):
-        u, v = m.edge_ends[e]
+    loops, parallel, seen = [], [], set()
+    for e, (u, v) in enumerate(p.edge_ends):
         key = (min(u, v), max(u, v))
-        if key in seen:
-            _subdivide(m, e, 1)
+        if u == v:
+            loops.append(e)
+        elif key in seen:
+            parallel.append(e)
         else:
-            seen[key] = e
-    out = m.build()
+            seen.add(key)
+    out = p
+    if loops or parallel:
+        # the edges a subdivision adds end at new vertices, so they are
+        # neither loops nor parallel to any edge
+        m = PartitionBuilder.from_partition(p)
+        for e in loops:
+            _subdivide(m, e, 2)
+        for e in parallel:
+            _subdivide(m, e, 1)
+        out = m.build()
     # simplicity check
     keys = set()
     for u, v in out.edge_ends:

@@ -84,7 +84,8 @@ def dart(edge: int, end: int) -> int:
 @dataclass(frozen=True)
 class EmbeddedPartition:
     """Frozen: operations return new objects (`dataclasses.replace` too, with
-    stats of their own).  Validated once, when constructed: an
+    stats of their own, except where `normalize` only drops the nodal flag
+    and hands the input's stats on).  Validated once, when constructed: an
     EmbeddedPartition that exists is well formed.  Its stats are computed
     once, on first use (see `stats`)."""
     surface: SurfaceSpec
@@ -649,7 +650,11 @@ def normalize(p: EmbeddedPartition) -> EmbeddedPartition:
     vertices, so the output does not carry the nodal flag even if the input
     did."""
     bad = p.stats.locally_disconnected
-    plain = replace(p, nodal=False) if p.nodal else p
+    plain = p
+    if p.nodal:
+        plain = replace(p, nodal=False)
+        # the stats do not read the nodal flag, so the input's stats hold
+        vars(plain)["stats"] = p.stats
     if not bad:
         return plain
     m = PartitionBuilder.from_partition(plain)

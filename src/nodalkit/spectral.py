@@ -35,6 +35,7 @@ NEUMANN = "Neumann"
 ROBIN = "Robin"
 
 DENSE_LIMIT = 1500  # below this matrix size just use a dense solver
+MAX_CELLS = 1_000_000  # largest grid a problem may ask for (InvalidProblem)
 # 4-connectivity: cells sharing an edge belong to one nodal domain
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -195,7 +196,7 @@ class EigenProblem:
         if self.bc == ROBIN and not self.robin_h >= 0:
             raise InvalidProblem("Robin coefficient must be >= 0, got %r"
                                  % (self.robin_h,))
-        _check_divisibility(self.domain, self.grid_step)
+        _check_grid(self.domain, self.grid_step)
 
     def to_json(self):
         out = {"formatVersion": 1, "domain": self.domain.to_json(),
@@ -229,21 +230,35 @@ class EigenProblem:
                             float(obj.get("robinH", 0.0)), V)
 
 
-def _check_divisibility(dom, h):
-    def divides(length):
+def _check_grid(dom, h):
+    """The grid step must divide the domain's lengths, and the grid may have
+    at most MAX_CELLS cells (the domain's bounding box at step h).  Both are
+    checked from the lengths alone, before anything is allocated."""
+    def cells(length):
         n = length / h
+        if not math.isfinite(n) or n > MAX_CELLS:
+            raise InvalidProblem("grid step %g gives %g cells across length "
+                                 "%g; a grid may have at most MAX_CELLS = %d "
+                                 "cells" % (h, n, length, MAX_CELLS))
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError("grid step %g does not divide length %g" % (h, length))
+        return round(n)
     if isinstance(dom, Rectangle):
-        divides(dom.w)
-        divides(dom.h)
+        count = cells(dom.w) * cells(dom.h)
     elif isinstance(dom, Disk):
-        divides(2 * dom.r)
+        count = cells(2 * dom.r) ** 2
     elif isinstance(dom, Annulus):
         if not 0 < dom.r_in < dom.r_out:
             raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
                                  % (dom.r_in, dom.r_out))
-        divides(2 * dom.r_out)
+        count = cells(2 * dom.r_out) ** 2
+    elif isinstance(dom, MaskedGrid):
+        count = sum(len(row) for row in dom.bitmap)
+    else:
+        return
+    if count > MAX_CELLS:
+        raise InvalidProblem("the grid has %d cells; a grid may have at most "
+                             "MAX_CELLS = %d cells" % (count, MAX_CELLS))
 
 
 def domain_area(dom, h=None):
@@ -290,10 +305,14 @@ def _domain_mask(dom, h):
     pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
     if pinch.any():
         iy, ix = np.argwhere(pinch)[0] + 1
-        raise InvalidProblem("the domain mask pinches at lattice corner "
-                             "(%d, %d): two cells meet only at that corner"
-                             % (ix, iy))
+        raise _pinch_error((ix, iy))
     return mask, origin
+
+
+def _pinch_error(corner):
+    return InvalidProblem("the domain mask pinches at lattice corner "
+                          "(%d, %d): two cells meet only at that corner"
+                          % corner)
 
 
 # ---------------------------------------------------------------------------
@@ -559,18 +578,23 @@ def _boundary_cycles(mask):
         return 0 <= x < nx and 0 <= y < ny and mask[y, x]
     # directed boundary steps: from corner a to corner b with inside on left
     steps = {}
+
+    def step(a, b):
+        # two steps leave a corner only where the mask pinches there
+        if steps.setdefault(a, b) != b:
+            raise _pinch_error(a)
     for iy in range(ny):
         for ix in range(nx):
             if not mask[iy, ix]:
                 continue
             if not inside((ix, iy - 1)):   # south edge, walk east
-                steps[(ix, iy)] = (ix + 1, iy)
+                step((ix, iy), (ix + 1, iy))
             if not inside((ix + 1, iy)):   # east edge, walk north
-                steps[(ix + 1, iy)] = (ix + 1, iy + 1)
+                step((ix + 1, iy), (ix + 1, iy + 1))
             if not inside((ix, iy + 1)):   # north edge, walk west
-                steps[(ix + 1, iy + 1)] = (ix, iy + 1)
+                step((ix + 1, iy + 1), (ix, iy + 1))
             if not inside((ix - 1, iy)):   # west edge, walk south
-                steps[(ix, iy + 1)] = (ix, iy)
+                step((ix, iy + 1), (ix, iy))
     cycles = []
     todo = dict(steps)
     while todo:

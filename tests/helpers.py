@@ -11,8 +11,10 @@ pair-by-pair type validators that the constructors of `InteriorType` and
 with a full nodal extraction per sampled eigenspace member, the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
 the partition statistics traced afresh on every call (with the locally
-disconnected vertices found from rotation wedges), and the iterative
-normalization that blew up one vertex per face trace.
+disconnected vertices found from rotation wedges), the iterative
+normalization that blew up one vertex per face trace, and the recursive
+non-crossing matchings, sorted afterwards, that the type enumerations
+and the shift census must agree with.
 """
 
 import ast
@@ -257,6 +259,58 @@ def reference_validate_boundary(k, tau):
                 if x < u < y < v:
                     problems.append("crossing in %s: (%d,%d),(%d,%d)" % (name, x, y, u, v))
     return problems
+
+
+# ---------------------------------------------------------------------------
+# reference enumerations of the combinatorial types
+# ---------------------------------------------------------------------------
+
+def _reference_noncrossing_matchings(points):
+    """All non-crossing perfect matchings of the (sorted) point list, as
+    pair tuples, by the Catalan recursion: the first point matches a point
+    leaving even blocks on both sides."""
+    if not points:
+        yield ()
+        return
+    first = points[0]
+    for idx in range(1, len(points), 2):
+        for m_in in _reference_noncrossing_matchings(points[1:idx]):
+            for m_out in _reference_noncrossing_matchings(points[idx + 1:]):
+                yield ((first, points[idx]),) + m_in + m_out
+
+
+def _reference_tau(n, pairs):
+    tau = [None] * n
+    for i, j in pairs:
+        tau[i] = j
+        tau[j] = i
+    return tuple(tau)
+
+
+def reference_interior_taus(p):
+    """tau tuples of the interior types for p loops, sorted."""
+    return sorted(_reference_tau(2 * p, m)
+                  for m in _reference_noncrossing_matchings(list(range(2 * p))))
+
+
+def reference_boundary_taus(k):
+    """tau tuples of the boundary types of index 2k-3, sorted: the arrow
+    (position 0) pairs with an odd ray a, and each block on either side of
+    a is matched on its own."""
+    n = 2 * k - 2
+    out = []
+    for a in range(1, n, 2):
+        for m_plus in _reference_noncrossing_matchings(list(range(1, a))):
+            for m_minus in _reference_noncrossing_matchings(list(range(a + 1, n))):
+                out.append(_reference_tau(n, ((0, a),) + m_plus + m_minus))
+    return sorted(out)
+
+
+def reference_shift_invariant_taus(p):
+    """The sorted interior tau tuples fixed by the rotation j -> j+1."""
+    n = 2 * p
+    return [tau for tau in reference_interior_taus(p)
+            if all(tau[(j + 1) % n] == (tau[j] + 1) % n for j in range(n))]
 
 
 # ---------------------------------------------------------------------------

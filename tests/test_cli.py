@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+from nodalkit import partition
 from nodalkit.cli import main
 from nodalkit.comb_type import BoundaryType, InteriorType, format_tau_text
 from nodalkit.spectral import EigenProblem, Rectangle
@@ -210,7 +211,11 @@ def _pinched_mask():
 
 @pytest.mark.parametrize("doc", [
     _square_with_potential(V) for V in ("1/(x-0.5)", "9**9**9", "1e400", "x +")
-] + [{}, [1], {"domain": 5, "gridStep": 0.125}, _pinched_mask()])
+] + [{}, [1], {"domain": 5, "gridStep": 0.125}, _pinched_mask()] + [
+    # an overflowing and a capped cell count, both rejected from the lengths
+    {"formatVersion": 1, "gridStep": step, "bc": "Dirichlet",
+     "domain": {"shape": "Rectangle", "w": w, "h": 1.0}}
+    for w, step in ((1e308, 1e-300), (1.0, 1e-4))])
 def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
     assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
     err = capsys.readouterr().err
@@ -290,6 +295,25 @@ def test_partition_normalize_bridge(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["checks"][0]["passed"]
     assert obj["before"] == obj["after"]
+
+
+def test_partition_normalize_traces_once(tmp_path, monkeypatch):
+    # nothing to blow up: the result drops the circle's nodal flag and keeps
+    # its stats
+    src = tmp_path / "p.json"
+    src.write_text(json.dumps(helpers.circle_on_sphere().to_json()))
+    traced = []
+    trace = partition.trace_faces
+
+    def counting(p):
+        traced.append(p)
+        return trace(p)
+    monkeypatch.setattr(partition, "trace_faces", counting)
+    out = tmp_path / "norm.json"
+    assert main(["partition", "normalize", str(src), "-o", str(out)]) == 0
+    assert len(traced) == 1
+    obj = json.loads(out.read_text())
+    assert obj["before"] == obj["after"] and not obj["partition"]["nodal"]
 
 
 def test_report_on_non_object_json_exits_2(tmp_path, capsys):

@@ -179,6 +179,40 @@ def test_shift_census_matches_rotate_type():
         assert shift_invariant_types(p) == want, p
 
 
+def test_interior_enumeration_matches_reference():
+    for p in range(1, 11):
+        assert ([t.tau for t in enumerate_interior(p)]
+                == helpers.reference_interior_taus(p)), p
+
+
+def test_boundary_enumeration_matches_reference():
+    for k in range(3, 11):
+        assert ([t.tau for t in enumerate_boundary(k)]
+                == helpers.reference_boundary_taus(k)), k
+
+
+def test_shift_census_matches_reference():
+    for p in range(1, 11):
+        assert ([t.tau for t in shift_invariant_types(p)]
+                == helpers.reference_shift_invariant_taus(p)), p
+
+
+def test_shift_census_builds_no_type(monkeypatch):
+    built = []
+    validate = InteriorType.__post_init__
+
+    def counting(self):
+        built.append(self.tau)
+        validate(self)
+    monkeypatch.setattr(InteriorType, "__post_init__", counting)
+    for p in range(2, 9):
+        assert shift_invariant_types(p) == []
+    assert built == []
+    # the counter sees every construction: one per hit, one per enumerated type
+    assert [t.tau for t in shift_invariant_types(1)] == built == [(1, 0)]
+    assert len(enumerate_interior(4)) == len(built) - 1 == catalan(4)
+
+
 def test_boundary_enumeration_and_validation():
     # k=3: a in {1, 3}; each side has a unique matching -> 2 types
     ts = enumerate_boundary(3)

@@ -5,7 +5,9 @@ import pytest
 
 import helpers
 from nodalkit.errors import MalformedEmbedding
-from nodalkit.nodal_graph import build_multigraph, simplify_to_graph
+from nodalkit import partition
+from nodalkit.nodal_graph import (MultigraphCounts, build_multigraph,
+                                  simplify_to_graph)
 from nodalkit.partition import partition_stats
 
 
@@ -80,3 +82,14 @@ def test_rejects_added_vertices():
     out, _ = simplify_to_graph(helpers.figure_eight())
     with pytest.raises(MalformedEmbedding):
         build_multigraph(out)
+
+
+def test_simplify_returns_simple_input_untraced(monkeypatch):
+    p = helpers.random_planar_partition(np.random.default_rng(7))
+    st = partition_stats(p)
+    traced = []
+    monkeypatch.setattr(partition, "trace_faces", traced.append)
+    out, counts = simplify_to_graph(p)
+    assert out is p and traced == []
+    assert counts == MultigraphCounts(len(p.vertices), p.n_edges, 0,
+                                      st.components, st.kappa)

@@ -531,3 +531,24 @@ def test_pinched_mask_rejected(removed, corner):
         bitmap[iy][ix] = 0
     with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
         assemble_operator(EigenProblem(MaskedGrid(bitmap), 1 / 8))
+    # a field built directly never passes that check; extraction meets the
+    # pinch in the boundary walk
+    h = 1 / 6
+    X, Y = np.meshgrid((np.arange(6) + 0.5) * h, (np.arange(6) + 0.5) * h)
+    field = GridField(np.sin(np.pi * X) * np.sin(2 * np.pi * Y),
+                      np.array(bitmap, bool), (0.0, 0.0), h)
+    with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
+        extract_nodal(field)
+
+
+def test_grid_size_capped_before_allocation():
+    side = math.isqrt(spectral.MAX_CELLS)
+    EigenProblem(Rectangle(1, 1), 1 / side)  # exactly at the cap: accepted
+    row = (1,) * side
+    too_big = [(Rectangle(1, 1), 1 / (side + 1)), (Disk(0.5), 1 / (side + 1)),
+               (Annulus(0.2, 0.5), 1 / (side + 1)),
+               (MaskedGrid((row,) * (side + 1)), 1.0),
+               (Rectangle(1e308, 1.0), 1e-300), (Rectangle(-1e308, 1.0), 1e-300)]
+    for dom, h in too_big:
+        with pytest.raises(InvalidProblem, match="MAX_CELLS"):
+            EigenProblem(dom, h)
