@@ -13,6 +13,8 @@ Subcommands:
     bounds SURFACE -k K         classical multiplicity bounds + Pleijel data
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
+Every subcommand that reads a file parses and validates it through one
+loader, `_load`, which turns whatever a malformed file raises into exit 2.
 Reports are JSON with sorted keys, so fixed inputs give byte-identical
 output.
 """
@@ -54,15 +56,61 @@ def _read_text(path):
         raise InputError(str(exc))
 
 
-def _read_json(path):
+def _load(args, parse):
+    """Read args.file, parse and validate it with parse(text) -> (value,
+    digest source), record the command's inputDigest and return the value.
+
+    Every file-reading subcommand loads through here, so this is the one
+    place where what a malformed file raises becomes InputError."""
+    text = _read_text(args.file)
     try:
-        return json.loads(_read_text(path))
-    except ValueError as exc:
-        raise InputError("%s: %s" % (path, exc))
+        value, key = parse(text)
+    except (NodalkitError, LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError, RecursionError) as exc:
+        raise InputError("%s: %s: %s" % (args.file, type(exc).__name__, exc))
+    args._digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return value
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+def _parse_json(build):
+    """A parse for _load: build(obj) of the JSON document, digested as its
+    sorted-key dump."""
+    def parse(text):
+        obj = json.loads(text)
+        return build(obj), json.dumps(obj, sort_keys=True)
+    return parse
+
+
+def _operator(obj):
+    return assemble_operator(EigenProblem.from_json(obj))
+
+
+def _parse_solution(text):
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("the top level must be a JSON object, got %s"
+                         % type(obj).__name__)
+    op = _operator(obj["problem"])
+    vecs = np.array(obj["vectors"], float).T
+    evs = np.array(obj["eigenvalues"], float)
+    if evs.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != len(evs):
+        raise ValueError("solution needs one vector per eigenvalue, got "
+                         "vectors of shape %s" % (vecs.T.shape,))
+    if vecs.shape[0] != op.n:
+        raise ValueError("solution vectors do not match the problem grid")
+    if not (np.isfinite(evs).all() and np.isfinite(vecs).all()):
+        raise ValueError("eigenvalues and vector entries must be finite")
+    sol = EigenSolution(evs, vecs, [list(c) for c in obj["clusters"]],
+                        float(obj.get("clusterRelTol", 1e-3)),
+                        np.array(obj.get("residuals", [0] * len(evs))), op)
+    return sol, json.dumps(obj["eigenvalues"])
+
+
+def _load_type(args, cls, need):
+    t = _load(args, lambda text: (parse_tau_text(text), text))
+    if not isinstance(t, cls):
+        raise InputError(need)
+    return t
 
 
 def _report(args, checks, extra=None):
@@ -100,7 +148,7 @@ def _exit_code(checks):
 # ---------------------------------------------------------------------------
 
 def cmd_partition_euler(args):
-    p = _load_partition(args.file, args)
+    p = _load(args, _parse_json(EmbeddedPartition.from_json))
     er = verify_euler(p)
     parity = check_boundary_parity(p) if p.surface.has_boundary else []
     checks = [{"name": "euler", "passed": er.passed,
@@ -114,7 +162,7 @@ def cmd_partition_euler(args):
 
 
 def cmd_partition_normalize(args):
-    p = _load_partition(args.file, args)
+    p = _load(args, _parse_json(EmbeddedPartition.from_json))
     before = partition_stats(p)
     n = normalize(p)
     after = partition_stats(n)
@@ -126,15 +174,6 @@ def cmd_partition_normalize(args):
                         {"before": before.to_json(), "after": after.to_json(),
                          "partition": n.to_json()}))
     return _exit_code(checks)
-
-
-def _load_partition(path, args):
-    obj = _read_json(path)
-    args._digest = _digest(json.dumps(obj, sort_keys=True))
-    try:
-        return EmbeddedPartition.from_json(obj)
-    except (NodalkitError, KeyError, ValueError, TypeError) as exc:
-        raise InputError("invalid partition: %s" % exc)
 
 
 def cmd_types_enum(args):
@@ -150,14 +189,7 @@ def cmd_types_enum(args):
 
 
 def cmd_types_label(args):
-    text = _read_text(args.file)
-    args._digest = _digest(text)
-    try:
-        t = parse_tau_text(text)
-    except (NodalkitError, ValueError) as exc:
-        raise InputError(str(exc))
-    if not isinstance(t, InteriorType):
-        raise InputError("labeling needs an interior type")
+    t = _load_type(args, InteriorType, "labeling needs an interior type")
     lab = labeling_from_type(t)
     print("delta = " + " ".join(str(v) for v in lab.delta))
     return 0
@@ -177,14 +209,8 @@ def cmd_types_rotate_check(args):
 
 
 def cmd_types_words(args):
-    text = _read_text(args.file)
-    args._digest = _digest(text)
-    try:
-        t = parse_tau_text(text)
-    except (NodalkitError, ValueError) as exc:
-        raise InputError(str(exc))
-    if not isinstance(t, BoundaryType):
-        raise InputError("words need a boundary type (arrow row entry)")
+    t = _load_type(args, BoundaryType,
+                   "words need a boundary type (arrow row entry)")
     m_theta, m_zero, m_pi = boundary_words(t)
     rep = rotating_limit_check(t)
     checks = [{"name": "rotating-limit", "passed": rep.passed,
@@ -199,14 +225,9 @@ def cmd_types_words(args):
 
 
 def cmd_solve(args):
-    obj = _read_json(args.file)
-    args._digest = _digest(json.dumps(obj, sort_keys=True))
+    op = _load(args, _parse_json(_operator))
     try:
-        problem = EigenProblem.from_json(obj)
-        op = assemble_operator(problem)
         sol = solve_eigen(op, args.k, tol=args.tol)
-    except KeyError as exc:
-        raise InputError("problem has no field %s" % exc)
     except (NodalkitError, ValueError, TypeError) as exc:
         raise InputError(str(exc))
     out = sol.to_json()
@@ -215,41 +236,16 @@ def cmd_solve(args):
     return 0
 
 
-def _load_solution(path, args):
-    obj = _read_json(path)
-    if not isinstance(obj, dict):
-        raise InputError("invalid solution file: the top level must be a "
-                         "JSON object, got %s" % type(obj).__name__)
-    args._digest = _digest(json.dumps(obj.get("eigenvalues", [])))
-    try:
-        problem = EigenProblem.from_json(obj["problem"])
-        op = assemble_operator(problem)
-        vecs = np.array(obj["vectors"], float).T
-        evs = np.array(obj["eigenvalues"], float)
-        clusters = [list(c) for c in obj["clusters"]]
-        sol = EigenSolution(evs, vecs, clusters,
-                            float(obj.get("clusterRelTol", 1e-3)),
-                            np.array(obj.get("residuals", [0] * len(evs))), op)
-    except (KeyError, ValueError, TypeError, NodalkitError) as exc:
-        raise InputError("invalid solution file: %s" % exc)
-    if evs.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != len(evs):
-        raise InputError("solution needs one vector per eigenvalue, got "
-                         "vectors of shape %s" % (vecs.T.shape,))
-    if vecs.shape[0] != op.n:
-        raise InputError("solution vectors do not match the problem grid")
-    return sol
-
-
-def _extract_for_index(path, index, args):
-    sol = _load_solution(path, args)
-    if not 1 <= index <= len(sol.eigenvalues):
+def _extract_for_index(args):
+    sol = _load(args, _parse_solution)
+    if not 1 <= args.index <= len(sol.eigenvalues):
         raise InputError("index %d out of range 1..%d"
-                         % (index, len(sol.eigenvalues)))
-    return sol, extract_nodal(sol.field(index))
+                         % (args.index, len(sol.eigenvalues)))
+    return sol, extract_nodal(sol.field(args.index))
 
 
 def cmd_nodal_report(args):
-    sol, ext = _extract_for_index(args.file, args.index, args)
+    sol, ext = _extract_for_index(args)
     er = verify_euler(ext.as_partition)
     parity = check_boundary_parity(ext.as_partition)
     checks = [{"name": "euler", "passed": er.passed,
@@ -267,7 +263,7 @@ def cmd_nodal_report(args):
 def cmd_plot(args):
     if not args.output:
         raise InputError("-o OUT.svg is required")
-    _, ext = _extract_for_index(args.file, args.index, args)
+    _, ext = _extract_for_index(args)
     _write_text(args.output, render_svg(ext))
     return 0
 
@@ -275,9 +271,6 @@ def cmd_plot(args):
 def cmd_bounds(args):
     try:
         surface = parse_surface(args.surface)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    try:
         bs = classical_bounds(surface, args.k)
     except (NodalkitError, ValueError) as exc:
         raise InputError(str(exc))
@@ -292,66 +285,37 @@ def cmd_bounds(args):
 # ---------------------------------------------------------------------------
 
 def _build_parser():
+    """The parser, built from one table on each call: the handlers are looked
+    up when main runs, so a tracer that rebinds cmd_* sees its calls."""
     top = argparse.ArgumentParser(prog="nodalkit")
     top.add_argument("--version", action="version", version=__version__)
-    sub = top.add_subparsers(dest="cmd")
-
-    def common(p):
+    groups = {"": top.add_subparsers(dest="cmd")}
+    file_index = {"file": {}, "index": {"type": int}}
+    # (command words, handler, add_argument keywords per positional or option)
+    for words, fn, arguments in [
+            ("partition euler", cmd_partition_euler, {"file": {}}),
+            ("partition normalize", cmd_partition_normalize, {"file": {}}),
+            ("types enum", cmd_types_enum, {"-p": {"type": int}}),
+            ("types label", cmd_types_label, {"file": {}}),
+            ("types rotate-check", cmd_types_rotate_check,
+             {"-p": {"type": int}}),
+            ("types words", cmd_types_words, {"file": {}}),
+            ("solve", cmd_solve,
+             {"file": {}, "-k": {"type": int, "default": 6},
+              "--tol": {"type": float, "default": 1e-9}}),
+            ("nodal report", cmd_nodal_report, file_index),
+            ("plot", cmd_plot, file_index),
+            ("bounds", cmd_bounds,
+             {"surface": {}, "-k": {"type": int, "default": 1}})]:
+        group, _, name = words.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group).add_subparsers(
+                dest="sub")
+        p = groups[group].add_parser(name)
+        for arg, kwargs in arguments.items():
+            p.add_argument(arg, **kwargs)
         p.add_argument("-o", dest="output", default=None)
-
-    part = sub.add_parser("partition").add_subparsers(dest="sub")
-    pe = part.add_parser("euler")
-    pe.add_argument("file")
-    common(pe)
-    pe.set_defaults(fn=cmd_partition_euler)
-    pn = part.add_parser("normalize")
-    pn.add_argument("file")
-    common(pn)
-    pn.set_defaults(fn=cmd_partition_normalize)
-
-    types = sub.add_parser("types").add_subparsers(dest="sub")
-    te = types.add_parser("enum")
-    te.add_argument("-p", type=int, default=None)
-    common(te)
-    te.set_defaults(fn=cmd_types_enum)
-    tl = types.add_parser("label")
-    tl.add_argument("file")
-    common(tl)
-    tl.set_defaults(fn=cmd_types_label)
-    tr = types.add_parser("rotate-check")
-    tr.add_argument("-p", type=int, default=None)
-    common(tr)
-    tr.set_defaults(fn=cmd_types_rotate_check)
-    tw = types.add_parser("words")
-    tw.add_argument("file")
-    common(tw)
-    tw.set_defaults(fn=cmd_types_words)
-
-    sv = sub.add_parser("solve")
-    sv.add_argument("file")
-    sv.add_argument("-k", type=int, default=6)
-    sv.add_argument("--tol", type=float, default=1e-9)
-    common(sv)
-    sv.set_defaults(fn=cmd_solve)
-
-    nd = sub.add_parser("nodal").add_subparsers(dest="sub")
-    nr = nd.add_parser("report")
-    nr.add_argument("file")
-    nr.add_argument("index", type=int)
-    common(nr)
-    nr.set_defaults(fn=cmd_nodal_report)
-
-    pl = sub.add_parser("plot")
-    pl.add_argument("file")
-    pl.add_argument("index", type=int)
-    common(pl)
-    pl.set_defaults(fn=cmd_plot)
-
-    bd = sub.add_parser("bounds")
-    bd.add_argument("surface")
-    bd.add_argument("-k", type=int, default=1)
-    common(bd)
-    bd.set_defaults(fn=cmd_bounds)
+        p.set_defaults(fn=fn)
     return top
 
 

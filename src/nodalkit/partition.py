@@ -128,6 +128,9 @@ class EmbeddedPartition:
                 raise MalformedEmbedding("unknown vertex kind %r" % v.kind)
         if not (len(self.edge_boundary) == len(self.edge_signature) == ne):
             raise MalformedEmbedding("edge attribute lists disagree in length")
+        if not set(self.edge_signature) <= {1, -1}:
+            # face tracing multiplies by signatures and closes only on +-1
+            raise MalformedEmbedding("edge signatures must be +1 or -1")
         seen = {}
         for vid, rot in self.rotation.items():
             if not 0 <= vid < nv:

@@ -59,18 +59,7 @@ def render_svg(extract, size=480):
                           _fmt(scale), color))
             ix = run
     # nodal interface segments
-    segs = []
-    for iy in range(ny):
-        for ix in range(nx):
-            if sign[iy, ix] == 0:
-                continue
-            if ix + 1 < nx and sign[iy, ix + 1] != 0 and \
-                    sign[iy, ix] * sign[iy, ix + 1] < 0:
-                segs.append(((ix + 1, iy), (ix + 1, iy + 1)))
-            if iy + 1 < ny and sign[iy + 1, ix] != 0 and \
-                    sign[iy, ix] * sign[iy + 1, ix] < 0:
-                segs.append(((ix, iy + 1), (ix + 1, iy + 1)))
-    for (ax, ay), (bx, by) in segs:
+    for (ax, ay), (bx, by) in extract.segments:
         out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '
                    'stroke-width="2"/>'
                    % (px(ax), py(ay), px(bx), py(by), LINE_COLOR))

@@ -506,6 +506,8 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
     if not 0 <= tol < math.inf:
         raise InvalidProblem("residual tolerance must be finite and >= 0, "
                              "got %r" % (tol,))
+    if not K >= 1:
+        raise InvalidProblem("K must be at least 1, got %r" % (K,))
     A = op.matrix
     n = A.shape[0]
     if K > n:
@@ -556,6 +558,7 @@ class NodalExtract:
     boundary_singular: list       # ((x, y), rho estimate, component)
     as_partition: object          # EmbeddedPartition
     field: GridField
+    segments: list                # interface corner pairs, in scan order
 
     def to_json(self):
         return {"formatVersion": 1, "kappa": self.domain_count,
@@ -649,16 +652,16 @@ def extract_nodal(u: GridField) -> NodalExtract:
         return 0 <= x < nx and 0 <= y < ny and mask[y, x]
 
     # interface segments between adjacent opposite-sign cells, keyed by the
-    # corner pair they join
-    segments = set()
+    # corner pair they join; the scan meets each segment once
+    segments = []
     for iy in range(ny):
         for ix in range(nx):
             if not mask[iy, ix]:
                 continue
             if inside((ix + 1, iy)) and sign[iy, ix] * sign[iy, ix + 1] < 0:
-                segments.add(((ix + 1, iy), (ix + 1, iy + 1)))   # vertical
+                segments.append(((ix + 1, iy), (ix + 1, iy + 1)))   # vertical
             if inside((ix, iy + 1)) and sign[iy, ix] * sign[iy + 1, ix] < 0:
-                segments.add(((ix, iy + 1), (ix + 1, iy + 1)))   # horizontal
+                segments.append(((ix, iy + 1), (ix + 1, iy + 1)))   # horizontal
     incident = {}
     for a, b in segments:
         incident.setdefault(a, []).append(b)
@@ -783,7 +786,8 @@ def extract_nodal(u: GridField) -> NodalExtract:
         b.set_rotation(vid[corner], [d for d, _ in entries])
 
     part = b.build()
-    return NodalExtract(sign, kappa, interior_list, boundary_list, part, u)
+    return NodalExtract(sign, kappa, interior_list, boundary_list, part, u,
+                        segments)
 
 
 # ---------------------------------------------------------------------------

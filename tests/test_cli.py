@@ -1,18 +1,24 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
-from nodalkit import partition
+from nodalkit import cli, partition, spectral
 from nodalkit.cli import main
 from nodalkit.comb_type import BoundaryType, InteriorType, format_tau_text
-from nodalkit.spectral import EigenProblem, Rectangle
+from nodalkit.errors import InvalidProblem
+from nodalkit.spectral import (EigenProblem, Rectangle, assemble_operator,
+                               solve_eigen)
 
 TAU16 = (3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 15, 12, 11, 14, 13, 10)
 
@@ -344,3 +350,207 @@ def test_report_on_pinched_mask_exits_2(solution_file, tmp_path, capsys):
     sol = _edited_solution(solution_file, tmp_path, problem=_pinched_mask())
     assert main(["nodal", "report", sol, "1"]) == 2
     assert "lattice corner (3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vectors", lambda obj: [[float("nan")] * len(v) for v in obj["vectors"]]),
+    ("eigenvalues", lambda obj: [float("nan")] + obj["eigenvalues"][1:]),
+], ids=["nan-vectors", "nan-eigenvalue"])
+def test_non_finite_solution_exits_2(solution_file, tmp_path, capsys, field,
+                                     value):
+    obj = json.loads(open(solution_file).read())
+    sol = _edited_solution(solution_file, tmp_path, **{field: value(obj)})
+    for argv in (["nodal", "report", sol, "1"],
+                 ["plot", sol, "1", "-o", str(tmp_path / "x.svg")]):
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+def test_k_below_one_rejected(tmp_path, capsys):
+    problem = EigenProblem(Rectangle(1, 1), 1 / 8)
+    for K in (0, -2):
+        with pytest.raises(InvalidProblem, match="at least 1"):
+            solve_eigen(assemble_operator(problem), K)
+    prob = _problem_file(tmp_path, problem.to_json())
+    assert main(["solve", prob, "-k", "0"]) == 2
+    assert "K must be at least 1" in capsys.readouterr().err
+
+
+def test_handlers_resolved_when_main_runs(tmp_path, monkeypatch):
+    # bench/trace.py rebinds cli.cmd_solve and expects main to call the
+    # rebound name
+    prob = _problem_file(tmp_path, EigenProblem(Rectangle(1, 1), 1 / 8).to_json())
+    calls = []
+    solve = cli.cmd_solve
+
+    def wrapper(args):
+        calls.append(args.file)
+        return solve(args)
+    monkeypatch.setattr(cli, "cmd_solve", wrapper)
+    assert main(["solve", prob, "-k", "2", "-o", str(tmp_path / "s.json")]) == 0
+    assert calls == [prob]
+
+
+# ---------------------------------------------------------------------------
+# every malformed input file exits 2 with "error:", never with a traceback
+# ---------------------------------------------------------------------------
+
+def _with_literal(doc, path, literal):
+    """JSON text of doc with the value at `path` written as `literal`."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "<literal>"
+    return json.dumps(doc).replace('"<literal>"', literal)
+
+
+def _malformed_file_commands(tmp_path, solution_file):
+    """(id, argv) for inputs that once ended in a traceback and exit 1."""
+    circle = helpers.circle_on_sphere().to_json()
+    mask = {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+            "domain": {"shape": "MaskedGrid", "bitmap": [[1] * 6] * 6}}
+    solution = json.loads(open(solution_file).read())
+    solution["problem"] = mask
+    files = {
+        "rotation-list": _with_literal(circle, ["rotation"], "[]"),
+        "param-1e400": _with_literal(circle, ["surface", "param"], "1e400"),
+        "edge-end-1e400": _with_literal(circle, ["edges", 0, "ends", 0],
+                                        "1e400"),
+        "deep-nesting": "[" * 100000 + "]" * 100000,
+        "bitmap-1e400": _with_literal(mask, ["domain", "bitmap", 2, 3],
+                                      "1e400"),
+        "solution-bitmap-1e400": _with_literal(
+            solution, ["problem", "domain", "bitmap", 2, 3], "1e400"),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    f = {name: str(tmp_path / name) for name in files}
+    return [
+        ("rotation-list", ["partition", "euler", f["rotation-list"]]),
+        ("param-1e400", ["partition", "normalize", f["param-1e400"]]),
+        ("edge-end-1e400", ["partition", "euler", f["edge-end-1e400"]]),
+        ("deep-nesting", ["partition", "euler", f["deep-nesting"]]),
+        ("bitmap-1e400", ["solve", f["bitmap-1e400"], "-k", "3"]),
+        ("report-bitmap-1e400",
+         ["nodal", "report", f["solution-bitmap-1e400"], "1"]),
+        ("plot-bitmap-1e400", ["plot", f["solution-bitmap-1e400"], "1",
+                               "-o", str(tmp_path / "out.svg")])]
+
+
+def test_malformed_files_exit_2(tmp_path, solution_file, capsys):
+    for name, argv in _malformed_file_commands(tmp_path, solution_file):
+        assert main(argv) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+
+
+def test_malformed_files_exit_2_under_optimize(tmp_path, solution_file):
+    # each run re-imports numpy and scipy, so two run at a time
+    cases = _malformed_file_commands(tmp_path, solution_file)
+    with ThreadPoolExecutor(2) as pool:
+        runs = list(pool.map(
+            lambda case: _nodalkit(*case[1], optimize=True), cases))
+    for (name, _), r in zip(cases, runs):
+        assert r.returncode == 2, (name, r.stderr)
+        assert r.stderr.startswith("error: "), (name, r.stderr)
+
+
+# The fuzz sets one field of a known-good small file to a hostile value.
+# "<missing>" deletes the field; "<1e400>" is written as the JSON number
+# 1e400, which json reads as inf.
+_HOSTILE = ["<missing>", None, True, "x", [], {}, float("nan"), float("inf"),
+            float("-inf"), "<1e400>", 0, -1, -2.5, 2 ** 64, 10 ** 400]
+_HOSTILE_TOKENS = [None, "x", "nan", "inf", "-inf", "1e400", "0", "-1",
+                   "-2.5", str(2 ** 64), "9" * 5000]
+_FUZZED = {  # subcommand: (argv with the input file as "IN", input kind)
+    "partition euler": (["partition", "euler", "IN"], "partition"),
+    "partition normalize": (["partition", "normalize", "IN"], "partition"),
+    "types label": (["types", "label", "IN"], "type"),
+    "types words": (["types", "words", "IN"], "type"),
+    "solve": (["solve", "IN", "-k", "3"], "problem"),
+    "nodal report": (["nodal", "report", "IN", "2"], "solution"),
+    "plot": (["plot", "IN", "2", "-o", "OUT"], "solution"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Known-good inputs per kind, and a directory to write mutants to."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    problems = [
+        {"formatVersion": 1, "gridStep": 0.125, "bc": "Robin", "robinH": 2.0,
+         "V": "x*y", "domain": {"shape": "Rectangle", "w": 1.0, "h": 1.0}},
+        {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+         "domain": {"shape": "MaskedGrid",
+                    "bitmap": [[0, 1, 1, 1, 1, 0]] + [[1] * 6] * 4
+                    + [[0, 1, 1, 1, 1, 0]]}}]
+    solutions = []
+    for i, doc in enumerate(problems):
+        prob, sol = tmp / ("p%d.json" % i), tmp / ("s%d.json" % i)
+        prob.write_text(json.dumps(doc))
+        assert main(["solve", str(prob), "-k", "3", "-o", str(sol)]) == 0
+        solutions.append(json.loads(sol.read_text()))
+    return tmp, {
+        "partition": [f().to_json() for f in (helpers.circle_on_sphere,
+                                              helpers.disk_with_diameter,
+                                              helpers.theta_graph)],
+        "type": [format_tau_text(InteriorType(8, TAU16)),
+                 format_tau_text(BoundaryType(4, (5, 2, 1, 4, 3, 0)))],
+        "problem": problems, "solution": solutions}
+
+
+def _mutated_json(data, doc):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child
+                and data.draw(st.booleans())):
+            break
+        node = child
+    value = data.draw(st.sampled_from(_HOSTILE))
+    if value == "<missing>":
+        del node[key]
+    else:
+        node[key] = value
+    return json.dumps(doc).replace('"<1e400>"', "1e400")
+
+
+def _mutated_tokens(data, text):
+    rows = [line.split() for line in text.splitlines()]
+    row = data.draw(st.sampled_from(rows))
+    i = data.draw(st.sampled_from(range(len(row))))
+    token = data.draw(st.sampled_from(_HOSTILE_TOKENS))
+    if token is None:
+        del row[i]
+    else:
+        row[i] = token
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
+@pytest.mark.parametrize("command", list(_FUZZED))
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(data=st.data())
+def test_fuzzed_input_exit_codes(fuzz_inputs, command, data):
+    tmp, bases = fuzz_inputs
+    argv, kind = _FUZZED[command]
+    base = data.draw(st.sampled_from(bases[kind]))
+    src = tmp / ("in-" + kind)
+    src.write_text(_mutated_tokens(data, base) if kind == "type"
+                   else _mutated_json(data, base))
+    argv = [{"IN": str(src), "OUT": str(tmp / "out.svg")}.get(a, a)
+            for a in argv]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        # no mutant may ask for a big solve: a valid problem stays within
+        # 16 x 16 cells, and -k is 3
+        mp.setattr(spectral, "MAX_CELLS", 256)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

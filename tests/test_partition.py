@@ -214,6 +214,12 @@ def test_invalid_partition_cannot_be_constructed():
     with pytest.raises(MalformedEmbedding, match="component 3"):
         EmbeddedPartition(p.surface, vertices, p.edge_ends, p.edge_boundary,
                           p.edge_signature, p.rotation, p.boundary_components)
+    # a signature other than +-1 would keep the face trace from closing up
+    for bad in (-2, 0):
+        with pytest.raises(MalformedEmbedding, match="signatures"):
+            EmbeddedPartition(p.surface, p.vertices, p.edge_ends,
+                              p.edge_boundary, [1, bad, 1], p.rotation,
+                              p.boundary_components)
 
 
 def test_from_partition_copies():
