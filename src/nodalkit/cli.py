@@ -15,8 +15,9 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 Every subcommand that reads a file parses and validates it through one
 loader, `_load`, which turns whatever a malformed file raises into exit 2.
-Reports are JSON with sorted keys, so fixed inputs give byte-identical
-output.
+Reports are indented JSON with sorted keys, so fixed inputs give
+byte-identical output; `solve` writes its solution as sorted-key JSON on one
+line.
 """
 
 from __future__ import annotations
@@ -131,8 +132,11 @@ def _write_text(path, text):
         raise InputError(str(exc))
 
 
-def _emit(args, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit(args, obj, indent=2):
+    """Write obj as sorted-key JSON to -o or stdout.  A solution passes
+    indent=None: the indented form falls back to json's pure-Python
+    encoder, which is slow on the vectors."""
+    text = json.dumps(obj, sort_keys=True, indent=indent) + "\n"
     if getattr(args, "output", None):
         _write_text(args.output, text)
     else:
@@ -232,7 +236,7 @@ def cmd_solve(args):
         raise InputError(str(exc))
     out = sol.to_json()
     out["vectors"] = sol.vectors.T.tolist()
-    _emit(args, out)
+    _emit(args, out, indent=None)
     return 0
 
 

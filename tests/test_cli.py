@@ -141,12 +141,15 @@ def test_malformed_input(tmp_path):
 
 
 def test_solve_and_report(solution_file, tmp_path):
-    obj = json.loads(open(solution_file).read())
+    text = open(solution_file).read()
+    obj = json.loads(text)
+    assert text == json.dumps(obj, sort_keys=True) + "\n"   # one line
     assert obj["formatVersion"] == 1
     assert len(obj["eigenvalues"]) == 4
     rep = tmp_path / "rep.json"
     assert main(["nodal", "report", solution_file, "2", "-o", str(rep)]) == 0
     r = json.loads(rep.read_text())
+    assert rep.read_text() == json.dumps(r, sort_keys=True, indent=2) + "\n"
     assert r["extract"]["kappa"] == 2
     assert all(c["passed"] for c in r["checks"])
     assert main(["nodal", "report", solution_file, "99"]) == 2

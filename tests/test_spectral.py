@@ -1,5 +1,6 @@
 """Finite-difference eigensolver, nodal extraction, and law checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -378,29 +379,91 @@ def test_partition_stats_match_reference_on_extracts():
             assert partition_stats(q) == helpers.reference_partition_stats(q), k
 
 
-@pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
-                         ids=["square", "disk"])
-def test_combo_checks_match_extract_reference(domain):
+def _combo_case(case):
+    """A problem and its first 10 eigenpairs, with clusters of m >= 2."""
+    if case == "robin":
+        # ghost cells; no exact pairs, so near pairs (gaps 0.9% and 2.8%)
+        # are grouped by the cluster tolerance
+        p = EigenProblem(Rectangle(2, 1), 1 / 16, bc="Robin", robin_h=1.5)
+        return p, solve_eigen(assemble_operator(p), 10, cluster_rel_tol=0.05)
+    domain = {"square": Rectangle(1, 1), "triple": Rectangle(1, 1),
+              "disk": Disk(0.5), "annulus": Annulus(0.2, 0.5)}[case]
     p = EigenProblem(domain, 1 / 32)
     sol = solve_eigen(assemble_operator(p), 10)
+    if case == "triple":
+        # an m = 3 cluster: the square's pair (2, 3) with the next mode
+        sol = dataclasses.replace(
+            sol, clusters=[[1], [2, 3, 4]] + [[k] for k in range(5, 11)])
+    return p, sol
+
+
+@pytest.mark.parametrize("case, n_combos", [
+    ("square", 50), ("disk", 50), ("annulus", 37), ("robin", 37),
+    ("triple", 37)], ids=["square", "disk", "annulus", "robin", "triple"])
+def test_combo_checks_match_extract_reference(case, n_combos):
+    p, sol = _combo_case(case)
     for seed in (1, 2):
-        rep = verify_spectral_laws(sol, p, seed=seed, n_combos=50)
-        assert rep.combo_checks == helpers.reference_combo_checks(sol, p, seed, 50)
+        rep = verify_spectral_laws(sol, p, seed=seed, n_combos=n_combos)
+        assert rep.combo_checks == helpers.reference_combo_checks(
+            sol, p, seed, n_combos)
         assert rep.combo_checks
+
+
+@pytest.mark.parametrize("n_combos", [-5, 2.5, True, "3", None])
+def test_law_report_rejects_bad_n_combos(n_combos):
+    p = EigenProblem(Rectangle(1, 1), 1 / 8)
+    sol = solve_eigen(assemble_operator(p), 4)
+    with pytest.raises(InvalidProblem, match="n_combos"):
+        verify_spectral_laws(sol, p, n_combos=n_combos)
 
 
 def test_law_report_extracts_eigenvectors_only(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append("extract")
         return extract_nodal(*args, **kwargs)
+    to_field = spectral.AssembledOperator.to_field
+
+    def counting_to_field(*args, **kwargs):
+        calls.append("to_field")
+        return to_field(*args, **kwargs)
     monkeypatch.setattr(spectral, "extract_nodal", counting)
+    monkeypatch.setattr(spectral.AssembledOperator, "to_field",
+                        counting_to_field)
     p = EigenProblem(Rectangle(1, 1), 1 / 24)
     sol = solve_eigen(assemble_operator(p), 6)
     rep = verify_spectral_laws(sol, p, seed=1, n_combos=50)
     assert [c["samples"] for c in rep.combo_checks] == [50, 50]
-    assert len(calls) == len(sol.eigenvalues)
+    assert calls.count("extract") == len(sol.eigenvalues)
+    assert calls.count("to_field") == len(sol.eigenvalues)
+
+
+@pytest.mark.parametrize("problem", [
+    EigenProblem(Rectangle(1, 1), 1 / 16),
+    EigenProblem(Disk(0.5), 1 / 16),
+    EigenProblem(Rectangle(2, 1), 1 / 16, bc="Robin", robin_h=1.5)],
+    ids=["nodes", "masked-cells", "ghost-cells"])
+def test_nodal_counts_match_nodal_count_per_member(problem):
+    op = assemble_operator(problem)
+    rng = np.random.default_rng(3)
+    sol = solve_eigen(op, 8)
+    vecs = np.concatenate([rng.standard_normal((5, op.n)),
+                           rng.standard_normal((6, 8)) @ sol.vectors.T])
+    vecs[2, : op.n // 2] = 0.0      # exact zeros inside the mask
+    values = op.cell_values(vecs)
+    assert (values[2][op.mask] == 0.0).any()
+    signs, kappas = spectral.nodal_counts(values, op.mask)
+    assert signs.shape == values.shape and kappas.shape == (len(vecs),)
+    for v, cells, sign, kappa in zip(vecs, values, signs, kappas):
+        f = op.to_field(v)
+        assert np.array_equal(f.values, cells)
+        assert np.array_equal(nodal_count(f)[0], sign)
+        assert nodal_count(f)[1] == kappa
+    values[4] = 0.0
+    values[4][~op.mask] = 1.0       # vanishes on the mask only
+    with pytest.raises(AllZeroField):
+        spectral.nodal_counts(values, op.mask)
 
 
 def test_ray_fit_monomials():
