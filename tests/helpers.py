@@ -8,7 +8,8 @@ loop assembler and the eval-based potential that the array assembler and
 operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
-with a full nodal extraction per sampled eigenspace member, the face
+with a full nodal extraction per sampled eigenspace member, a pure-Python
+flood fill that counts nodal domains without scipy, the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
 the partition statistics traced afresh on every call (with the locally
 disconnected vertices found from rotation wedges), the iterative
@@ -389,8 +390,6 @@ def reference_assemble(problem, V=None):
             cols.append(i)
             vals.append(diag)
     else:
-        if problem.bc != DIRICHLET:
-            raise ValueError("masked domains support Dirichlet conditions only")
         mask, origin = _domain_mask(dom, h)
         ny, nx = mask.shape
         if mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
@@ -463,6 +462,32 @@ def reference_combo_checks(sol, problem, seed, n_combos):
         combo_checks.append({"cluster": list(cluster), "samples": n_combos,
                              "maxKappa": worst, "bound": k_hi, "passed": good})
     return combo_checks
+
+
+def reference_kappa(values, mask):
+    """Number of nodal domains of one (ny, nx) field: 4-connected components
+    of same-sign mask cells, an exact zero counting as negative, found by a
+    flood fill over Python lists."""
+    ny, nx = len(mask), len(mask[0])
+    sign = [[(1 if values[iy][ix] > 0 else -1) if mask[iy][ix] else 0
+             for ix in range(nx)] for iy in range(ny)]
+    seen = [[False] * nx for _ in range(ny)]
+    kappa = 0
+    for iy in range(ny):
+        for ix in range(nx):
+            if sign[iy][ix] == 0 or seen[iy][ix]:
+                continue
+            kappa += 1
+            seen[iy][ix] = True
+            todo = [(iy, ix)]
+            while todo:
+                y, x = todo.pop()
+                for qy, qx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    if 0 <= qy < ny and 0 <= qx < nx and not seen[qy][qx] \
+                            and sign[qy][qx] == sign[y][x]:
+                        seen[qy][qx] = True
+                        todo.append((qy, qx))
+    return kappa
 
 
 # ---------------------------------------------------------------------------

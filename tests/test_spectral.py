@@ -243,6 +243,21 @@ def test_invalid_problems_raise():
         EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h=-1.0)
     with pytest.raises(InvalidProblem):
         EigenProblem(Annulus(1.0, 0.5), 1 / 8)
+    for dom, bc in ((Disk(0.5), "Neumann"), (Annulus(0.2, 0.5), "Robin")):
+        with pytest.raises(InvalidProblem, match="Dirichlet conditions only"):
+            EigenProblem(dom, 1 / 8, bc=bc)
+    for dom, h in ((Rectangle(1, 1), 0.3), (Rectangle(1, 0.3), 1 / 8),
+                   (Disk(0.3), 1 / 8)):
+        with pytest.raises(InvalidProblem, match="does not divide"):
+            EigenProblem(dom, h)
+    obj = EigenProblem(Disk(0.5), 1 / 8).to_json()
+    obj["domain"] = {"shape": "Ellipse", "a": 1, "b": 2}
+    with pytest.raises(InvalidProblem, match="unknown domain shape 'Ellipse'"):
+        EigenProblem.from_json(obj)
+    op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 4))   # n = 9
+    assert solve_eigen(op, 9).eigenvalues.shape == (9,)
+    with pytest.raises(InvalidProblem, match="exceeds the matrix dimension"):
+        solve_eigen(op, 10)
     with pytest.raises(InvalidProblem):
         domain_area(MaskedGrid(_TWO_PIECES))
     op = assemble_operator(EigenProblem(MaskedGrid(_TWO_PIECES), 1 / 8))
@@ -466,6 +481,41 @@ def test_nodal_counts_match_nodal_count_per_member(problem):
         spectral.nodal_counts(values, op.mask)
 
 
+@pytest.mark.parametrize("problem", [
+    EigenProblem(Rectangle(1, 1), 1 / 16),
+    EigenProblem(Disk(0.5), 1 / 16),
+    EigenProblem(Rectangle(2, 1), 1 / 16, bc="Robin", robin_h=1.5),
+    EigenProblem(Annulus(0.2, 0.5), 1 / 32)],
+    ids=["nodes", "masked-cells", "ghost-cells", "annulus"])
+@pytest.mark.parametrize("B", [1, 2, 37])
+def test_nodal_counts_match_flood_fill(problem, B):
+    op = assemble_operator(problem)
+    rng = np.random.default_rng(B)
+    values = op.cell_values(rng.standard_normal((B, op.n)))
+    # smoothed noise: fewer, larger components in every other member
+    smooth = values[::2]
+    for axis in (1, 2):
+        smooth += np.roll(smooth, 1, axis) + np.roll(smooth, -1, axis)
+    values[rng.random(values.shape) < 0.05] = 0.0   # exact zeros
+    # small components on the first and last rows and columns, next to the
+    # rows that separate the members of the stack
+    edge = np.where(np.arange(max(values.shape[1:])) % 3 == 0, 1.0, -1.0)
+    for member in values[1::3]:
+        for row in (0, -1):
+            member[row] = edge[: member.shape[1]]
+        for col in (0, -1):
+            member[:, col] = edge[: member.shape[0]]
+    # one member of constant sign: an image with no component at all
+    values[B // 2] = np.abs(values[B // 2]) + 1.0
+    signs, kappas = spectral.nodal_counts(values, op.mask)
+    for cells, sign, kappa in zip(values, signs, kappas):
+        expect = helpers.reference_kappa(cells.tolist(), op.mask.tolist())
+        assert kappa == expect
+        assert np.array_equal(sign, np.where(cells > 0, 1, -1) * op.mask)
+        f = GridField(cells, op.mask, op.origin, problem.grid_step)
+        assert nodal_count(f)[1] == expect
+
+
 def test_ray_fit_monomials():
     ell, angles, resid = local_ray_fit(lambda x, y: x * y, (0, 0), 0.1)
     assert ell == 2 and resid < 1e-10
@@ -561,8 +611,8 @@ def test_masked_grid_domain():
     sol = solve_eigen(assemble_operator(p), 1)
     assert domain_area(p.domain, p.grid_step) == pytest.approx(1.0)
     assert sol.eigenvalues[0] > 0
-    with pytest.raises(ValueError):
-        assemble_operator(EigenProblem(MaskedGrid(bitmap), 1 / 8, bc="Neumann"))
+    with pytest.raises(InvalidProblem, match="Dirichlet conditions only"):
+        EigenProblem(MaskedGrid(bitmap), 1 / 8, bc="Neumann")
 
 
 def test_problem_json_round_trip():
