@@ -15,9 +15,13 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 Every subcommand that reads a file parses and validates it through one
 loader, `_load`, which turns whatever a malformed file raises into exit 2.
-Reports are indented JSON with sorted keys, so fixed inputs give
-byte-identical output; `solve` writes its solution as sorted-key JSON on one
-line.
+Input files are parsed by orjson, whose correctly rounded decimal reader
+gives the same floats as `json.loads` several times faster; `NaN`,
+`Infinity` and numbers that overflow a double are not JSON and exit 2 at
+parse.  Reports are indented JSON with sorted keys (`json.dumps`), so fixed
+inputs give byte-identical output; `solve` writes its solution through
+orjson as sorted-key JSON on one line, with the shortest decimal spelling
+that reads back to each float.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import sys
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .bounds import classical_bounds, pleijel_gamma
@@ -73,12 +78,13 @@ def _load(args, parse):
     return value
 
 
-def _parse_json(build):
-    """A parse for _load: build(obj) of the JSON document, digested as its
-    sorted-key dump."""
+def _parse_json(build, digest=lambda obj: json.dumps(obj, sort_keys=True)):
+    """A parse for _load: build(obj) of the JSON document, digested as
+    digest(obj), by default its sorted-key dump.  This is the one place the
+    CLI parses JSON."""
     def parse(text):
-        obj = json.loads(text)
-        return build(obj), json.dumps(obj, sort_keys=True)
+        obj = orjson.loads(text)
+        return build(obj), digest(obj)
     return parse
 
 
@@ -86,8 +92,7 @@ def _operator(obj):
     return assemble_operator(EigenProblem.from_json(obj))
 
 
-def _parse_solution(text):
-    obj = json.loads(text)
+def _solution(obj):
     if not isinstance(obj, dict):
         raise ValueError("the top level must be a JSON object, got %s"
                          % type(obj).__name__)
@@ -101,10 +106,14 @@ def _parse_solution(text):
         raise ValueError("solution vectors do not match the problem grid")
     if not (np.isfinite(evs).all() and np.isfinite(vecs).all()):
         raise ValueError("eigenvalues and vector entries must be finite")
-    sol = EigenSolution(evs, vecs, [list(c) for c in obj["clusters"]],
-                        float(obj.get("clusterRelTol", 1e-3)),
-                        np.array(obj.get("residuals", [0] * len(evs))), op)
-    return sol, json.dumps(obj["eigenvalues"])
+    return EigenSolution(evs, vecs, [list(c) for c in obj["clusters"]],
+                         float(obj.get("clusterRelTol", 1e-3)),
+                         np.array(obj.get("residuals", [0] * len(evs))), op)
+
+
+# a solution is digested by its eigenvalues alone
+_parse_solution = _parse_json(_solution,
+                              lambda obj: json.dumps(obj["eigenvalues"]))
 
 
 def _load_type(args, cls, need):
@@ -115,13 +124,14 @@ def _load_type(args, cls, need):
 
 
 def _report(args, checks, extra=None):
+    """The text of a subcommand's report."""
     rep = {"formatVersion": FORMAT_VERSION, "toolVersion": __version__,
            "command": args._echo, "checks": checks}
     if getattr(args, "_digest", None) is not None:
         rep["inputDigest"] = args._digest
     if extra:
         rep.update(extra)
-    return rep
+    return _pretty(rep)
 
 
 def _write_text(path, text):
@@ -132,11 +142,14 @@ def _write_text(path, text):
         raise InputError(str(exc))
 
 
-def _emit(args, obj, indent=2):
-    """Write obj as sorted-key JSON to -o or stdout.  A solution passes
-    indent=None: the indented form falls back to json's pure-Python
-    encoder, which is slow on the vectors."""
-    text = json.dumps(obj, sort_keys=True, indent=indent) + "\n"
+def _pretty(obj):
+    """A report's text: indented JSON with sorted keys."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _emit(args, text):
+    """Write text to -o or stdout.  Every file the CLI writes as JSON goes
+    through here, reports and solutions alike."""
     if getattr(args, "output", None):
         _write_text(args.output, text)
     else:
@@ -235,8 +248,10 @@ def cmd_solve(args):
     except (NodalkitError, ValueError, TypeError) as exc:
         raise InputError(str(exc))
     out = sol.to_json()
-    out["vectors"] = sol.vectors.T.tolist()
-    _emit(args, out, indent=None)
+    out["vectors"] = np.ascontiguousarray(sol.vectors.T)
+    _emit(args, orjson.dumps(out, option=orjson.OPT_APPEND_NEWLINE
+                             | orjson.OPT_SORT_KEYS
+                             | orjson.OPT_SERIALIZE_NUMPY).decode())
     return 0
 
 
@@ -280,7 +295,7 @@ def cmd_bounds(args):
         raise InputError(str(exc))
     out = {"formatVersion": FORMAT_VERSION, "surface": surface.to_json(),
            "bounds": bs.to_json(), "gamma": pleijel_gamma()}
-    _emit(args, out)
+    _emit(args, _pretty(out))
     return 0
 
 

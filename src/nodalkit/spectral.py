@@ -242,15 +242,19 @@ class EigenProblem:
 
 
 def _check_grid(dom, h):
-    """The grid step must divide the domain's lengths, and the grid may have
-    at most MAX_CELLS cells (the domain's bounding box at step h).  Both are
-    checked from the lengths alone, before anything is allocated."""
+    """The domain's lengths must be positive and the grid step must divide
+    them, a bitmap must be a non-empty rectangle of 0s and 1s, and the grid
+    may have at most MAX_CELLS cells (the domain's bounding box at step h).
+    The cell count is checked from the lengths alone, before anything is
+    allocated."""
     def cells(length):
         n = length / h
         if not math.isfinite(n) or n > MAX_CELLS:
             raise InvalidProblem("grid step %g gives %g cells across length "
                                  "%g; a grid may have at most MAX_CELLS = %d "
                                  "cells" % (h, n, length, MAX_CELLS))
+        if not length > 0:
+            raise InvalidProblem("length must be positive, got %g" % length)
         if abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise InvalidProblem("grid step %g does not divide length %g"
                                  % (h, length))
@@ -265,7 +269,14 @@ def _check_grid(dom, h):
                                  % (dom.r_in, dom.r_out))
         count = cells(2 * dom.r_out) ** 2
     elif isinstance(dom, MaskedGrid):
-        count = sum(len(row) for row in dom.bitmap)
+        widths = {len(row) for row in dom.bitmap}
+        if len(widths) != 1 or 0 in widths:
+            raise InvalidProblem("a bitmap must be a non-empty list of rows "
+                                 "of one length, got row lengths %s"
+                                 % sorted(widths))
+        count = len(dom.bitmap) * widths.pop()
+        if not set().union(*dom.bitmap) <= {0, 1}:
+            raise InvalidProblem("bitmap entries must be 0 or 1")
     else:
         return
     if count > MAX_CELLS:

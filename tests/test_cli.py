@@ -9,16 +9,18 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from nodalkit import cli, partition, spectral
 from nodalkit.cli import main
 from nodalkit.comb_type import BoundaryType, InteriorType, format_tau_text
 from nodalkit.errors import InvalidProblem
-from nodalkit.spectral import (EigenProblem, Rectangle, assemble_operator,
-                               solve_eigen)
+from nodalkit.spectral import (Disk, EigenProblem, Rectangle,
+                               assemble_operator, solve_eigen)
 
 TAU16 = (3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 15, 12, 11, 14, 13, 10)
 
@@ -143,7 +145,9 @@ def test_malformed_input(tmp_path):
 def test_solve_and_report(solution_file, tmp_path):
     text = open(solution_file).read()
     obj = json.loads(text)
-    assert text == json.dumps(obj, sort_keys=True) + "\n"   # one line
+    # one line, sorted keys, no spaces, shortest round-trip floats
+    assert text == orjson.dumps(obj, option=orjson.OPT_SORT_KEYS).decode() \
+        + "\n"
     assert obj["formatVersion"] == 1
     assert len(obj["eigenvalues"]) == 4
     rep = tmp_path / "rep.json"
@@ -224,7 +228,15 @@ def _pinched_mask():
     # an overflowing and a capped cell count, both rejected from the lengths
     {"formatVersion": 1, "gridStep": step, "bc": "Dirichlet",
      "domain": {"shape": "Rectangle", "w": w, "h": 1.0}}
-    for w, step in ((1e308, 1e-300), (1.0, 1e-4))])
+    for w, step in ((1e308, 1e-300), (1.0, 1e-4))] + [
+    # a zero length, an empty, a ragged and a non-binary bitmap
+    {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+     "domain": domain}
+    for domain in ({"shape": "Rectangle", "w": 0.0, "h": 1.0},
+                   {"shape": "MaskedGrid", "bitmap": []},
+                   {"shape": "MaskedGrid", "bitmap": [[1] * 6] * 5 + [[1]]},
+                   {"shape": "MaskedGrid", "bitmap": [[1] * 6] * 5 + [[2] * 6]})
+])
 def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
     assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
     err = capsys.readouterr().err
@@ -355,18 +367,69 @@ def test_report_on_pinched_mask_exits_2(solution_file, tmp_path, capsys):
     assert "lattice corner (3, 3)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [
-    ("vectors", lambda obj: [[float("nan")] * len(v) for v in obj["vectors"]]),
-    ("eigenvalues", lambda obj: [float("nan")] + obj["eigenvalues"][1:]),
-], ids=["nan-vectors", "nan-eigenvalue"])
+def _nan_token_vectors(obj):
+    return [[float("nan")] * len(v) for v in obj["vectors"]]
+
+
+def _null_vector_entry(obj):
+    vectors = [list(v) for v in obj["vectors"]]
+    vectors[0][3] = None
+    return vectors
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # NaN and Infinity are not JSON tokens: the file fails at parse
+    ("vectors", _nan_token_vectors, "JSONDecodeError"),
+    ("eigenvalues", lambda obj: [float("nan")] + obj["eigenvalues"][1:],
+     "JSONDecodeError"),
+    ("eigenvalues", lambda obj: obj["eigenvalues"][:-1] + [float("inf")],
+     "JSONDecodeError"),
+    # null is JSON, and reads as NaN
+    ("vectors", _null_vector_entry, "must be finite"),
+    ("eigenvalues", lambda obj: [None] + obj["eigenvalues"][1:],
+     "must be finite"),
+], ids=["nan-vectors", "nan-eigenvalue", "infinity-eigenvalue",
+        "null-vector-entry", "null-eigenvalue"])
 def test_non_finite_solution_exits_2(solution_file, tmp_path, capsys, field,
-                                     value):
+                                     value, message):
     obj = json.loads(open(solution_file).read())
     sol = _edited_solution(solution_file, tmp_path, **{field: value(obj)})
     for argv in (["nodal", "report", sol, "1"],
                  ["plot", sol, "1", "-o", str(tmp_path / "x.svg")]):
         assert main(argv) == 2
-        assert "must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: " % sol) and message in err
+
+
+def test_solution_file_round_trip(tmp_path):
+    # the disk's vectors hold entries below 1e-4, which orjson spells as
+    # plain decimals (0.00001) where json wrote exponents (1e-05)
+    problem = EigenProblem(Disk(0.5), 1 / 16)
+    prob = _problem_file(tmp_path, problem.to_json())
+    out = tmp_path / "sol.json"
+    assert main(["solve", prob, "-k", "6", "-o", str(out)]) == 0
+    read, _ = cli._parse_solution(out.read_text())
+    solved = solve_eigen(assemble_operator(problem), 6)
+    assert (np.abs(solved.vectors) < 1e-4).any()
+    for name in ("eigenvalues", "residuals", "vectors"):
+        a, b = getattr(read, name), getattr(solved, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+_MAX = float(np.finfo(float).max)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=20))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _MAX, -_MAX])
+def test_orjson_floats_read_back_bit_identically(values):
+    # solve writes through orjson; the CLI reads through orjson, and the
+    # benchmark's vector check through json
+    array = np.array(values, float)
+    text = orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY)
+    for loads in (orjson.loads, json.loads):
+        assert np.array(loads(text), float).tobytes() == array.tobytes()
 
 
 def test_k_below_one_rejected(tmp_path, capsys):

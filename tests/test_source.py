@@ -17,25 +17,47 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_one_nodal_domain_labelling_site():
-    # nodal domains are labelled in one kernel, which nodal_count,
-    # extract_nodal and the law report's member count all go through
+def _call_sites(is_site):
+    """(file, enclosing function, callee) for each call in the package for
+    which is_site(callee text) holds."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         funcs = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) \
-                    and node.module == "scipy.ndimage" \
-                    and any(a.name == "label" for a in node.names):
-                sites.append((path.name, "import of label"))
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "label" \
-                    and "ndimage" in ast.unparse(node.func.value):
+            if isinstance(node, ast.Call) and is_site(ast.unparse(node.func)):
                 owner = max((f for f in funcs
                              if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
-                sites.append((path.name, owner and owner.name))
-    assert sites == [("spectral.py", "nodal_counts")]
+                sites.append((path.name, owner and owner.name,
+                              ast.unparse(node.func)))
+    return sites
+
+
+def _imported_names(module):
+    """(file, name) for each `from module import name` in the package."""
+    return [(path.name, a.name) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for a in node.names]
+
+
+def test_one_nodal_domain_labelling_site():
+    # nodal domains are labelled in one kernel, which nodal_count,
+    # extract_nodal and the law report's member count all go through
+    assert "label" not in [name for _, name in
+                           _imported_names("scipy.ndimage")]
+    sites = _call_sites(lambda f: f.endswith(".label") and "ndimage" in f)
+    assert [site[:2] for site in sites] == [("spectral.py", "nodal_counts")]
+
+
+def test_one_json_parse_site():
+    # the CLI parses every JSON file through orjson in _parse_json's parse,
+    # which _load calls; nothing else in the package parses JSON
+    assert [name for module in ("json", "orjson")
+            for _, name in _imported_names(module)
+            if name in ("load", "loads")] == []
+    sites = _call_sites(lambda f: f.split(".")[-1] in ("load", "loads")
+                        and f.split(".")[0] in ("json", "orjson"))
+    assert sites == [("cli.py", "parse", "orjson.loads")]

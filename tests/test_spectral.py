@@ -605,6 +605,23 @@ def test_verify_laws_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("domain, message", [
+    (Rectangle(0, 1), "length must be positive, got 0"),
+    (Rectangle(-1, 1), "length must be positive, got -1"),
+    (Disk(0), "length must be positive, got 0"),
+    (Disk(-0.5), "length must be positive, got -1"),
+    (MaskedGrid(()), "non-empty list of rows of one length"),
+    (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7,)), r"row lengths \[7, 8\]"),
+    (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7 + (2,),)), "must be 0 or 1"),
+], ids=["zero-width", "negative-width", "zero-radius", "negative-radius",
+        "empty-bitmap", "ragged-bitmap", "bitmap-entry-2"])
+def test_bad_domain_rejected_at_construction(domain, message):
+    # each once got past EigenProblem and failed later, or named the wrong
+    # cause ("grid step 0.125 does not divide length 0")
+    with pytest.raises(InvalidProblem, match=message):
+        EigenProblem(domain, 1 / 8)
+
+
 def test_masked_grid_domain():
     bitmap = tuple(tuple(1 for _ in range(8)) for _ in range(8))
     p = EigenProblem(MaskedGrid(bitmap), 1 / 8)
