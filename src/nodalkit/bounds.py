@@ -14,6 +14,8 @@ from functools import lru_cache
 from .errors import UnknownFamily
 from .surface import (CLOSED_NON_ORIENTABLE, CLOSED_ORIENTABLE, SurfaceSpec)
 
+J0_ZERO_TOL = 1e-12  # width of the bisection bracket around j01
+
 
 def _j0_series(x: float) -> float:
     """J0 via its power series; fine for 0 <= x <= 4."""
@@ -29,10 +31,10 @@ def _j0_series(x: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def bessel_j0_first_zero(tol: float = 1e-12) -> float:
+def bessel_j0_first_zero() -> float:
     """First positive zero of J0 by bisection on [2, 3]."""
     lo, hi = 2.0, 3.0   # J0(2) > 0 > J0(3)
-    while hi - lo > tol:
+    while hi - lo > J0_ZERO_TOL:
         mid = 0.5 * (lo + hi)
         if _j0_series(mid) > 0:
             lo = mid

@@ -129,12 +129,12 @@ def validate_interior(t: InteriorType):
     return _matching_problems(t.tau, 0, 2 * t.p - 1, "tau")
 
 
-def _check_size(name, value, least, cap):
-    """InvalidType below `least`, CapExceeded above `cap`."""
+def _check_size(name, value, least):
+    """InvalidType below `least`, CapExceeded above ENUM_CAP."""
     if value < least:
         raise InvalidType("%s must be >= %d" % (name, least))
-    if value > cap:
-        raise CapExceeded("%s=%d exceeds cap %d" % (name, value, cap))
+    if value > ENUM_CAP:
+        raise CapExceeded("%s=%d exceeds cap %d" % (name, value, ENUM_CAP))
 
 
 def _matching_taus(p: int):
@@ -160,9 +160,9 @@ def _matching_taus(p: int):
     return table[p]
 
 
-def enumerate_interior(p: int, cap: int = ENUM_CAP):
+def enumerate_interior(p: int):
     """All valid InteriorTypes for p loops, lexicographically sorted by tau."""
-    _check_size("p", p, 1, cap)
+    _check_size("p", p, 1)
     return [InteriorType(p, tau) for tau in _matching_taus(p)]
 
 
@@ -298,12 +298,12 @@ def rotate_type(t: InteriorType, shift: int) -> InteriorType:
     return InteriorType(t.p, _rotated_tau(t.tau, shift))
 
 
-def shift_invariant_types(p: int, cap: int = ENUM_CAP):
+def shift_invariant_types(p: int):
     """Types fixed by the elementary rotation.  The rotating-function argument
     on the sphere predicts the empty list for p >= 2.  The census compares
     tau tuples and builds a type only for a hit.  A fixed tau has
     tau[1] = tau[0] + 1 (mod 2p), so that entry is compared first."""
-    _check_size("p", p, 1, cap)
+    _check_size("p", p, 1)
     n = 2 * p
     return [InteriorType(p, tau) for tau in _matching_taus(p)
             if tau[1] == (tau[0] + 1) % n and _rotated_tau(tau, 1) == tau]
@@ -359,14 +359,14 @@ def validate_boundary(t: BoundaryType):
             + _matching_problems(t.tau, a + 1, n - 1, "K-"))
 
 
-def enumerate_boundary(k: int, cap: int = ENUM_CAP):
+def enumerate_boundary(k: int):
     """All valid BoundaryTypes for index 2k-3, lexicographically sorted by
     tau.  With the arrow as ray 0, a boundary type is a non-crossing
     matching of 2k-2 rays: the arrow pairs with the odd ray a, and K+ and
     K- are the blocks inside and after that loop.  So the count is
     Catalan(k-1), the sum over odd a of Catalan((a-1)/2) *
     Catalan((2k-3-a)/2)."""
-    _check_size("k", k, 3, cap)
+    _check_size("k", k, 3)
     return [BoundaryType(k, tau) for tau in _matching_taus(k - 1)]
 
 

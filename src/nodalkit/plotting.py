@@ -13,6 +13,7 @@ NEG_COLOR = "#92c5de"
 LINE_COLOR = "#222222"
 INT_MARK = "#d6604d"
 BND_MARK = "#4393c3"
+SIZE = 480  # pixels along the longer side of the grid
 
 
 def _fmt(v):
@@ -20,12 +21,12 @@ def _fmt(v):
     return s.rstrip("0").rstrip(".") if "." in s else s
 
 
-def render_svg(extract, size=480):
+def render_svg(extract):
     """SVG document (str) for a NodalExtract."""
     sign = extract.sign_field
     ny, nx = sign.shape
     u = extract.field
-    scale = size / max(nx, ny)
+    scale = SIZE / max(nx, ny)
     width, height = nx * scale, ny * scale
 
     def px(ix):

@@ -46,6 +46,16 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # slower with 100, while the process's peak RSS grew from 70.8 MB at 10 to
 # 72.5, 75.3, 80.4 and 91.2 MB at 25, 50, 100 and 200.
 COMBO_BLOCK = 10
+# the law report's Faber-Krahn check passes when
+# lambda |Omega| >= (1 - FK_REL_TOL) kappa pi j01^2
+FK_REL_TOL = 0.05
+# local_ray_fit tries orders 1..RAY_FIT_LMAX on RAY_FIT_ANGLES samples per
+# circle and fails above the relative residual RAY_FIT_THRESHOLD
+RAY_FIT_LMAX = 6
+RAY_FIT_ANGLES = 96
+RAY_FIT_THRESHOLD = 0.25
+# prescribe_singular: rank and residual tolerance of the suppressed jet
+PRESCRIBE_REL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +239,9 @@ class EigenProblem:
         elif shape == "Annulus":
             dom = Annulus(float(d["rIn"]), float(d["rOut"]))
         elif shape == "MaskedGrid":
+            # checked before int(), which would read 1.9 as 1 and 0.7 as 0
+            if any(v not in (0, 1) for row in d["bitmap"] for v in row):
+                raise InvalidProblem("bitmap entries must be 0 or 1")
             dom = MaskedGrid(tuple(tuple(int(v) for v in row)
                                    for row in d["bitmap"]))
         else:
@@ -682,11 +695,14 @@ def extract_nodal(u: GridField) -> NodalExtract:
     """Sign pattern -> nodal domains + embedded partition.
 
     The sign array and kappa, the number of 4-connected same-sign cell
-    components, come from nodal_count; the interface between opposite-sign
-    cells is walked into chains; corners where the four surrounding cells
+    components, come from nodal_count.  Singular corners are the
+    partition's vertices: corners where the four surrounding cells
     alternate in sign are interior singular points (nu = 4 on a square
-    lattice); chains ending on the mask boundary give boundary singular
-    points (rho = 1 each)."""
+    lattice), and corners where the interface between opposite-sign cells
+    meets the mask boundary are boundary singular points (rho = 1 each).
+    One walker follows the interface from each singular corner to the next
+    (a nodal edge) and around each closed loop without one (a circle); the
+    boundary cycles between singular corners give the boundary edges."""
     sign, kappa = nodal_count(u)
     mask = u.mask
     ny, nx = sign.shape
@@ -712,120 +728,72 @@ def extract_nodal(u: GridField) -> NodalExtract:
         incident.setdefault(b, []).append(a)
 
     cycles = _boundary_cycles(mask)
-    on_boundary = {}
-    for ci, cyc in enumerate(cycles):
-        for pos, corner in enumerate(cyc):
-            on_boundary[corner] = (ci, pos)
+    component = {c: ci for ci, cyc in enumerate(cycles) for c in cyc}
+    # a planar domain with one hole per boundary cycle after the outer one
+    b = PartitionBuilder(SurfaceSpec.planar_domain(len(cycles) - 1),
+                         nodal=True)
 
-    # classify corners
-    special = {}   # corner -> ("interior", nu) or ("boundary", rho, comp, pos)
-    for corner, nbrs in incident.items():
-        deg = len(nbrs)
-        if corner in on_boundary:
-            ci, pos = on_boundary[corner]
-            special[corner] = ("boundary", deg, ci, pos)
-        elif deg != 2:
-            if deg < 2:
-                raise MalformedEmbedding("dangling nodal segment at %r" % (corner,))
-            special[corner] = ("interior", deg)
-
-    # walk chains between special corners; leftover pure cycles become circles
-    def walk(start, first):
-        path = [start, first]
-        prev, cur = start, first
-        while cur not in special:
-            nbrs = incident[cur]   # two: other degrees are special
-            nxt = nbrs[0] if nbrs[1] == prev else nbrs[1]
-            path.append(nxt)
-            prev, cur = cur, nxt
-        return path
-
-    chains = []
-    used = set()
-    for corner in sorted(special):
-        for first in sorted(incident[corner]):
-            seg = (min(corner, first), max(corner, first))
-            if seg in used:
-                continue
-            path = walk(corner, first)
-            for a, b in zip(path, path[1:]):
-                used.add((min(a, b), max(a, b)))
-            chains.append(path)
-    loops = []
-    for a, b in sorted(segments):
-        if (a, b) in used:
-            continue
-        path = [a, b]
-        prev, cur = a, b
-        while cur != a:
-            nbrs = incident[cur]
-            nxt = nbrs[0] if nbrs[1] == prev else nbrs[1]
-            path.append(nxt)
-            prev, cur = cur, nxt
-        for p, q in zip(path, path[1:]):
-            used.add((min(p, q), max(p, q)))
-        loops.append(path)
-
-    # surface: planar domain with (number of boundary cycles - 1) holes
-    holes = len(cycles) - 1
-    surface = SurfaceSpec.planar_domain(holes)
-    b = PartitionBuilder(surface, nodal=True)
-
+    # singular corners, in sorted order, become the partition's vertices:
+    # boundary corners on the nodal set, and interior corners of degree != 2
     vid = {}
     interior_list = []
     boundary_list = []
-    for corner in sorted(special):
-        info = special[corner]
-        x = u.origin[0] + corner[0] * u.h
-        y = u.origin[1] + corner[1] * u.h
-        if info[0] == "interior":
-            nu = info[1]
-            vid[corner] = b.interior(nu)
-            interior_list.append(((x, y), nu))
+    for corner in sorted(c for c, nbrs in incident.items()
+                         if c in component or len(nbrs) != 2):
+        deg = len(incident[corner])
+        xy = (u.origin[0] + corner[0] * u.h, u.origin[1] + corner[1] * u.h)
+        if corner in component:
+            vid[corner] = b.boundary_vertex(deg, component[corner])
+            boundary_list.append((xy, deg, component[corner]))
+        elif deg < 2:
+            raise MalformedEmbedding("dangling nodal segment at %r" % (corner,))
         else:
-            deg, ci, pos = info[1], info[2], info[3]
-            vid[corner] = b.boundary_vertex(deg, ci)
-            boundary_list.append(((x, y), deg, ci))
+            vid[corner] = b.interior(deg)
+            interior_list.append((xy, deg))
 
-    # nodal edges: one per chain; direction of the first/last step recorded
-    # for the rotation ordering at the endpoint vertices
     def step_angle(a, b):
         return math.atan2(b[1] - a[1], b[0] - a[0])
 
-    darts_at = {c: [] for c in special}
-    for path in chains:
-        e = b.edge(vid[path[0]], vid[path[-1]])
-        darts_at[path[0]].append((dart(e, 0), step_angle(path[0], path[1])))
-        darts_at[path[-1]].append((dart(e, 1), step_angle(path[-1], path[-2])))
-    circle_of_loop = []
-    for path in loops:
-        m = b.circle()
-        b.edge(m, m)
-        circle_of_loop.append(m)
+    # one walker: a chain runs from a singular corner to the next one and
+    # becomes an edge; a leftover segment starts a closed loop, which runs
+    # back to its start and becomes a circle.  Each dart is kept with the
+    # direction of its first step for the rotation at its vertex.
+    darts_at = {c: [] for c in vid}
+    used = set()
+    starts = [(c, first) for c in vid for first in sorted(incident[c])]
+    for start, first in starts + sorted(segments):
+        if (min(start, first), max(start, first)) in used:
+            continue
+        path = [start, first]
+        while path[-1] not in vid and path[-1] != start:
+            nbrs = incident[path[-1]]   # two: other degrees are singular
+            path.append(nbrs[0] if nbrs[1] == path[-2] else nbrs[1])
+        used.update((min(p, q), max(p, q)) for p, q in zip(path, path[1:]))
+        if start in vid:
+            e = b.edge(vid[start], vid[path[-1]])
+            darts_at[start].append((dart(e, 0), step_angle(start, first)))
+            darts_at[path[-1]].append((dart(e, 1),
+                                       step_angle(path[-1], path[-2])))
+        else:
+            m = b.circle()
+            b.edge(m, m)
 
-    # boundary edges along each cycle between consecutive boundary-singular
-    # corners; a cycle with none gets a circle marker with a boundary loop
-    bdart_at = {}
+    # boundary edges along each cycle between consecutive singular corners;
+    # a cycle with none gets a circle marker with a boundary loop
     for ci, cyc in enumerate(cycles):
-        hits = sorted((pos, corner) for corner, (cj, pos) in on_boundary.items()
-                      if cj == ci and corner in special)
+        hits = [(pos, c) for pos, c in enumerate(cyc) if c in vid]
         if not hits:
             m = b.circle()
             b.edge(m, m, boundary=True, component=ci)
-            continue
-        n = len(hits)
-        for t in range(n):
-            pos_a, ca = hits[t]
-            pos_b, cb = hits[(t + 1) % n]
+        for (pos_a, ca), (pos_b, cb) in zip(hits, hits[1:] + hits[:1]):
             e = b.edge(vid[ca], vid[cb], boundary=True, component=ci)
             # outgoing direction along the cycle at each endpoint
-            nxt = cyc[(pos_a + 1) % len(cyc)]
-            prv = cyc[pos_b - 1]
-            bdart_at.setdefault(ca, []).append((dart(e, 0), step_angle(ca, nxt)))
-            bdart_at.setdefault(cb, []).append((dart(e, 1), step_angle(cb, prv)))
+            darts_at[ca].append((dart(e, 0), step_angle(
+                ca, cyc[(pos_a + 1) % len(cyc)])))
+            darts_at[cb].append((dart(e, 1), step_angle(cb, cyc[pos_b - 1])))
 
-    for corner in sorted(special):
-        entries = darts_at[corner] + bdart_at.get(corner, [])
+    # no two darts at a corner leave in the same direction
+    for corner, entries in darts_at.items():
         entries.sort(key=lambda t: t[1])
         b.set_rotation(vid[corner], [d for d, _ in entries])
 
@@ -838,7 +806,7 @@ def extract_nodal(u: GridField) -> NodalExtract:
 # local ray fit
 # ---------------------------------------------------------------------------
 
-def local_ray_fit(u, x0, radius, lmax=6, n_angles=96, threshold=0.25):
+def local_ray_fit(u, x0, radius):
     """Fit r^l (a sin l*omega + b cos l*omega) on circles around x0.
 
     u is a GridField or a callable (x, y) -> value.  Returns
@@ -847,7 +815,7 @@ def local_ray_fit(u, x0, radius, lmax=6, n_angles=96, threshold=0.25):
     and the residual itself."""
     sample = u.sample if isinstance(u, GridField) else u
     radii = [0.5 * radius, 0.75 * radius, radius]
-    omegas = np.arange(n_angles) * (2 * math.pi / n_angles)
+    omegas = np.arange(RAY_FIT_ANGLES) * (2 * math.pi / RAY_FIT_ANGLES)
     pts, vals = [], []
     for r in radii:
         for w in omegas:
@@ -858,7 +826,7 @@ def local_ray_fit(u, x0, radius, lmax=6, n_angles=96, threshold=0.25):
     if norm == 0:
         raise NoFit("field vanishes on the sampling circles")
     best = None
-    for ell in range(1, lmax + 1):
+    for ell in range(1, RAY_FIT_LMAX + 1):
         cols = np.empty((len(pts), 2))
         for i, (r, w) in enumerate(pts):
             rl = r ** ell
@@ -869,7 +837,7 @@ def local_ray_fit(u, x0, radius, lmax=6, n_angles=96, threshold=0.25):
         if best is None or resid < best[2]:
             best = (ell, coef, resid)
     ell, (a, bcoef), resid = best
-    if resid > threshold:
+    if resid > RAY_FIT_THRESHOLD:
         raise NoFit("best relative residual %.3g above threshold" % resid)
     # zeros of a sin(l w) + b cos(l w): l*w = -atan2(b, a) + j*pi
     base = -math.atan2(bcoef, a)
@@ -888,36 +856,26 @@ def local_ray_fit(u, x0, radius, lmax=6, n_angles=96, threshold=0.25):
 # prescribed singular points
 # ---------------------------------------------------------------------------
 
+def _central_difference(g, k, h):
+    """k-th derivative of g(t) at t = 0 by k iterated central differences
+    over the 2k + 1 samples g(-kh), ..., g(kh)."""
+    arr = np.array([g(i * h) for i in range(-k, k + 1)], float)
+    for _ in range(k):
+        arr = (arr[2:] - arr[:-2]) / (2 * h)
+    return float(arr[0])
+
+
 def _jet_rows_interior(fn, site, order, h):
     """Central-difference partial derivatives d^(i+j)/dx^i dy^j for
-    i + j < order at the site."""
+    i + j < order at the site: differenced in x, then in y."""
     x0, y0 = site
-    rows = []
-    for total in range(order):
-        for i in range(total + 1):
-            j = total - i
-            rows.append(_mixed_derivative(fn, x0, y0, i, j, h))
-    return rows
+    return [_central_difference(
+                lambda t: _central_difference(
+                    lambda s: fn(x0 + s, y0 + t), i, h), total - i, h)
+            for total in range(order) for i in range(total + 1)]
 
 
-def _mixed_derivative(fn, x0, y0, i, j, h):
-    """d^i/dx^i d^j/dy^j by nested central differences."""
-    def dx(f, k):
-        if k == 0:
-            return f
-        return lambda x, y: (dx(f, k - 1)(x + h, y)
-                             - dx(f, k - 1)(x - h, y)) / (2 * h)
-
-    def dy(f, k):
-        if k == 0:
-            return f
-        return lambda x, y: (dy(f, k - 1)(x, y + h)
-                             - dy(f, k - 1)(x, y - h)) / (2 * h)
-    return dy(dx(fn, i), j)(x0, y0)
-
-
-def prescribe_singular(basis, site, target_order, boundary=None, h=None,
-                       rel_tol=1e-6):
+def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     """Unit coefficient vector whose combination vanishes to the requested
     order at the site (interior) or suppresses the boundary data (boundary).
 
@@ -957,35 +915,21 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None,
                 return fn(x, y)
             return g
         for fn in fns:
-            g = breve(fn)
-            col = []
-            for k in range(target_order):
-                col.append(_tangential_derivative(g, k, h))
-            rows.append(col)
+            rows.append([_central_difference(breve(fn), k, h)
+                         for k in range(target_order)])
     J = np.array(rows, float).T   # constraints x basis
     scale = max(np.abs(J).max(), 1e-300)
     _, s, Vt = np.linalg.svd(J)
-    if J.shape[0] >= m and s[-1] > rel_tol * max(s[0], scale):
+    if J.shape[0] >= m and s[-1] > PRESCRIBE_REL_TOL * max(s[0], scale):
         raise InfeasibleOrder("constraint matrix has full rank "
                               "(smallest singular value %.3g)" % s[-1])
     c = Vt[-1]
     c = c / np.linalg.norm(c)
     resid = np.linalg.norm(J @ c) / scale
-    if resid > rel_tol:
+    if resid > PRESCRIBE_REL_TOL:
         raise InfeasibleOrder("suppressed jet residual %.3g above %.3g"
-                              % (resid, rel_tol))
+                              % (resid, PRESCRIBE_REL_TOL))
     return c, resid
-
-
-def _tangential_derivative(g, k, h):
-    if k == 0:
-        return g(0.0)
-    # k-th derivative by iterated central differences along the tangent
-    pts = [g(i * h) for i in range(-k, k + 1)]
-    arr = np.array(pts, float)
-    for _ in range(k):
-        arr = (arr[2:] - arr[:-2]) / (2 * h)
-    return float(arr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1007,8 +951,7 @@ class LawReport:
 
 
 def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
-                         seed: int = 0, n_combos: int = 200,
-                         fk_rel_tol: float = 0.05) -> LawReport:
+                         seed: int = 0, n_combos: int = 200) -> LawReport:
     """Courant, multiplicity, Faber-Krahn, Pleijel, Weyl, and Euler checks
     on a computed spectrum.  Random in-cluster combinations are sampled with
     a seeded generator; the seed is recorded in the report.  Each eigenvector
@@ -1039,7 +982,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
         mult_ok = mult <= 2 * kf - 1 and (kf < 3 or mult <= 2 * kf - 2)
         fk_lhs = lam * area
         fk_rhs = faber_krahn_threshold(kappa)
-        faber_krahn = fk_lhs >= fk_rhs * (1 - fk_rel_tol)
+        faber_krahn = fk_lhs >= fk_rhs * (1 - FK_REL_TOL)
         pl_bound, _ = pleijel_bound(lam, area)
         pleijel = mult <= pl_bound + 1e-9 or mult <= 2 * kf - 1
         euler = verify_euler(ext.as_partition).passed

@@ -102,14 +102,9 @@ class SurfaceSpec:
 
 
 def euler_characteristic(spec: SurfaceSpec) -> int:
-    """chi of the surface itself (with boundary, where applicable)."""
-    if spec.kind == CLOSED_ORIENTABLE:
-        return 2 - 2 * spec.param
-    if spec.kind == CLOSED_NON_ORIENTABLE:
-        return 2 - spec.param
-    if spec.kind == PLANAR_DOMAIN:
-        return 1 - spec.param
-    return 0  # MoebiusStrip
+    """chi of the surface itself (with boundary, where applicable): the
+    closed model's chi less one for each boundary circle's removed disk."""
+    return spec.closed_model_euler() - spec.boundary_components
 
 
 def parse_surface(text: str) -> SurfaceSpec:

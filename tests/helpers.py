@@ -9,7 +9,9 @@ operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
 with a full nodal extraction per sampled eigenspace member, a pure-Python
-flood fill that counts nodal domains without scipy, the face
+flood fill that counts nodal domains without scipy, the nodal extraction
+with two walkers and two dart tables that the one-walker extraction must
+reproduce, the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
 the partition statistics traced afresh on every call (with the locally
 disconnected vertices found from rotation wedges), the iterative
@@ -33,8 +35,9 @@ from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
                                 PartitionVertex, _blow_up_boundary,
                                 _blow_up_interior, _components, _hole_faces,
                                 dart, trace_faces)
-from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Rectangle,
-                               _domain_mask, extract_nodal)
+from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, NodalExtract,
+                               Rectangle, _boundary_cycles, _domain_mask,
+                               extract_nodal, nodal_count)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -488,6 +491,146 @@ def reference_kappa(values, mask):
                         seen[qy][qx] = True
                         todo.append((qy, qx))
     return kappa
+
+
+def reference_extract_nodal(u):
+    """`extract_nodal` as it was with singular corners kept as tagged tuples
+    and sorted twice, one walker for chains and a second one for closed
+    loops, nodal and boundary darts in two tables, and every boundary
+    corner filtered once per cycle: the partition, singular-point lists and
+    segments that the one-walker extraction must reproduce."""
+    sign, kappa = nodal_count(u)
+    mask = u.mask
+    ny, nx = sign.shape
+
+    def inside(c):
+        x, y = c
+        return 0 <= x < nx and 0 <= y < ny and mask[y, x]
+
+    segments = []
+    for iy in range(ny):
+        for ix in range(nx):
+            if not mask[iy, ix]:
+                continue
+            if inside((ix + 1, iy)) and sign[iy, ix] * sign[iy, ix + 1] < 0:
+                segments.append(((ix + 1, iy), (ix + 1, iy + 1)))
+            if inside((ix, iy + 1)) and sign[iy, ix] * sign[iy + 1, ix] < 0:
+                segments.append(((ix, iy + 1), (ix + 1, iy + 1)))
+    incident = {}
+    for a, b in segments:
+        incident.setdefault(a, []).append(b)
+        incident.setdefault(b, []).append(a)
+
+    cycles = _boundary_cycles(mask)
+    on_boundary = {}
+    for ci, cyc in enumerate(cycles):
+        for pos, corner in enumerate(cyc):
+            on_boundary[corner] = (ci, pos)
+
+    special = {}   # corner -> ("interior", nu) or ("boundary", rho, comp, pos)
+    for corner, nbrs in incident.items():
+        deg = len(nbrs)
+        if corner in on_boundary:
+            ci, pos = on_boundary[corner]
+            special[corner] = ("boundary", deg, ci, pos)
+        elif deg != 2:
+            if deg < 2:
+                raise MalformedEmbedding("dangling nodal segment at %r"
+                                         % (corner,))
+            special[corner] = ("interior", deg)
+
+    def walk(start, first):
+        path = [start, first]
+        prev, cur = start, first
+        while cur not in special:
+            nbrs = incident[cur]
+            nxt = nbrs[0] if nbrs[1] == prev else nbrs[1]
+            path.append(nxt)
+            prev, cur = cur, nxt
+        return path
+
+    chains = []
+    used = set()
+    for corner in sorted(special):
+        for first in sorted(incident[corner]):
+            seg = (min(corner, first), max(corner, first))
+            if seg in used:
+                continue
+            path = walk(corner, first)
+            for a, b in zip(path, path[1:]):
+                used.add((min(a, b), max(a, b)))
+            chains.append(path)
+    loops = []
+    for a, b in sorted(segments):
+        if (a, b) in used:
+            continue
+        path = [a, b]
+        prev, cur = a, b
+        while cur != a:
+            nbrs = incident[cur]
+            nxt = nbrs[0] if nbrs[1] == prev else nbrs[1]
+            path.append(nxt)
+            prev, cur = cur, nxt
+        for p, q in zip(path, path[1:]):
+            used.add((min(p, q), max(p, q)))
+        loops.append(path)
+
+    b = PartitionBuilder(SurfaceSpec.planar_domain(len(cycles) - 1),
+                         nodal=True)
+    vid = {}
+    interior_list = []
+    boundary_list = []
+    for corner in sorted(special):
+        info = special[corner]
+        x = u.origin[0] + corner[0] * u.h
+        y = u.origin[1] + corner[1] * u.h
+        if info[0] == "interior":
+            vid[corner] = b.interior(info[1])
+            interior_list.append(((x, y), info[1]))
+        else:
+            deg, ci = info[1], info[2]
+            vid[corner] = b.boundary_vertex(deg, ci)
+            boundary_list.append(((x, y), deg, ci))
+
+    def step_angle(a, b):
+        return math.atan2(b[1] - a[1], b[0] - a[0])
+
+    darts_at = {c: [] for c in special}
+    for path in chains:
+        e = b.edge(vid[path[0]], vid[path[-1]])
+        darts_at[path[0]].append((dart(e, 0), step_angle(path[0], path[1])))
+        darts_at[path[-1]].append((dart(e, 1),
+                                   step_angle(path[-1], path[-2])))
+    for path in loops:
+        m = b.circle()
+        b.edge(m, m)
+
+    bdart_at = {}
+    for ci, cyc in enumerate(cycles):
+        hits = sorted((pos, corner) for corner, (cj, pos) in on_boundary.items()
+                      if cj == ci and corner in special)
+        if not hits:
+            m = b.circle()
+            b.edge(m, m, boundary=True, component=ci)
+            continue
+        n = len(hits)
+        for t in range(n):
+            pos_a, ca = hits[t]
+            pos_b, cb = hits[(t + 1) % n]
+            e = b.edge(vid[ca], vid[cb], boundary=True, component=ci)
+            nxt = cyc[(pos_a + 1) % len(cyc)]
+            prv = cyc[pos_b - 1]
+            bdart_at.setdefault(ca, []).append((dart(e, 0),
+                                                step_angle(ca, nxt)))
+            bdart_at.setdefault(cb, []).append((dart(e, 1),
+                                                step_angle(cb, prv)))
+
+    for corner in sorted(special):
+        entries = darts_at[corner] + bdart_at.get(corner, [])
+        entries.sort(key=lambda t: t[1])
+        b.set_rotation(vid[corner], [d for d, _ in entries])
+    return NodalExtract(sign, kappa, interior_list, boundary_list, b.build(),
+                        u, segments)
 
 
 # ---------------------------------------------------------------------------

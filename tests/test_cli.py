@@ -243,6 +243,18 @@ def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
     assert err.startswith("error: ") and len(err.strip()) > len("error:")
 
 
+@pytest.mark.parametrize("entry", [1.9, 0.7])
+def test_fractional_bitmap_exits_2(tmp_path, capsys, entry):
+    # int() would read 1.9 as 1 (the full square) and 0.7 as 0 (no cell)
+    doc = {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+           "domain": {"shape": "MaskedGrid", "bitmap": [[entry] * 8] * 8}}
+    with pytest.raises(InvalidProblem, match="must be 0 or 1"):
+        EigenProblem.from_json(doc)
+    assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be 0 or 1" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"formatVersion": 1, "domain": {"shape": "Rectangle", "w": 1.0, "h": 1.0},
      "gridStep": 0.125, "bc": "Foo"},

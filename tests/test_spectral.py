@@ -348,6 +348,34 @@ def test_boundary_cycles_outer_first():
     assert verify_euler(e.as_partition).passed
 
 
+@pytest.mark.parametrize("case", ["square", "disk", "annulus", "robin",
+                                  "comb"])
+def test_extract_nodal_matches_reference(case):
+    # every per-k field and 10 sampled members of each degenerate cluster
+    if case == "comb":
+        p, tol = _comb_hole_problem(), 1e-3
+    elif case == "robin":
+        p = EigenProblem(Rectangle(2, 1), 1 / 16, bc="Robin", robin_h=1.5)
+        tol = 0.05   # near pairs, grouped as in _combo_case
+    else:
+        domain = {"square": Rectangle(1, 1), "disk": Disk(0.5),
+                  "annulus": Annulus(0.2, 0.5)}[case]
+        p, tol = EigenProblem(domain, 1 / 32), 1e-3
+    sol = solve_eigen(assemble_operator(p), 12, cluster_rel_tol=tol)
+    rng = np.random.default_rng(12)
+    fields = [sol.field(k) for k in range(1, 13)]
+    for cluster in sol.clusters:
+        if len(cluster) >= 2:
+            basis = sol.vectors[:, [k - 1 for k in cluster]]
+            fields += [sol.operator.to_field(basis @ rng.standard_normal(
+                len(cluster))) for _ in range(10)]
+    assert len(fields) > 12 or case == "comb"
+    for f in fields:
+        e, ref = extract_nodal(f), helpers.reference_extract_nodal(f)
+        assert e.to_json() == ref.to_json()
+        assert e.segments == ref.segments
+
+
 def _count_problems():
     """The square, a disk, an annulus (h = 1/32) and a Robin 2 x 1
     rectangle (h = 1/16), each with its first 10 eigenpairs."""
@@ -638,6 +666,11 @@ def test_problem_json_round_trip():
     assert q.domain == p.domain and q.bc == p.bc and q.robin_h == p.robin_h
     d = EigenProblem(Disk(1.0), 1 / 16)
     assert EigenProblem.from_json(d.to_json()).domain == d.domain
+    bitmap = [[1] * 8 for _ in range(8)]
+    bitmap[3][4] = bitmap[0][0] = 0
+    m = EigenProblem(MaskedGrid(tuple(map(tuple, bitmap))), 1 / 8).to_json()
+    assert m["domain"]["bitmap"] == bitmap
+    assert EigenProblem.from_json(m).to_json() == m
 
 
 def test_grid_field_json_round_trip():
