@@ -64,11 +64,6 @@ class InteriorType:
     def __post_init__(self):
         _raise_if(validate_interior(self))
 
-    def pairs(self):
-        """Loops as (i, tau(i)) with i < tau(i), sorted."""
-        return tuple(sorted((i, self.tau[i]) for i in range(2 * self.p)
-                            if i < self.tau[i]))
-
     def to_json(self) -> dict:
         return {"p": self.p, "tau": list(self.tau)}
 

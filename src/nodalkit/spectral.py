@@ -7,6 +7,10 @@ centers with ghost-node reflection; disks, annuli and arbitrary masks use
 cell centers inside the mask with Dirichlet conditions on the snapped
 boundary (O(h) boundary error, absorbed in the stated tolerances).
 
+Each domain shape owns its geometry (cell grid, inside test, area).  An
+EigenProblem builds and checks its cell mask once, when constructed, and
+assembly, sampling and the law report read the mask from it.
+
 Nodal extraction turns the sign pattern of a cell-centered field into an
 embedded partition (partition module) so the Euler and parity checks run on
 computed eigenfunctions exactly as they do on hand-built examples.
@@ -18,6 +22,7 @@ import ast
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.ndimage
@@ -62,38 +67,139 @@ PRESCRIBE_REL_TOL = 1e-6
 # domains and problems
 # ---------------------------------------------------------------------------
 
+def _cells(length, step):
+    """Number of cells of width step across length, which must be positive
+    and a multiple of the step; at most MAX_CELLS (InvalidProblem)."""
+    n = length / step
+    if not math.isfinite(n) or n > MAX_CELLS:
+        raise InvalidProblem("grid step %g gives %g cells across length "
+                             "%g; a grid may have at most MAX_CELLS = %d "
+                             "cells" % (step, n, length, MAX_CELLS))
+    if not length > 0:
+        raise InvalidProblem("length must be positive, got %g" % length)
+    if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        raise InvalidProblem("grid step %g does not divide length %g"
+                             % (step, length))
+    return round(n)
+
+
+# Each domain shape answers three questions: grid(step) gives nx, ny and the
+# lower-left corner of its cell grid (raising InvalidProblem for bad lengths
+# or bitmaps), inside(x, y) gives the cell mask from the cell-centre
+# coordinate arrays, and area(step) gives the area.
+
 @dataclass(frozen=True)
 class Rectangle:
+    """[0, w] x [0, h]."""
     w: float
     h: float
 
     def to_json(self):
         return {"shape": "Rectangle", "w": self.w, "h": self.h}
 
+    def grid(self, step):
+        return _cells(self.w, step), _cells(self.h, step), (0.0, 0.0)
+
+    def inside(self, x, y):
+        return np.ones(x.shape, bool)
+
+    def area(self, step):
+        return self.w * self.h
+
 
 @dataclass(frozen=True)
 class Disk:
+    """Radius r about the origin; a cell is in when its centre is."""
     r: float
 
     def to_json(self):
         return {"shape": "Disk", "r": self.r}
 
+    def grid(self, step):
+        n = _cells(2 * self.r, step)
+        return n, n, (-self.r, -self.r)
+
+    def inside(self, x, y):
+        return x ** 2 + y ** 2 < self.r ** 2
+
+    def area(self, step):
+        return math.pi * self.r ** 2
+
 
 @dataclass(frozen=True)
 class Annulus:
+    """r_in < |(x, y)| < r_out; a cell is in when its centre is."""
     r_in: float
     r_out: float
 
     def to_json(self):
         return {"shape": "Annulus", "rIn": self.r_in, "rOut": self.r_out}
 
+    def grid(self, step):
+        if not 0 < self.r_in < self.r_out:
+            raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
+                                 % (self.r_in, self.r_out))
+        n = _cells(2 * self.r_out, step)
+        return n, n, (-self.r_out, -self.r_out)
+
+    def inside(self, x, y):
+        r2 = x ** 2 + y ** 2
+        return (r2 < self.r_out ** 2) & (r2 > self.r_in ** 2)
+
+    def area(self, step):
+        return math.pi * (self.r_out ** 2 - self.r_in ** 2)
+
 
 @dataclass(frozen=True)
 class MaskedGrid:
+    """The cells marked 1 in a bitmap of one cell per grid step."""
     bitmap: tuple  # tuple of row tuples, 0/1, row 0 = lowest y
 
     def to_json(self):
         return {"shape": "MaskedGrid", "bitmap": [list(r) for r in self.bitmap]}
+
+    def grid(self, step):
+        widths = {len(row) for row in self.bitmap}
+        if len(widths) != 1 or 0 in widths:
+            raise InvalidProblem("a bitmap must be a non-empty list of rows "
+                                 "of one length, got row lengths %s"
+                                 % sorted(widths))
+        if not set().union(*self.bitmap) <= {0, 1}:
+            raise InvalidProblem("bitmap entries must be 0 or 1")
+        return widths.pop(), len(self.bitmap), (0.0, 0.0)
+
+    def inside(self, x, y):
+        return np.array(self.bitmap, bool)
+
+    def area(self, step):
+        return sum(sum(row) for row in self.bitmap) * step * step
+
+
+DOMAINS = (Rectangle, Disk, Annulus, MaskedGrid)
+# the numeric shapes of a problem file: class and the JSON keys of its fields
+_NUMERIC_SHAPES = {"Rectangle": (Rectangle, "w", "h"), "Disk": (Disk, "r"),
+                   "Annulus": (Annulus, "rIn", "rOut")}
+
+
+def _cell_centres(shape, origin, h):
+    """(X, Y) coordinate arrays of the centres of an (ny, nx) cell grid."""
+    ny, nx = shape
+    return np.meshgrid(origin[0] + (np.arange(nx) + 0.5) * h,
+                       origin[1] + (np.arange(ny) + 0.5) * h)
+
+
+def _check_pinch(mask):
+    """Raise InvalidProblem where two mask cells meet only at a lattice
+    corner (a 2x2 block [[1, 0], [0, 1]] or [[0, 1], [1, 0]]): the boundary
+    would leave that corner twice, and the nodal extraction walks it as a
+    simple curve."""
+    sw, se, nw, ne = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]
+    pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
+    if pinch.any():
+        iy, ix = np.argwhere(pinch)[0] + 1
+        raise InvalidProblem("the domain mask pinches at lattice corner "
+                             "(%d, %d): two cells meet only at that corner"
+                             % (ix, iy))
 
 
 def _per_element(fn):
@@ -192,12 +298,13 @@ def parse_potential(expr):
 
 @dataclass(frozen=True)
 class EigenProblem:
-    """-Delta + V on a domain at grid step h with one boundary condition.
+    """-Delta + V on a domain (one of DOMAINS) at grid step h with one
+    boundary condition, validated once, when constructed: bad input raises
+    InvalidProblem, and a grid under 3 sites across raises DegenerateGrid.
 
     `potential` is None or a callable V(x, y) that receives the coordinate
     arrays of all grid sites at once and returns an array of the same shape
-    (or a scalar), as `parse_potential` does.  Bad input raises
-    InvalidProblem."""
+    (or a scalar), as `parse_potential` does."""
     domain: object
     grid_step: float
     bc: str = DIRICHLET
@@ -205,6 +312,10 @@ class EigenProblem:
     potential: object = None  # callable V(x, y) on coordinate arrays, or None
 
     def __post_init__(self):
+        if not isinstance(self.domain, DOMAINS):
+            raise InvalidProblem("unknown domain %.60r; a domain is a "
+                                 "Rectangle, Disk, Annulus or MaskedGrid"
+                                 % (self.domain,))
         if not self.grid_step > 0:
             raise InvalidProblem("grid step must be positive, got %r"
                                  % (self.grid_step,))
@@ -217,7 +328,35 @@ class EigenProblem:
         if self.bc != DIRICHLET and not isinstance(self.domain, Rectangle):
             raise InvalidProblem("masked domains support Dirichlet conditions "
                                  "only, got %s" % self.bc)
-        _check_grid(self.domain, self.grid_step)
+        self.grid   # build and check the grid now, once
+
+    @property
+    def node_layout(self):
+        """True for a Dirichlet rectangle: unknowns on the interior nodes."""
+        return isinstance(self.domain, Rectangle) and self.bc == DIRICHLET
+
+    @cached_property
+    def grid(self):
+        """(mask, origin): the read-only (ny, nx) cell mask and the lower-left
+        corner of the cell grid, built and checked once: at most MAX_CELLS
+        cells (counted before anything is allocated), no pinch (see
+        _check_pinch), and 3 sites across or more (else DegenerateGrid)."""
+        nx, ny, origin = self.domain.grid(self.grid_step)
+        if nx * ny > MAX_CELLS:
+            raise InvalidProblem("the grid has %d cells; a grid may have at "
+                                 "most MAX_CELLS = %d cells"
+                                 % (nx * ny, MAX_CELLS))
+        mask = self.domain.inside(*_cell_centres((ny, nx), origin,
+                                                 self.grid_step))
+        _check_pinch(mask)
+        if self.node_layout:
+            if nx - 1 < 3 or ny - 1 < 3:
+                raise DegenerateGrid("need at least 3 interior nodes per "
+                                     "dimension")
+        elif mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
+            raise DegenerateGrid("mask thinner than 3 cells")
+        mask.flags.writeable = False
+        return mask, origin
 
     def to_json(self):
         out = {"formatVersion": 1, "domain": self.domain.to_json(),
@@ -232,18 +371,19 @@ class EigenProblem:
     def from_json(obj):
         d = obj["domain"]
         shape = d["shape"]
-        if shape == "Rectangle":
-            dom = Rectangle(float(d["w"]), float(d["h"]))
-        elif shape == "Disk":
-            dom = Disk(float(d["r"]))
-        elif shape == "Annulus":
-            dom = Annulus(float(d["rIn"]), float(d["rOut"]))
+        if shape in _NUMERIC_SHAPES:
+            cls, *keys = _NUMERIC_SHAPES[shape]
+            dom = cls(*(float(d[key]) for key in keys))
         elif shape == "MaskedGrid":
+            rows = d["bitmap"]
+            if not (isinstance(rows, list)
+                    and all(isinstance(row, list) for row in rows)):
+                raise InvalidProblem("a bitmap must be a list of lists of 0s "
+                                     "and 1s, got bitmap %.60r" % (rows,))
             # checked before int(), which would read 1.9 as 1 and 0.7 as 0
-            if any(v not in (0, 1) for row in d["bitmap"] for v in row):
+            if any(v not in (0, 1) for row in rows for v in row):
                 raise InvalidProblem("bitmap entries must be 0 or 1")
-            dom = MaskedGrid(tuple(tuple(int(v) for v in row)
-                                   for row in d["bitmap"]))
+            dom = MaskedGrid(tuple(tuple(int(v) for v in row) for row in rows))
         else:
             raise InvalidProblem("unknown domain shape %r" % (shape,))
         V = parse_potential(obj.get("V"))
@@ -252,103 +392,6 @@ class EigenProblem:
         return EigenProblem(dom, float(obj["gridStep"]),
                             obj.get("bc", DIRICHLET),
                             float(obj.get("robinH", 0.0)), V)
-
-
-def _check_grid(dom, h):
-    """The domain's lengths must be positive and the grid step must divide
-    them, a bitmap must be a non-empty rectangle of 0s and 1s, and the grid
-    may have at most MAX_CELLS cells (the domain's bounding box at step h).
-    The cell count is checked from the lengths alone, before anything is
-    allocated."""
-    def cells(length):
-        n = length / h
-        if not math.isfinite(n) or n > MAX_CELLS:
-            raise InvalidProblem("grid step %g gives %g cells across length "
-                                 "%g; a grid may have at most MAX_CELLS = %d "
-                                 "cells" % (h, n, length, MAX_CELLS))
-        if not length > 0:
-            raise InvalidProblem("length must be positive, got %g" % length)
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
-            raise InvalidProblem("grid step %g does not divide length %g"
-                                 % (h, length))
-        return round(n)
-    if isinstance(dom, Rectangle):
-        count = cells(dom.w) * cells(dom.h)
-    elif isinstance(dom, Disk):
-        count = cells(2 * dom.r) ** 2
-    elif isinstance(dom, Annulus):
-        if not 0 < dom.r_in < dom.r_out:
-            raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
-                                 % (dom.r_in, dom.r_out))
-        count = cells(2 * dom.r_out) ** 2
-    elif isinstance(dom, MaskedGrid):
-        widths = {len(row) for row in dom.bitmap}
-        if len(widths) != 1 or 0 in widths:
-            raise InvalidProblem("a bitmap must be a non-empty list of rows "
-                                 "of one length, got row lengths %s"
-                                 % sorted(widths))
-        count = len(dom.bitmap) * widths.pop()
-        if not set().union(*dom.bitmap) <= {0, 1}:
-            raise InvalidProblem("bitmap entries must be 0 or 1")
-    else:
-        return
-    if count > MAX_CELLS:
-        raise InvalidProblem("the grid has %d cells; a grid may have at most "
-                             "MAX_CELLS = %d cells" % (count, MAX_CELLS))
-
-
-def domain_area(dom, h=None):
-    if isinstance(dom, Rectangle):
-        return dom.w * dom.h
-    if isinstance(dom, Disk):
-        return math.pi * dom.r ** 2
-    if isinstance(dom, Annulus):
-        return math.pi * (dom.r_out ** 2 - dom.r_in ** 2)
-    if isinstance(dom, MaskedGrid):
-        if h is None:
-            raise InvalidProblem("the area of a MaskedGrid needs the grid step")
-        return sum(sum(row) for row in dom.bitmap) * h * h
-    raise ValueError("unknown domain")
-
-
-def _domain_mask(dom, h):
-    """Cell mask (ny, nx boolean) and lower-left origin of the cell grid.
-
-    Raises InvalidProblem where two mask cells meet only at a lattice
-    corner (a 2x2 block [[1, 0], [0, 1]] or [[0, 1], [1, 0]]): the boundary
-    would leave that corner twice, and the nodal extraction walks it as a
-    simple curve."""
-    if isinstance(dom, Rectangle):
-        nx, ny = round(dom.w / h), round(dom.h / h)
-        mask, origin = np.ones((ny, nx), bool), (0.0, 0.0)
-    elif isinstance(dom, Disk):
-        n = round(2 * dom.r / h)
-        cx = (np.arange(n) + 0.5) * h - dom.r
-        X, Y = np.meshgrid(cx, cx)
-        mask, origin = X ** 2 + Y ** 2 < dom.r ** 2, (-dom.r, -dom.r)
-    elif isinstance(dom, Annulus):
-        n = round(2 * dom.r_out / h)
-        cx = (np.arange(n) + 0.5) * h - dom.r_out
-        X, Y = np.meshgrid(cx, cx)
-        R2 = X ** 2 + Y ** 2
-        mask = (R2 < dom.r_out ** 2) & (R2 > dom.r_in ** 2)
-        origin = (-dom.r_out, -dom.r_out)
-    elif isinstance(dom, MaskedGrid):
-        mask, origin = np.array(dom.bitmap, bool), (0.0, 0.0)
-    else:
-        raise ValueError("unknown domain")
-    sw, se, nw, ne = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]
-    pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
-    if pinch.any():
-        iy, ix = np.argwhere(pinch)[0] + 1
-        raise _pinch_error((ix, iy))
-    return mask, origin
-
-
-def _pinch_error(corner):
-    return InvalidProblem("the domain mask pinches at lattice corner "
-                          "(%d, %d): two cells meet only at that corner"
-                          % corner)
 
 
 # ---------------------------------------------------------------------------
@@ -376,32 +419,14 @@ class GridField:
         return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
                 + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 
-    def to_json(self):
-        return {"formatVersion": 1, "nx": int(self.values.shape[1]),
-                "ny": int(self.values.shape[0]),
-                "origin": list(self.origin), "h": self.h,
-                "values": [float(v) for v in self.values.ravel()],
-                "mask": [int(v) for v in self.mask.ravel()]}
-
-    @staticmethod
-    def from_json(obj):
-        ny, nx = int(obj["ny"]), int(obj["nx"])
-        vals = np.array(obj["values"], float).reshape(ny, nx)
-        mask = np.array(obj["mask"], bool).reshape(ny, nx)
-        return GridField(vals, mask, tuple(obj["origin"]), float(obj["h"]))
-
 
 def sample_field(problem: EigenProblem, fn) -> GridField:
     """Sample an analytic function fn(x, y) at the cell centers of a problem."""
-    mask, origin = _domain_mask(problem.domain, problem.grid_step)
-    h = problem.grid_step
-    ny, nx = mask.shape
-    xs = origin[0] + (np.arange(nx) + 0.5) * h
-    ys = origin[1] + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(xs, ys)
+    mask, origin = problem.grid
+    X, Y = _cell_centres(mask.shape, origin, problem.grid_step)
     vals = np.vectorize(fn)(X, Y).astype(float)
     vals[~mask] = 0.0
-    return GridField(vals, mask, origin, h)
+    return GridField(vals, mask.copy(), origin, problem.grid_step)
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +477,13 @@ def assemble_operator(problem: EigenProblem) -> AssembledOperator:
     holding g times the site's value (g = 0 Dirichlet, 1 Neumann,
     (2 - h_R h)/(2 + h_R h) Robin), which puts -g/h^2 on the diagonal."""
     h = problem.grid_step
-    dom = problem.domain
-    mask, origin = _domain_mask(dom, h)
-    ny, nx = mask.shape
-    if isinstance(dom, Rectangle) and problem.bc == DIRICHLET:
-        if nx - 1 < 3 or ny - 1 < 3:
-            raise DegenerateGrid("need at least 3 interior nodes per dimension")
+    mask, origin = problem.grid
+    if problem.node_layout:
         layout, offset = "nodes", 0.0
+        ny, nx = mask.shape
         grid = np.zeros((ny + 1, nx + 1), bool)
         grid[1:-1, 1:-1] = True
     else:
-        if mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
-            raise DegenerateGrid("mask thinner than 3 cells")
         layout, offset, grid = "cells", 0.5, mask
     hr = problem.robin_h if problem.bc == ROBIN else 0.0
     g = 0.0 if problem.bc == DIRICHLET else (2.0 - hr * h) / (2.0 + hr * h)
@@ -612,40 +632,37 @@ class NodalExtract:
 def _boundary_cycles(mask):
     """Boundary of the cell mask as cyclic corner sequences (one per boundary
     component), each traced with the domain kept on the left (outer boundary
-    counter-clockwise, hole boundaries clockwise)."""
+    counter-clockwise, hole boundaries clockwise).  Raises InvalidProblem
+    where the mask pinches (see _check_pinch)."""
+    _check_pinch(mask)
     ny, nx = mask.shape
 
     def inside(c):
         x, y = c
         return 0 <= x < nx and 0 <= y < ny and mask[y, x]
-    # directed boundary steps: from corner a to corner b with inside on left
+    # directed boundary steps: from corner a to corner b with inside on left;
+    # one step leaves each corner, since the mask does not pinch
     steps = {}
-
-    def step(a, b):
-        # two steps leave a corner only where the mask pinches there
-        if steps.setdefault(a, b) != b:
-            raise _pinch_error(a)
     for iy in range(ny):
         for ix in range(nx):
             if not mask[iy, ix]:
                 continue
             if not inside((ix, iy - 1)):   # south edge, walk east
-                step((ix, iy), (ix + 1, iy))
+                steps[(ix, iy)] = (ix + 1, iy)
             if not inside((ix + 1, iy)):   # east edge, walk north
-                step((ix + 1, iy), (ix + 1, iy + 1))
+                steps[(ix + 1, iy)] = (ix + 1, iy + 1)
             if not inside((ix, iy + 1)):   # north edge, walk west
-                step((ix + 1, iy + 1), (ix, iy + 1))
+                steps[(ix + 1, iy + 1)] = (ix, iy + 1)
             if not inside((ix - 1, iy)):   # west edge, walk south
-                step((ix, iy + 1), (ix, iy))
+                steps[(ix, iy + 1)] = (ix, iy)
     cycles = []
-    todo = dict(steps)
-    while todo:
-        start = min(todo)
+    while steps:
+        start = min(steps)
         cyc = [start]
-        cur = todo.pop(start)
+        cur = steps.pop(start)
         while cur != start:
             cyc.append(cur)
-            cur = todo.pop(cur)
+            cur = steps.pop(cur)
         cycles.append(cyc)
     # outer boundary first (counter-clockwise: positive signed area), then
     # the clockwise holes, longest first; deterministic
@@ -962,7 +979,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
             or n_combos < 0:
         raise InvalidProblem("n_combos must be an int >= 0, got %r"
                              % (n_combos,))
-    area = domain_area(problem.domain, problem.grid_step)
+    area = problem.domain.area(problem.grid_step)
     rng = np.random.default_rng(seed)
     entries = []
     ok = True

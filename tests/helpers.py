@@ -2,9 +2,11 @@
 
 Hand-built embedded partitions (circle, theta, figure-eight, disk with a
 diameter, Moebius-strip curves) plus a random planar-partition generator
-based on Delaunay triangulations of random point sets.  Also the per-site
-loop assembler and the eval-based potential that the array assembler and
-`parse_potential` are checked against bit for bit, a 1-D interval
+based on Delaunay triangulations of random point sets.  Also the
+shape-by-shape cell mask, origin and area that the domain classes are
+checked against bit for bit, the per-site loop assembler and the
+eval-based potential that the array assembler and `parse_potential` are
+checked against bit for bit, a 1-D interval
 operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
@@ -29,15 +31,15 @@ import numpy as np
 import scipy.sparse
 from scipy.spatial import Delaunay
 
-from nodalkit.errors import DegenerateGrid, MalformedEmbedding
+from nodalkit.errors import DegenerateGrid, InvalidProblem, MalformedEmbedding
 from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
                                 PartitionBuilder, PartitionStats,
                                 PartitionVertex, _blow_up_boundary,
                                 _blow_up_interior, _components, _hole_faces,
                                 dart, trace_faces)
-from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, NodalExtract,
-                               Rectangle, _boundary_cycles, _domain_mask,
-                               extract_nodal, nodal_count)
+from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Annulus, Disk,
+                               MaskedGrid, NodalExtract, Rectangle,
+                               _boundary_cycles, extract_nodal, nodal_count)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -337,6 +339,53 @@ def reference_potential(expr):
     return V
 
 
+def reference_domain_mask(dom, h):
+    """Cell mask (ny, nx boolean) and lower-left origin of the cell grid,
+    one shape at a time: the mask, origin and pinch check that the domain
+    classes and EigenProblem must reproduce.
+
+    Raises InvalidProblem where two mask cells meet only at a lattice
+    corner (a 2x2 block [[1, 0], [0, 1]] or [[0, 1], [1, 0]])."""
+    if isinstance(dom, Rectangle):
+        nx, ny = round(dom.w / h), round(dom.h / h)
+        mask, origin = np.ones((ny, nx), bool), (0.0, 0.0)
+    elif isinstance(dom, Disk):
+        n = round(2 * dom.r / h)
+        cx = (np.arange(n) + 0.5) * h - dom.r
+        X, Y = np.meshgrid(cx, cx)
+        mask, origin = X ** 2 + Y ** 2 < dom.r ** 2, (-dom.r, -dom.r)
+    elif isinstance(dom, Annulus):
+        n = round(2 * dom.r_out / h)
+        cx = (np.arange(n) + 0.5) * h - dom.r_out
+        X, Y = np.meshgrid(cx, cx)
+        R2 = X ** 2 + Y ** 2
+        mask = (R2 < dom.r_out ** 2) & (R2 > dom.r_in ** 2)
+        origin = (-dom.r_out, -dom.r_out)
+    elif isinstance(dom, MaskedGrid):
+        mask, origin = np.array(dom.bitmap, bool), (0.0, 0.0)
+    else:
+        raise ValueError("unknown domain")
+    sw, se, nw, ne = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]
+    pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
+    if pinch.any():
+        iy, ix = np.argwhere(pinch)[0] + 1
+        raise InvalidProblem("the domain mask pinches at lattice corner "
+                             "(%d, %d): two cells meet only at that corner"
+                             % (ix, iy))
+    return mask, origin
+
+
+def reference_domain_area(dom, h):
+    """Area of a domain, one shape at a time."""
+    if isinstance(dom, Rectangle):
+        return dom.w * dom.h
+    if isinstance(dom, Disk):
+        return math.pi * dom.r ** 2
+    if isinstance(dom, Annulus):
+        return math.pi * (dom.r_out ** 2 - dom.r_in ** 2)
+    return sum(sum(row) for row in dom.bitmap) * h * h
+
+
 def reference_assemble(problem, V=None):
     """CSR matrix of the problem from three per-site loops, one per site
     layout.  V(x, y) is called once per site with Python floats; it defaults
@@ -393,7 +442,7 @@ def reference_assemble(problem, V=None):
             cols.append(i)
             vals.append(diag)
     else:
-        mask, origin = _domain_mask(dom, h)
+        mask, origin = reference_domain_mask(dom, h)
         ny, nx = mask.shape
         if mask.any(axis=0).sum() < 3 or mask.any(axis=1).sum() < 3:
             raise DegenerateGrid("mask thinner than 3 cells")

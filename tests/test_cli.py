@@ -236,6 +236,11 @@ def _pinched_mask():
                    {"shape": "MaskedGrid", "bitmap": []},
                    {"shape": "MaskedGrid", "bitmap": [[1] * 6] * 5 + [[1]]},
                    {"shape": "MaskedGrid", "bitmap": [[1] * 6] * 5 + [[2] * 6]})
+] + [
+    # bitmap rows that are not lists
+    {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+     "domain": {"shape": "MaskedGrid", "bitmap": bitmap}}
+    for bitmap in ([5], [[1, 1, 1], 7])
 ])
 def test_solve_bad_problem_exits_2(tmp_path, capsys, doc):
     assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2

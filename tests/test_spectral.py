@@ -17,9 +17,9 @@ from nodalkit.partition import (check_boundary_parity, partition_stats,
                                 trace_faces, verify_euler)
 from nodalkit.spectral import (Annulus, Disk, EigenProblem, GridField,
                                MaskedGrid, Rectangle, assemble_operator,
-                               cluster_multiplicities, domain_area,
-                               extract_nodal, local_ray_fit, nodal_count,
-                               parse_potential, prescribe_singular,
+                               cluster_multiplicities, extract_nodal,
+                               local_ray_fit, nodal_count, parse_potential,
+                               prescribe_singular,
                                sample_field, solve_eigen, verify_spectral_laws)
 
 
@@ -258,8 +258,6 @@ def test_invalid_problems_raise():
     assert solve_eigen(op, 9).eigenvalues.shape == (9,)
     with pytest.raises(InvalidProblem, match="exceeds the matrix dimension"):
         solve_eigen(op, 10)
-    with pytest.raises(InvalidProblem):
-        domain_area(MaskedGrid(_TWO_PIECES))
     op = assemble_operator(EigenProblem(MaskedGrid(_TWO_PIECES), 1 / 8))
     with pytest.raises(InvalidProblem, match="ground state"):
         solve_eigen(op, 3)
@@ -654,7 +652,7 @@ def test_masked_grid_domain():
     bitmap = tuple(tuple(1 for _ in range(8)) for _ in range(8))
     p = EigenProblem(MaskedGrid(bitmap), 1 / 8)
     sol = solve_eigen(assemble_operator(p), 1)
-    assert domain_area(p.domain, p.grid_step) == pytest.approx(1.0)
+    assert p.domain.area(p.grid_step) == pytest.approx(1.0)
     assert sol.eigenvalues[0] > 0
     with pytest.raises(InvalidProblem, match="Dirichlet conditions only"):
         EigenProblem(MaskedGrid(bitmap), 1 / 8, bc="Neumann")
@@ -671,14 +669,6 @@ def test_problem_json_round_trip():
     m = EigenProblem(MaskedGrid(tuple(map(tuple, bitmap))), 1 / 8).to_json()
     assert m["domain"]["bitmap"] == bitmap
     assert EigenProblem.from_json(m).to_json() == m
-
-
-def test_grid_field_json_round_trip():
-    p = EigenProblem(Rectangle(1, 1), 1 / 8)
-    f = sample_field(p, lambda x, y: x + y)
-    g = GridField.from_json(f.to_json())
-    assert np.allclose(g.values, f.values)
-    assert g.h == f.h
 
 
 @pytest.mark.parametrize("removed, corner", [
@@ -702,6 +692,57 @@ def test_pinched_mask_rejected(removed, corner):
                       np.array(bitmap, bool), (0.0, 0.0), h)
     with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
         extract_nodal(field)
+
+
+def test_grid_checked_at_construction():
+    # the pinch and the thinness once surfaced only at assembly
+    bitmap = [[1] * 6 for _ in range(6)]
+    bitmap[2][2] = bitmap[3][3] = 0
+    with pytest.raises(InvalidProblem, match=r"corner \(3, 3\)"):
+        EigenProblem(MaskedGrid(bitmap), 1 / 8)
+    with pytest.raises(DegenerateGrid, match="3 interior nodes"):
+        EigenProblem(Rectangle(1, 1), 0.5)
+    with pytest.raises(DegenerateGrid, match="thinner than 3 cells"):
+        EigenProblem(MaskedGrid(((1,) * 6,) * 2), 1 / 8)
+
+
+@pytest.mark.parametrize("domain", [(1, 2), "Disk(0.5)"])
+def test_unknown_domain_rejected(domain):
+    # once accepted, after which assembly raised a bare ValueError
+    with pytest.raises(InvalidProblem, match="unknown domain"):
+        EigenProblem(domain, 0.1)
+
+
+@pytest.mark.parametrize("bitmap", [[5], [[1, 1, 1], 7], 5])
+def test_bitmap_rows_must_be_lists(bitmap):
+    doc = {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
+           "domain": {"shape": "MaskedGrid", "bitmap": bitmap}}
+    with pytest.raises(InvalidProblem, match="bitmap must be a list of lists"):
+        EigenProblem.from_json(doc)
+
+
+def _hole_bitmap():
+    bitmap = [[1] * 10 for _ in range(10)]
+    bitmap[4][4] = bitmap[4][5] = bitmap[5][4] = 0
+    return tuple(map(tuple, bitmap))
+
+
+@pytest.mark.parametrize("domain, h", [
+    (Rectangle(1, 1), 1 / 48), (Disk(0.5), 1 / 3), (Disk(0.5), 1 / 7),
+    (Disk(0.5), 1 / 48), (Annulus(0.2, 0.5), 1 / 48),
+    (MaskedGrid(_hole_bitmap()), 0.1),
+])
+def test_grid_matches_reference(domain, h):
+    # at h = 1/3 and 1/7 a cell centre of Disk(0.5) sits on the origin
+    mask, origin = EigenProblem(domain, h).grid
+    ref_mask, ref_origin = helpers.reference_domain_mask(domain, h)
+    assert mask.shape == ref_mask.shape
+    assert mask.tobytes() == ref_mask.tobytes()
+    assert [float(o).hex() for o in origin] \
+        == [float(o).hex() for o in ref_origin]
+    area, ref_area = domain.area(h), helpers.reference_domain_area(domain, h)
+    assert type(area) is type(ref_area)
+    assert float(area).hex() == float(ref_area).hex()
 
 
 def test_grid_size_capped_before_allocation():
