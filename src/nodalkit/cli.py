@@ -245,7 +245,7 @@ def cmd_solve(args):
     op = _load(args, _parse_json(_operator))
     try:
         sol = solve_eigen(op, args.k, tol=args.tol)
-    except (NodalkitError, ValueError, TypeError) as exc:
+    except NodalkitError as exc:
         raise InputError(str(exc))
     out = sol.to_json()
     out["vectors"] = np.ascontiguousarray(sol.vectors.T)

@@ -64,13 +64,6 @@ class InteriorType:
     def __post_init__(self):
         _raise_if(validate_interior(self))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "tau": list(self.tau)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "InteriorType":
-        return InteriorType(int(obj["p"]), tuple(int(x) for x in obj["tau"]))
-
     @staticmethod
     def from_pairs(pairs) -> "InteriorType":
         pairs = list(pairs)
@@ -185,9 +178,6 @@ class DomainLabeling:
     @property
     def p(self) -> int:
         return len(self.delta) // 2
-
-    def to_json(self) -> dict:
-        return {"delta": list(self.delta)}
 
 
 def validate_labeling(d: DomainLabeling):
@@ -331,13 +321,6 @@ class BoundaryType:
     def a_plus(self) -> int:
         """(a-1)/2: number of loops on the + side."""
         return (self.a - 1) // 2
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "tau": list(self.tau)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "BoundaryType":
-        return BoundaryType(int(obj["k"]), tuple(int(x) for x in obj["tau"]))
 
 
 def validate_boundary(t: BoundaryType):

@@ -543,11 +543,6 @@ class EulerReport:
     kappa: int
     passed: bool
 
-    def to_json(self):
-        return {"surface": self.surface.to_json(), "relation": self.relation,
-                "predicted": str(self.predicted), "kappa": self.kappa,
-                "passed": self.passed, "stats": self.stats.to_json()}
-
 
 def verify_euler(p: EmbeddedPartition) -> EulerReport:
     """Sphere/planar: kappa = 1 + beta + sigma; Moebius: kappa = omega + beta

@@ -7,6 +7,10 @@ centers with ghost-node reflection; disks, annuli and arbitrary masks use
 cell centers inside the mask with Dirichlet conditions on the snapped
 boundary (O(h) boundary error, absorbed in the stated tolerances).
 
+One solver finds the low spectrum of every problem: shift-invert Lanczos
+(ARPACK eigsh) about a Gershgorin shift below the spectrum, for K < n
+eigenpairs of n unknowns.
+
 Each domain shape owns its geometry (cell grid, inside test, area).  An
 EigenProblem builds and checks its cell mask once, when constructed, and
 assembly, sampling and the law report read the mask from it.
@@ -39,7 +43,6 @@ DIRICHLET = "Dirichlet"
 NEUMANN = "Neumann"
 ROBIN = "Robin"
 
-DENSE_LIMIT = 1500  # below this matrix size just use a dense solver
 MAX_CELLS = 1_000_000  # largest grid a problem may ask for (InvalidProblem)
 # 4-connectivity: cells sharing an edge belong to one nodal domain.
 # nodal_counts labels a whole stack of images as one 2-D image, each image
@@ -159,6 +162,10 @@ class MaskedGrid:
         return {"shape": "MaskedGrid", "bitmap": [list(r) for r in self.bitmap]}
 
     def grid(self, step):
+        if not (isinstance(self.bitmap, (tuple, list)) and all(
+                isinstance(row, (tuple, list)) for row in self.bitmap)):
+            raise InvalidProblem("a bitmap must be a sequence of rows of 0s "
+                                 "and 1s, got bitmap %.60r" % (self.bitmap,))
         widths = {len(row) for row in self.bitmap}
         if len(widths) != 1 or 0 in widths:
             raise InvalidProblem("a bitmap must be a non-empty list of rows "
@@ -322,9 +329,9 @@ class EigenProblem:
         if self.bc not in (DIRICHLET, NEUMANN, ROBIN):
             raise InvalidProblem("unknown boundary condition %r (choose from "
                                  "Dirichlet, Neumann, Robin)" % (self.bc,))
-        if self.bc == ROBIN and not self.robin_h >= 0:
-            raise InvalidProblem("Robin coefficient must be >= 0, got %r"
-                                 % (self.robin_h,))
+        if self.bc == ROBIN and not 0 <= self.robin_h < math.inf:
+            raise InvalidProblem("Robin coefficient must be finite and >= 0, "
+                                 "got %r" % (self.robin_h,))
         if self.bc != DIRICHLET and not isinstance(self.domain, Rectangle):
             raise InvalidProblem("masked domains support Dirichlet conditions "
                                  "only, got %s" % self.bc)
@@ -370,6 +377,9 @@ class EigenProblem:
     @staticmethod
     def from_json(obj):
         d = obj["domain"]
+        if not isinstance(d, dict):
+            raise InvalidProblem("a domain must be a JSON object, got domain "
+                                 "%.60r" % (d,))
         shape = d["shape"]
         if shape in _NUMERIC_SHAPES:
             cls, *keys = _NUMERIC_SHAPES[shape]
@@ -495,8 +505,11 @@ def assemble_operator(problem: EigenProblem) -> AssembledOperator:
     inv_h2 = 1.0 / (h * h)
     diag = np.full(n, 4.0 * inv_h2)
     if problem.potential is not None:
-        diag = diag + problem.potential(origin[0] + (ix + offset) * h,
-                                        origin[1] + (iy + offset) * h)
+        V = problem.potential(origin[0] + (ix + offset) * h,
+                              origin[1] + (iy + offset) * h)
+        if not np.all(np.isfinite(V)):
+            raise InvalidProblem("the potential is not finite on the grid")
+        diag = diag + V
     rows, cols = [np.arange(n)], [np.arange(n)]
     # W, E, S, N: the order in which ghost terms enter each diagonal sum
     for dy, dx in ((0, -1), (0, 1), (-1, 0), (1, 0)):
@@ -560,8 +573,9 @@ def cluster_multiplicities(evs, rel_tol=1e-3):
 
 def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
                 cluster_rel_tol: float = 1e-3) -> EigenSolution:
-    """First K eigenpairs, sorted; dense below a size threshold, else
-    shift-invert Lanczos."""
+    """First K eigenpairs, sorted, by shift-invert Lanczos (ARPACK eigsh)
+    about a shift below the spectrum.  ARPACK cannot return every
+    eigenpair, so K must be below the number of unknowns n."""
     if not 0 <= tol < math.inf:
         raise InvalidProblem("residual tolerance must be finite and >= 0, "
                              "got %r" % (tol,))
@@ -569,26 +583,23 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
         raise InvalidProblem("K must be at least 1, got %r" % (K,))
     A = op.matrix
     n = A.shape[0]
-    if K > n:
-        raise InvalidProblem("K = %d exceeds the matrix dimension %d" % (K, n))
-    if n <= DENSE_LIMIT:
-        w, v = np.linalg.eigh(A.toarray())
-        evs, vecs = w[:K], v[:, :K]
-    else:
-        # Gershgorin lower bound keeps the shift strictly below the spectrum
-        diag = A.diagonal()
-        radii = np.abs(A).sum(axis=1).A1 - np.abs(diag)
-        sigma = float((diag - radii).min()) - 1.0
-        try:
-            # a fixed random start vector makes the solve repeatable; a
-            # constant one would be orthogonal to modes odd in x or y
-            v0 = np.random.default_rng(0).standard_normal(n)
-            w, v = scipy.sparse.linalg.eigsh(A, k=K, sigma=sigma, which="LM",
-                                             v0=v0)
-        except Exception as exc:
-            raise NoConvergence("eigsh failed: %s" % exc)
-        order = np.argsort(w)
-        evs, vecs = w[order], v[:, order]
+    if K >= n:
+        raise InvalidProblem("K = %d is not below the matrix dimension %d"
+                             % (K, n))
+    # Gershgorin lower bound keeps the shift strictly below the spectrum
+    diag = A.diagonal()
+    radii = np.abs(A).sum(axis=1).A1 - np.abs(diag)
+    sigma = float((diag - radii).min()) - 1.0
+    try:
+        # a fixed random start vector makes the solve repeatable; a
+        # constant one would be orthogonal to modes odd in x or y
+        v0 = np.random.default_rng(0).standard_normal(n)
+        w, v = scipy.sparse.linalg.eigsh(A, k=K, sigma=sigma, which="LM",
+                                         v0=v0)
+    except Exception as exc:
+        raise NoConvergence("eigsh failed: %s" % exc)
+    order = np.argsort(w)
+    evs, vecs = w[order], v[:, order]
     res = np.empty(K)
     for i in range(K):
         u = vecs[:, i]
@@ -1000,8 +1011,10 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
         fk_lhs = lam * area
         fk_rhs = faber_krahn_threshold(kappa)
         faber_krahn = fk_lhs >= fk_rhs * (1 - FK_REL_TOL)
-        pl_bound, _ = pleijel_bound(lam, area)
-        pleijel = mult <= pl_bound + 1e-9 or mult <= 2 * kf - 1
+        # the Pleijel bound needs lambda > 0, and a Neumann lambda_1 may
+        # round below; the entry then rests on its 2k - 1 clause
+        pleijel = mult <= 2 * kf - 1 or (
+            lam > 0 and mult <= pleijel_bound(lam, area)[0] + 1e-9)
         euler = verify_euler(ext.as_partition).passed
         parity = all(r["passed"] for r in check_boundary_parity(ext.as_partition))
         entry = {"k": k, "lambda": lam, "kappa": kappa, "mult": mult,

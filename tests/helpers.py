@@ -13,7 +13,8 @@ pair-by-pair type validators that the constructors of `InteriorType` and
 with a full nodal extraction per sampled eigenspace member, a pure-Python
 flood fill that counts nodal domains without scipy, the nodal extraction
 with two walkers and two dart tables that the one-walker extraction must
-reproduce, the face
+reproduce, the per-cell boundary-cycle walk it takes its boundary from
+(so the oracle shares no boundary code with `extract_nodal`), the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
 the partition statistics traced afresh on every call (with the locally
 disconnected vertices found from rotation wedges), the iterative
@@ -39,7 +40,7 @@ from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
                                 dart, trace_faces)
 from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Annulus, Disk,
                                MaskedGrid, NodalExtract, Rectangle,
-                               _boundary_cycles, extract_nodal, nodal_count)
+                               extract_nodal, nodal_count)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -365,6 +366,11 @@ def reference_domain_mask(dom, h):
         mask, origin = np.array(dom.bitmap, bool), (0.0, 0.0)
     else:
         raise ValueError("unknown domain")
+    _reference_check_pinch(mask)
+    return mask, origin
+
+
+def _reference_check_pinch(mask):
     sw, se, nw, ne = mask[:-1, :-1], mask[:-1, 1:], mask[1:, :-1], mask[1:, 1:]
     pinch = (sw & ne & ~se & ~nw) | (se & nw & ~sw & ~ne)
     if pinch.any():
@@ -372,7 +378,6 @@ def reference_domain_mask(dom, h):
         raise InvalidProblem("the domain mask pinches at lattice corner "
                              "(%d, %d): two cells meet only at that corner"
                              % (ix, iy))
-    return mask, origin
 
 
 def reference_domain_area(dom, h):
@@ -542,6 +547,49 @@ def reference_kappa(values, mask):
     return kappa
 
 
+def reference_boundary_cycles(mask):
+    """Boundary of the cell mask as cyclic corner sequences, one per
+    boundary component, traced with the domain on the left (outer boundary
+    counter-clockwise, holes clockwise) by a per-cell loop over its four
+    sides: the cycles, outer first, then holes longest first, that
+    `spectral._boundary_cycles` must reproduce.  Raises InvalidProblem
+    where the mask pinches."""
+    _reference_check_pinch(mask)
+    ny, nx = mask.shape
+
+    def inside(c):
+        x, y = c
+        return 0 <= x < nx and 0 <= y < ny and mask[y, x]
+    steps = {}
+    for iy in range(ny):
+        for ix in range(nx):
+            if not mask[iy, ix]:
+                continue
+            if not inside((ix, iy - 1)):   # south edge, walk east
+                steps[(ix, iy)] = (ix + 1, iy)
+            if not inside((ix + 1, iy)):   # east edge, walk north
+                steps[(ix + 1, iy)] = (ix + 1, iy + 1)
+            if not inside((ix, iy + 1)):   # north edge, walk west
+                steps[(ix + 1, iy + 1)] = (ix, iy + 1)
+            if not inside((ix - 1, iy)):   # west edge, walk south
+                steps[(ix, iy + 1)] = (ix, iy)
+    cycles = []
+    while steps:
+        start = min(steps)
+        cyc = [start]
+        cur = steps.pop(start)
+        while cur != start:
+            cyc.append(cur)
+            cur = steps.pop(cur)
+        cycles.append(cyc)
+
+    def clockwise(c):
+        return sum(ax * by - bx * ay
+                   for (ax, ay), (bx, by) in zip(c, c[1:] + c[:1])) < 0
+    cycles.sort(key=lambda c: (clockwise(c), -len(c), c[0]))
+    return cycles
+
+
 def reference_extract_nodal(u):
     """`extract_nodal` as it was with singular corners kept as tagged tuples
     and sorted twice, one walker for chains and a second one for closed
@@ -570,7 +618,7 @@ def reference_extract_nodal(u):
         incident.setdefault(a, []).append(b)
         incident.setdefault(b, []).append(a)
 
-    cycles = _boundary_cycles(mask)
+    cycles = reference_boundary_cycles(mask)
     on_boundary = {}
     for ci, cyc in enumerate(cycles):
         for pos, corner in enumerate(cyc):

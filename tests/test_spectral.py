@@ -241,6 +241,8 @@ def test_invalid_problems_raise():
         EigenProblem(Rectangle(1, 1), -0.125)
     with pytest.raises(InvalidProblem):
         EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h=-1.0)
+    with pytest.raises(InvalidProblem, match="must be finite and >= 0"):
+        EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h=math.inf)
     with pytest.raises(InvalidProblem):
         EigenProblem(Annulus(1.0, 0.5), 1 / 8)
     for dom, bc in ((Disk(0.5), "Neumann"), (Annulus(0.2, 0.5), "Robin")):
@@ -255,9 +257,9 @@ def test_invalid_problems_raise():
     with pytest.raises(InvalidProblem, match="unknown domain shape 'Ellipse'"):
         EigenProblem.from_json(obj)
     op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 4))   # n = 9
-    assert solve_eigen(op, 9).eigenvalues.shape == (9,)
-    with pytest.raises(InvalidProblem, match="exceeds the matrix dimension"):
-        solve_eigen(op, 10)
+    assert solve_eigen(op, 8).eigenvalues.shape == (8,)
+    with pytest.raises(InvalidProblem, match="not below the matrix dimension"):
+        solve_eigen(op, 9)
     op = assemble_operator(EigenProblem(MaskedGrid(_TWO_PIECES), 1 / 8))
     with pytest.raises(InvalidProblem, match="ground state"):
         solve_eigen(op, 3)
@@ -331,6 +333,24 @@ def _comb_hole_problem():
         for x in range(2, 12):
             bitmap[y][x] = 0
     return EigenProblem(MaskedGrid(tuple(map(tuple, bitmap))), 1 / 14)
+
+
+def _two_hole_bitmap():
+    bitmap = [[1] * 12 for _ in range(10)]
+    for y, x in ((3, 3), (3, 4), (4, 3), (6, 8), (7, 8), (6, 7), (5, 8)):
+        bitmap[y][x] = 0
+    return tuple(map(tuple, bitmap))
+
+
+@pytest.mark.parametrize("problem", [
+    EigenProblem(Rectangle(1, 1), 1 / 48), EigenProblem(Disk(0.5), 1 / 48),
+    EigenProblem(Annulus(0.2, 0.5), 1 / 48), _comb_hole_problem(),
+    EigenProblem(MaskedGrid(_two_hole_bitmap()), 1 / 12),
+], ids=["square", "disk", "annulus", "comb-hole", "two-holes"])
+def test_boundary_cycles_match_reference(problem):
+    mask = problem.grid[0]
+    assert spectral._boundary_cycles(mask) \
+        == helpers.reference_boundary_cycles(mask)
 
 
 def test_boundary_cycles_outer_first():
@@ -631,6 +651,18 @@ def test_verify_laws_deterministic():
     assert a == b
 
 
+def test_verify_laws_neumann_ground_state_below_zero():
+    # a Neumann lambda_1 may round to <= 0, where the Pleijel bound is
+    # undefined; the report once raised ValueError there
+    p = EigenProblem(Rectangle(2, 1), 1 / 16, bc="Neumann")
+    sol = solve_eigen(assemble_operator(p), 4)
+    sol.eigenvalues[0] = -6.1e-14
+    rep = verify_spectral_laws(sol, p, seed=1, n_combos=10)
+    assert rep.entries[0]["lambda"] == -6.1e-14
+    assert rep.entries[0]["mult"] == 1 and rep.entries[0]["pleijel"]
+    assert all(e["pleijel"] for e in rep.entries)
+
+
 @pytest.mark.parametrize("domain, message", [
     (Rectangle(0, 1), "length must be positive, got 0"),
     (Rectangle(-1, 1), "length must be positive, got -1"),
@@ -639,8 +671,11 @@ def test_verify_laws_deterministic():
     (MaskedGrid(()), "non-empty list of rows of one length"),
     (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7,)), r"row lengths \[7, 8\]"),
     (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7 + (2,),)), "must be 0 or 1"),
+    (MaskedGrid((5,)), "bitmap must be a sequence of rows"),
+    (MaskedGrid(5), "bitmap must be a sequence of rows"),
 ], ids=["zero-width", "negative-width", "zero-radius", "negative-radius",
-        "empty-bitmap", "ragged-bitmap", "bitmap-entry-2"])
+        "empty-bitmap", "ragged-bitmap", "bitmap-entry-2", "bitmap-row-5",
+        "bitmap-5"])
 def test_bad_domain_rejected_at_construction(domain, message):
     # each once got past EigenProblem and failed later, or named the wrong
     # cause ("grid step 0.125 does not divide length 0")
@@ -711,6 +746,23 @@ def test_unknown_domain_rejected(domain):
     # once accepted, after which assembly raised a bare ValueError
     with pytest.raises(InvalidProblem, match="unknown domain"):
         EigenProblem(domain, 0.1)
+
+
+@pytest.mark.parametrize("domain", [5, None, [1, 2], "Disk"])
+def test_problem_file_domain_must_be_an_object(domain):
+    # once a bare TypeError ("'int' object is not subscriptable")
+    doc = {"formatVersion": 1, "gridStep": 0.125, "domain": domain}
+    with pytest.raises(InvalidProblem, match="domain must be a JSON object"):
+        EigenProblem.from_json(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_potential_rejected(value):
+    # once reported as "assembled operator not symmetric"
+    p = EigenProblem(Rectangle(1, 1), 1 / 8,
+                     potential=lambda x, y: np.where(x > 0.5, value, 0.0))
+    with pytest.raises(InvalidProblem, match="potential is not finite"):
+        assemble_operator(p)
 
 
 @pytest.mark.parametrize("bitmap", [[5], [[1, 1, 1], 7], 5])
