@@ -13,6 +13,8 @@ Subcommands:
     bounds SURFACE -k K         classical multiplicity bounds + Pleijel data
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
+Every subcommand writes its text through one writer, `_emit`: to the file
+named by -o when it is given, else to stdout.
 Every subcommand that reads a file parses and validates it through one
 loader, `_load`, which turns whatever a malformed file raises into exit 2.
 Input files are parsed by orjson, whose correctly rounded decimal reader
@@ -148,8 +150,9 @@ def _pretty(obj):
 
 
 def _emit(args, text):
-    """Write text to -o or stdout.  Every file the CLI writes as JSON goes
-    through here, reports and solutions alike."""
+    """Write text to -o or stdout.  Every text a subcommand writes goes
+    through here: reports, solutions and the plain lines of `types label`
+    and `types rotate-check`."""
     if getattr(args, "output", None):
         _write_text(args.output, text)
     else:
@@ -208,7 +211,7 @@ def cmd_types_enum(args):
 def cmd_types_label(args):
     t = _load_type(args, InteriorType, "labeling needs an interior type")
     lab = labeling_from_type(t)
-    print("delta = " + " ".join(str(v) for v in lab.delta))
+    _emit(args, "delta = %s\n" % " ".join(str(v) for v in lab.delta))
     return 0
 
 
@@ -221,7 +224,8 @@ def cmd_types_rotate_check(args):
         raise InputError(str(exc))
     total = catalan(args.p)
     expected = 1 if args.p == 1 else 0
-    print("%d shift-invariant types among %d" % (len(invariant), total))
+    _emit(args, "%d shift-invariant types among %d\n"
+          % (len(invariant), total))
     return 0 if len(invariant) == expected else 1
 
 

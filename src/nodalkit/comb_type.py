@@ -24,12 +24,12 @@ a hit.
 Every InteriorType, BoundaryType, DomainLabeling and Word is validated
 once, when it is constructed (InvalidType, or InconsistentLabeling for a
 labeling), so any such object that exists is valid and the functions here
-take it as it is.  Both validators and the labeling sweeps scan the rays
-once with a stack of open loops.
+take it as it is.  Both validators, the labeling sweeps and their inverse
+scan the rays once with a stack of open loops.
 
-Indexing: canonical form is 0-based for interior types (rays and intervals
-0..2p-1) and 1-based for boundary rays (matching the half-circle picture);
-parsers accept an explicit base flag.
+Indexing: an interior type's rays and intervals are 0..2p-1; a boundary
+type's rays are 1..2k-3 (matching the half-circle picture), with the arrow
+as ray 0.  The two-row text format writes both kinds that way.
 """
 
 from __future__ import annotations
@@ -63,18 +63,6 @@ class InteriorType:
 
     def __post_init__(self):
         _raise_if(validate_interior(self))
-
-    @staticmethod
-    def from_pairs(pairs) -> "InteriorType":
-        pairs = list(pairs)
-        n = 2 * len(pairs)
-        tau = [None] * n
-        for i, j in pairs:
-            tau[i] = j
-            tau[j] = i
-        if any(t is None for t in tau):
-            raise InvalidType("pairs do not cover 0..%d" % (n - 1))
-        return InteriorType(len(pairs), tuple(tau))
 
 
 def _matching_problems(tau, lo, hi, name):
@@ -225,37 +213,29 @@ def labeling_from_type(t: InteriorType) -> DomainLabeling:
 
 
 def type_from_labeling(d: DomainLabeling) -> InteriorType:
-    """Invert labeling_from_type via the occurrence-scanning argument.
+    """Invert labeling_from_type with one sweep over the rays.
 
-    Within a region whose surrounding domain has label L, the maximal runs of
-    intervals not labeled L are exactly the sub-bouquets hanging off single
-    loops; each run [a..b] yields the loop (a, b+1) and recurses.  The outer
-    domain is the label of the last interval (which no loop can enclose).
+    A stack holds (label, opening ray) for the domains entered so far,
+    starting with the outer domain, the label of the last interval (which no
+    loop can enclose).  Ray j leads into interval j: when delta[j] is the
+    label one below the top, ray j closes the innermost loop, else it opens
+    a new loop.  The sweep must end back in the outer domain.
     """
     delta = d.delta
     n = len(delta)
-    pairs = []
-
-    def parse(lo, hi, outer):
-        j = lo
-        while j <= hi:
-            if delta[j] == outer:
-                j += 1
-                continue
-            # maximal run without the outer label
-            b = j
-            while b + 1 <= hi and delta[b + 1] != outer:
-                b += 1
-            pairs.append((j, b + 1))
-            parse(j, b, delta[j])
-            j = b + 1
-
-    parse(0, n - 1, delta[n - 1])
-    if len(pairs) != n // 2:
-        raise InconsistentLabeling("reconstruction produced %d loops, expected %d"
-                                   % (len(pairs), n // 2))
+    tau = [0] * n
+    stack = [(delta[-1], None)]
+    for j, label in enumerate(delta):
+        if len(stack) > 1 and label == stack[-2][0]:
+            i = stack.pop()[1]
+            tau[i], tau[j] = j, i
+        else:
+            stack.append((label, j))
+    if len(stack) != 1:
+        raise InconsistentLabeling("%d loops are left open at the last ray"
+                                   % (len(stack) - 1))
     try:
-        t = InteriorType.from_pairs(pairs)
+        t = InteriorType(n // 2, tuple(tau))
     except InvalidType as exc:
         raise InconsistentLabeling("reconstructed involution is invalid: %s"
                                    % exc)
@@ -434,8 +414,7 @@ def rotating_limit_check(t: BoundaryType) -> RotatingLimitReport:
     pos_zero, pos_pi = a + 2, a
     scan_zero = first_repeat(m_zero)
     scan_pi = first_repeat(m_pi)
-    passed = (scan_zero != scan_pi) and (scan_zero == pos_zero) \
-        and (pos_zero - pos_pi == 2)
+    passed = scan_zero != scan_pi and scan_zero == pos_zero
     return RotatingLimitReport(t, m_theta, m_zero, m_pi,
                                pos_zero, pos_pi, scan_zero, scan_pi, passed)
 
@@ -466,60 +445,39 @@ def compare_patterns(w_left: Word, w_right: Word):
 # ---------------------------------------------------------------------------
 
 def format_tau_text(t) -> str:
-    """Two-row matrix: first row indices (arrow written as 'v' for boundary
-    types), second row images."""
-    if isinstance(t, InteriorType):
-        top = [str(j) for j in range(2 * t.p)]
-        bot = [str(x) for x in t.tau]
-    elif isinstance(t, BoundaryType):
-        def tok(i):
-            return "v" if i == 0 else str(i)
-        top = [tok(j) for j in range(2 * t.k - 2)]
-        bot = [tok(x) for x in t.tau]
-    else:
+    """Two-row matrix: first row ray indices, second row images; a boundary
+    type's arrow, ray 0, is written 'v'."""
+    if not isinstance(t, (InteriorType, BoundaryType)):
         raise InvalidType("not a type: %r" % (t,))
+    zero = "v" if isinstance(t, BoundaryType) else "0"
+    top = [str(j) if j else zero for j in range(len(t.tau))]
+    bot = [str(x) if x else zero for x in t.tau]
     width = max(len(s) for s in top + bot)
     fmt = "%%%ds" % width
     return " ".join(fmt % s for s in top) + "\n" + " ".join(fmt % s for s in bot) + "\n"
 
 
-def parse_tau_text(text: str, base: int = 0):
-    """Parse the 2-row matrix format.
-
-    Returns an InteriorType when no arrow token appears, else a BoundaryType.
-    `base` gives the smallest ray index used in the file for interior types
-    (sources vary between 0- and 1-based labels); canonical form is 0-based.
+def parse_tau_text(text: str):
+    """Parse the 2-row matrix format: rays are 0-based and an arrow token
+    stands for ray 0.  Returns a BoundaryType when an arrow token appears,
+    else an InteriorType.
     """
     rows = [line.split() for line in text.strip().splitlines()
             if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) != 2 or len(rows[0]) != len(rows[1]):
         raise InvalidType("expected two rows of equal length")
-    top, bot = rows
 
     def is_arrow(tok):
         return tok.lower() in ARROW_TOKENS
 
-    if any(is_arrow(x) for x in top + bot):
-        n = len(top)
-
-        def conv(tok):
-            return 0 if is_arrow(tok) else int(tok)
-        idx = [conv(x) for x in top]
-        img = [conv(x) for x in bot]
-        if sorted(idx) != list(range(n)):
-            raise InvalidType("first row must list the arrow and rays 1..%d" % (n - 1))
-        tau = [0] * n
-        for i, j in zip(idx, img):
-            tau[i] = j
-        return BoundaryType((n + 2) // 2, tuple(tau))
-
-    idx = [int(x) - base for x in top]
-    img = [int(x) - base for x in bot]
+    idx, img = ([0 if is_arrow(tok) else int(tok) for tok in row]
+                for row in rows)
     n = len(idx)
-    if n % 2 or sorted(idx) != list(range(n)):
-        raise InvalidType("first row must list rays %d..%d" % (base, base + n - 1))
+    if sorted(idx) != list(range(n)):
+        raise InvalidType("first row must list rays 0..%d" % (n - 1))
     tau = [0] * n
     for i, j in zip(idx, img):
         tau[i] = j
+    if any(is_arrow(tok) for tok in rows[0] + rows[1]):
+        return BoundaryType((n + 2) // 2, tuple(tau))
     return InteriorType(n // 2, tuple(tau))
-

@@ -20,7 +20,8 @@ the partition statistics traced afresh on every call (with the locally
 disconnected vertices found from rotation wedges), the iterative
 normalization that blew up one vertex per face trace, and the recursive
 non-crossing matchings, sorted afterwards, that the type enumerations
-and the shift census must agree with.
+and the shift census must agree with, and the recursive run parser that
+the stack-sweep inverse of a domain labeling must agree with.
 """
 
 import ast
@@ -32,7 +33,9 @@ import numpy as np
 import scipy.sparse
 from scipy.spatial import Delaunay
 
-from nodalkit.errors import DegenerateGrid, InvalidProblem, MalformedEmbedding
+from nodalkit.comb_type import InteriorType, labeling_from_type
+from nodalkit.errors import (DegenerateGrid, InconsistentLabeling,
+                             InvalidProblem, InvalidType, MalformedEmbedding)
 from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
                                 PartitionBuilder, PartitionStats,
                                 PartitionVertex, _blow_up_boundary,
@@ -318,6 +321,53 @@ def reference_shift_invariant_taus(p):
     n = 2 * p
     return [tau for tau in reference_interior_taus(p)
             if all(tau[(j + 1) % n] == (tau[j] + 1) % n for j in range(n))]
+
+
+def reference_type_from_labeling(d):
+    """The recursive run parser that inverted labeling_from_type before the
+    stack sweep, with the pair-list constructor it called inlined.
+
+    Within a region whose surrounding domain has label L, the maximal runs of
+    intervals not labeled L are exactly the sub-bouquets hanging off single
+    loops; each run [a..b] yields the loop (a, b+1) and recurses.  The outer
+    domain is the label of the last interval (which no loop can enclose).
+    """
+    delta = d.delta
+    n = len(delta)
+    pairs = []
+
+    def parse(lo, hi, outer):
+        j = lo
+        while j <= hi:
+            if delta[j] == outer:
+                j += 1
+                continue
+            # maximal run without the outer label
+            b = j
+            while b + 1 <= hi and delta[b + 1] != outer:
+                b += 1
+            pairs.append((j, b + 1))
+            parse(j, b, delta[j])
+            j = b + 1
+
+    parse(0, n - 1, delta[n - 1])
+    if len(pairs) != n // 2:
+        raise InconsistentLabeling("reconstruction produced %d loops, expected %d"
+                                   % (len(pairs), n // 2))
+    try:
+        tau = [None] * n
+        for i, j in pairs:
+            tau[i] = j
+            tau[j] = i
+        if any(t is None for t in tau):
+            raise InvalidType("pairs do not cover 0..%d" % (n - 1))
+        t = InteriorType(len(pairs), tuple(tau))
+    except InvalidType as exc:
+        raise InconsistentLabeling("reconstructed involution is invalid: %s"
+                                   % exc)
+    if labeling_from_type(t).delta != delta:
+        raise InconsistentLabeling("labeling is not realizable by any valid involution")
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,24 @@ def test_types_rotate_check(capsys):
     assert main(["types", "rotate-check", "-p", "1"]) == 0
 
 
+def test_types_label_and_rotate_check_honour_output(tau_file, tmp_path,
+                                                    capsys):
+    for argv, text in (
+            (["types", "label", tau_file],
+             "delta = 1 2 1 3 4 5 6 5 4 3 7 8 7 9 7 3\n"),
+            (["types", "rotate-check", "-p", "4"],
+             "0 shift-invariant types among 14\n")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "out.txt"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_text() == text
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["-o", str(tmp_path / "missing" / "x.txt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_types_enum(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["types", "enum", "-p", "3", "-o", str(out)]) == 0

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from nodalkit.comb_type import (BoundaryType, InteriorType, Word, boundary_words,
+from nodalkit.cli import main
+from nodalkit.comb_type import (ARROW_TOKENS, BoundaryType, DomainLabeling,
+                                InteriorType, Word, boundary_words,
                                 canonical_word, catalan, compare_patterns,
                                 enumerate_boundary, enumerate_interior,
                                 first_repeat, format_tau_text,
@@ -296,7 +298,7 @@ def test_compare_patterns():
     assert compare_patterns(a, Word((1, 2)))[0] == "distinct"
 
 
-def test_tau_text_round_trip():
+def test_tau_text_round_trip(tmp_path, capsys):
     t = InteriorType(8, TAU16)
     text = format_tau_text(t)
     assert parse_tau_text(text).tau == TAU16
@@ -305,6 +307,53 @@ def test_tau_text_round_trip():
     parsed = parse_tau_text(text)
     assert isinstance(parsed, BoundaryType)
     assert parsed.tau == bt.tau and parsed.k == 4
+    types = [t for p in range(1, 5) for t in enumerate_interior(p)]
+    types += [t for k in range(3, 6) for t in enumerate_boundary(k)]
+    for t in types:
+        assert parse_tau_text(format_tau_text(t)) == t
+    # every spelling of the arrow, in either case, reads as ray 0
+    for token in ARROW_TOKENS:
+        for spelling in (token, token.upper()):
+            assert parse_tau_text("%s 1 2 3 4 5\n3 2 1 %s 5 4\n"
+                                  % (spelling, spelling)) == bt
+    bad = {"0 1 1 3\n1 0 3 2\n": InvalidType,        # first row repeats ray 1
+           "v 1 1 3\n1 v 3 2\n": InvalidType,
+           "0 1 2\n1 0 2\n": InvalidType,            # odd interior row
+           "0 1 x 3\n1 0 3 2\n": ValueError,         # non-integer tokens
+           "v 1 2 3\n1 v 3 2.0\n": ValueError}
+    for i, (text, error) in enumerate(bad.items()):
+        with pytest.raises(error):
+            parse_tau_text(text)
+        path = tmp_path / ("bad%d.tau" % i)
+        path.write_text(text)
+        for command in ("label", "words"):
+            assert main(["types", command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: %s: " % path)
+
+
+def test_type_from_labeling_matches_reference():
+    # every labeling that passes validate_labeling for p <= 3: the sweep
+    # gives the tau of the recursive parser, or both raise
+    def inverse(invert, d):
+        try:
+            return invert(d).tau
+        except InconsistentLabeling:
+            return None
+
+    count = 0
+    for p in range(1, 4):
+        for delta in itertools.product(range(1, p + 2), repeat=2 * p):
+            try:
+                d = DomainLabeling(delta)
+            except InconsistentLabeling:
+                continue
+            count += 1
+            assert inverse(type_from_labeling, d) == \
+                inverse(helpers.reference_type_from_labeling, d), delta
+    assert count == 494
+    for p in range(1, 8):
+        for t in enumerate_interior(p):
+            assert type_from_labeling(labeling_from_type(t)) == t
 
 
 def test_type_from_labeling_rejects_garbage():

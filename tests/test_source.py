@@ -61,3 +61,15 @@ def test_one_json_parse_site():
     sites = _call_sites(lambda f: f.split(".")[-1] in ("load", "loads")
                         and f.split(".")[0] in ("json", "orjson"))
     assert sites == [("cli.py", "parse", "orjson.loads")]
+
+
+def test_cli_writes_stdout_only_through_emit():
+    # _emit sends a subcommand's text to -o when it is given, so text
+    # written to stdout any other way would ignore -o
+    tree = ast.parse((SRC / "cli.py").read_text())
+    prints = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and ast.unparse(node.func) == "print"]
+    assert [ast.unparse(node) for node in prints
+            if "file=sys.stderr" not in map(ast.unparse, node.keywords)] == []
+    assert _call_sites(lambda f: f == "sys.stdout.write") == [
+        ("cli.py", "_emit", "sys.stdout.write")]
