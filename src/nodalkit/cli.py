@@ -16,7 +16,13 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
 Every subcommand writes its text through one writer, `_emit`: to the file
 named by -o when it is given, else to stdout.
 Every subcommand that reads a file parses and validates it through one
-loader, `_load`, which turns whatever a malformed file raises into exit 2.
+loader, `_load`, which turns whatever a malformed file raises into exit 2;
+a file that cannot be read, or is not UTF-8, exits 2 as well.  `solve`
+assembles its problem's operator.  `nodal report` and `plot` read the
+solution's grid (sites, mask, origin) and evaluate its potential, but they
+only map vectors to grid cells, so they never build the matrix.
+The argument parser is built once per process; a command group without a
+subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
 Input files are parsed by orjson, whose correctly rounded decimal reader
 gives the same floats as `json.loads` several times faster; `NaN`,
 `Infinity` and numbers that overflow a double are not JSON and exit 2 at
@@ -29,6 +35,7 @@ that reads back to each float.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -45,8 +52,8 @@ from .errors import NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
-from .spectral import (EigenProblem, EigenSolution, assemble_operator,
-                       extract_nodal, solve_eigen)
+from .spectral import (AssembledOperator, EigenProblem, EigenSolution,
+                       assemble_operator, extract_nodal, solve_eigen)
 from .surface import parse_surface
 
 FORMAT_VERSION = 1
@@ -58,10 +65,12 @@ class InputError(Exception):
 
 def _read_text(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: %s: %s" % (path, type(exc).__name__, exc))
 
 
 def _load(args, parse):
@@ -91,14 +100,18 @@ def _parse_json(build, digest=lambda obj: json.dumps(obj, sort_keys=True)):
 
 
 def _operator(obj):
+    """solve's loader: the problem's operator with its matrix built."""
     return assemble_operator(EigenProblem.from_json(obj))
 
 
 def _solution(obj):
+    """The loader of nodal report and plot.  They only map vectors to grid
+    cells, so the operator's matrix is never built; its layout and the
+    potential are still read and checked."""
     if not isinstance(obj, dict):
         raise ValueError("the top level must be a JSON object, got %s"
                          % type(obj).__name__)
-    op = _operator(obj["problem"])
+    op = AssembledOperator(EigenProblem.from_json(obj["problem"]))
     vecs = np.array(obj["vectors"], float).T
     evs = np.array(obj["eigenvalues"], float)
     if evs.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != len(evs):
@@ -307,12 +320,16 @@ def cmd_bounds(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
-    """The parser, built from one table on each call: the handlers are looked
-    up when main runs, so a tracer that rebinds cmd_* sees its calls."""
+    """The parser, built once from one table.  A subcommand records its
+    handler's name, and main looks the handler up in this module when it
+    dispatches, so a tracer that rebinds cmd_* sees its calls.  A command
+    group without a subcommand (`nodalkit`, `nodalkit types`) is a usage
+    error: usage and `error: ...` on stderr, exit 2."""
     top = argparse.ArgumentParser(prog="nodalkit")
     top.add_argument("--version", action="version", version=__version__)
-    groups = {"": top.add_subparsers(dest="cmd")}
+    groups = {"": top.add_subparsers(required=True)}
     file_index = {"file": {}, "index": {"type": int}}
     # (command words, handler, add_argument keywords per positional or option)
     for words, fn, arguments in [
@@ -333,30 +350,26 @@ def _build_parser():
         group, _, name = words.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(
-                dest="sub")
+                required=True)
         p = groups[group].add_parser(name)
         for arg, kwargs in arguments.items():
             p.add_argument(arg, **kwargs)
         p.add_argument("-o", dest="output", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(handler=fn.__name__)
     return top
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage already; normalize other codes
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "fn", None) is None:
-        parser.print_help()
-        return 2
     args._echo = " ".join(["nodalkit"] + argv)
     args._digest = None
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

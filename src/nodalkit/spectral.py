@@ -443,18 +443,77 @@ def sample_field(problem: EigenProblem, fn) -> GridField:
 # operator assembly
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AssembledOperator:
-    matrix: scipy.sparse.csr_matrix
-    problem: EigenProblem
-    layout: str              # "nodes" (Dirichlet rectangle) or "cells"
-    sites: tuple             # (iy, ix) index arrays: row -> site on the grid
-    origin: tuple
-    mask: np.ndarray         # cell mask of the domain
+    """-Delta + V on the grid of one problem.
+
+    The layout of the unknowns is read from the problem when the operator is
+    made: `layout` ("nodes" for the interior nodes of a Dirichlet rectangle,
+    else "cells"), `sites` ((iy, ix) index arrays, row -> site on the grid),
+    `origin` and the cell `mask`.  So is the potential at each site, so a
+    potential that fails on the grid fails here.  The CSR `matrix` is built
+    on first use; assemble_operator builds it at once."""
+
+    def __init__(self, problem: EigenProblem):
+        self.problem = problem
+        self.mask, self.origin = problem.grid
+        if problem.node_layout:
+            self.layout, offset = "nodes", 0.0
+            ny, nx = self.mask.shape
+            self._site_grid = np.zeros((ny + 1, nx + 1), bool)
+            self._site_grid[1:-1, 1:-1] = True
+        else:
+            self.layout, offset, self._site_grid = "cells", 0.5, self.mask
+        self.sites = iy, ix = np.nonzero(self._site_grid)
+        self._potential = None
+        if problem.potential is not None:
+            h = problem.grid_step
+            V = problem.potential(self.origin[0] + (ix + offset) * h,
+                                  self.origin[1] + (iy + offset) * h)
+            if not np.all(np.isfinite(V)):
+                raise InvalidProblem("the potential is not finite on the grid")
+            self._potential = V
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self.sites[0].size
+
+    @cached_property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """Five-point Laplacian + diagonal potential; exactly symmetric.
+
+        One stencil over a boolean site grid: the interior nodes of a
+        Dirichlet rectangle, else the cell mask.  A neighbour off the site
+        grid is a ghost holding g times the site's value (g = 0 Dirichlet,
+        1 Neumann, (2 - h_R h)/(2 + h_R h) Robin), which puts -g/h^2 on the
+        diagonal."""
+        problem, grid = self.problem, self._site_grid
+        h = problem.grid_step
+        hr = problem.robin_h if problem.bc == ROBIN else 0.0
+        g = 0.0 if problem.bc == DIRICHLET else (2.0 - hr * h) / (2.0 + hr * h)
+
+        iy, ix = self.sites
+        n = iy.size
+        row_of = np.full((grid.shape[0] + 2, grid.shape[1] + 2), -1)
+        row_of[1:-1, 1:-1][grid] = np.arange(n)
+        inv_h2 = 1.0 / (h * h)
+        diag = np.full(n, 4.0 * inv_h2)
+        if self._potential is not None:
+            diag = diag + self._potential
+        rows, cols = [np.arange(n)], [np.arange(n)]
+        # W, E, S, N: the order in which ghost terms enter each diagonal sum
+        for dy, dx in ((0, -1), (0, 1), (-1, 0), (1, 0)):
+            j = row_of[iy + 1 + dy, ix + 1 + dx]
+            has = j >= 0
+            diag[~has] -= g * inv_h2
+            rows.append(np.flatnonzero(has))
+            cols.append(j[has])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        vals = np.concatenate([diag, np.full(rows.size - n, -inv_h2)])
+        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        asym = abs(A - A.T)
+        if asym.nnz and asym.max() != 0.0:
+            raise InvalidProblem("assembled operator not symmetric")
+        return A
 
     def to_field(self, vec) -> GridField:
         """Cell-centered field for nodal extraction (see cell_values)."""
@@ -480,51 +539,11 @@ class AssembledOperator:
 
 
 def assemble_operator(problem: EigenProblem) -> AssembledOperator:
-    """Five-point Laplacian + diagonal potential; exactly symmetric.
-
-    One stencil over a boolean site grid: the interior nodes of a Dirichlet
-    rectangle, else the cell mask.  A neighbour off the site grid is a ghost
-    holding g times the site's value (g = 0 Dirichlet, 1 Neumann,
-    (2 - h_R h)/(2 + h_R h) Robin), which puts -g/h^2 on the diagonal."""
-    h = problem.grid_step
-    mask, origin = problem.grid
-    if problem.node_layout:
-        layout, offset = "nodes", 0.0
-        ny, nx = mask.shape
-        grid = np.zeros((ny + 1, nx + 1), bool)
-        grid[1:-1, 1:-1] = True
-    else:
-        layout, offset, grid = "cells", 0.5, mask
-    hr = problem.robin_h if problem.bc == ROBIN else 0.0
-    g = 0.0 if problem.bc == DIRICHLET else (2.0 - hr * h) / (2.0 + hr * h)
-
-    iy, ix = np.nonzero(grid)
-    n = iy.size
-    row_of = np.full((grid.shape[0] + 2, grid.shape[1] + 2), -1)
-    row_of[1:-1, 1:-1][grid] = np.arange(n)
-    inv_h2 = 1.0 / (h * h)
-    diag = np.full(n, 4.0 * inv_h2)
-    if problem.potential is not None:
-        V = problem.potential(origin[0] + (ix + offset) * h,
-                              origin[1] + (iy + offset) * h)
-        if not np.all(np.isfinite(V)):
-            raise InvalidProblem("the potential is not finite on the grid")
-        diag = diag + V
-    rows, cols = [np.arange(n)], [np.arange(n)]
-    # W, E, S, N: the order in which ghost terms enter each diagonal sum
-    for dy, dx in ((0, -1), (0, 1), (-1, 0), (1, 0)):
-        j = row_of[iy + 1 + dy, ix + 1 + dx]
-        has = j >= 0
-        diag[~has] -= g * inv_h2
-        rows.append(np.flatnonzero(has))
-        cols.append(j[has])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.concatenate([diag, np.full(rows.size - n, -inv_h2)])
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    asym = abs(A - A.T)
-    if asym.nnz and asym.max() != 0.0:
-        raise InvalidProblem("assembled operator not symmetric")
-    return AssembledOperator(A, problem, layout, (iy, ix), origin, mask)
+    """The operator of a problem with its matrix built (see
+    AssembledOperator.matrix)."""
+    op = AssembledOperator(problem)
+    op.matrix
+    return op
 
 
 # ---------------------------------------------------------------------------

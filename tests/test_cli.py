@@ -317,7 +317,79 @@ def test_plot(solution_file, tmp_path):
 
 
 def test_no_command_shows_help(capsys):
-    assert main([]) == 2
+    # a missing subcommand is a usage error: usage and an error line on
+    # stderr, nothing on stdout
+    for argv, usage in [([], "usage: nodalkit ["),
+                        (["types"], "usage: nodalkit types "),
+                        (["partition"], "usage: nodalkit partition ")]:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(usage)
+        assert "error: the following arguments are required" in err
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    for argv in (["solve", str(bad)], ["types", "words", str(bad)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: %s: UnicodeDecodeError: " % bad)
+
+
+def test_report_and_plot_build_no_matrix(tmp_path, monkeypatch):
+    # solve assembles its operator once; nodal report and plot only map
+    # vectors to grid cells, so they never assemble
+    calls = []
+    assemble = cli.assemble_operator
+
+    def counted(problem):
+        calls.append(problem)
+        return assemble(problem)
+    monkeypatch.setattr(cli, "assemble_operator", counted)
+    prob = _problem_file(tmp_path, EigenProblem(Rectangle(1, 1), 1 / 8).to_json())
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", prob, "-k", "2", "-o", sol]) == 0
+    assert len(calls) == 1
+    assert main(["nodal", "report", sol, "2", "-o",
+                 str(tmp_path / "rep.json")]) == 0
+    assert main(["plot", sol, "2", "-o", str(tmp_path / "out.svg")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("problem", [
+    EigenProblem(Rectangle(1, 1), 1 / 16),
+    EigenProblem(Rectangle(2, 1), 1 / 16, spectral.ROBIN, 2.0),
+    EigenProblem(Disk(0.5), 1 / 16)], ids=["square", "robin", "disk"])
+def test_report_extract_matches_in_process(tmp_path, problem):
+    # the extract a report reads from the solution file is the one the
+    # assembled operator gives in process
+    K = 4
+    sol = solve_eigen(assemble_operator(problem), K)
+    sol_file = str(tmp_path / "sol.json")
+    assert main(["solve", _problem_file(tmp_path, problem.to_json()),
+                 "-k", str(K), "-o", sol_file]) == 0
+    rep = tmp_path / "rep.json"
+    for k in range(1, K + 1):
+        assert main(["nodal", "report", sol_file, str(k),
+                     "-o", str(rep)]) == 0
+        expect = json.dumps(spectral.extract_nodal(sol.field(k)).to_json())
+        assert json.loads(rep.read_text())["extract"] == json.loads(expect)
+
+
+def test_report_and_plot_check_the_potential(solution_file, tmp_path, capsys):
+    # the potential is evaluated on the grid although no matrix is built;
+    # x = 0.5 is a node of the h = 1/16 square
+    problem = dict(json.loads(open(solution_file).read())["problem"],
+                   V="1/(x-0.5)")
+    sol = _edited_solution(solution_file, tmp_path, problem=problem)
+    svg = tmp_path / "out.svg"
+    for argv in (["nodal", "report", sol, "1"],
+                 ["plot", sol, "1", "-o", str(svg)]):
+        assert main(argv) == 2
+        assert "fails on the grid" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def _edited_solution(solution_file, tmp_path, **fields):

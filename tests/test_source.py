@@ -63,6 +63,19 @@ def test_one_json_parse_site():
     assert sites == [("cli.py", "parse", "orjson.loads")]
 
 
+def test_cli_assembles_only_in_solves_loader():
+    # nodal report and plot read a solution's grid without building its
+    # matrix; only solve, through its loader _operator, assembles
+    sites = _call_sites(lambda f: f.split(".")[-1] == "assemble_operator")
+    assert [site for site in sites if site[0] == "cli.py"] == [
+        ("cli.py", "_operator", "assemble_operator")]
+    tree = ast.parse((SRC / "cli.py").read_text())
+    users = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             and any(isinstance(node, ast.Name) and node.id == "_operator"
+                     for node in ast.walk(f))]
+    assert users == ["cmd_solve"]
+
+
 def test_cli_writes_stdout_only_through_emit():
     # _emit sends a subcommand's text to -o when it is given, so text
     # written to stdout any other way would ignore -o
