@@ -997,75 +997,78 @@ class LawReport:
                 "passed": self.passed}
 
 
+# the entry keys that gate LawReport.passed, with every combination check;
+# faberKrahn gates Dirichlet problems only, and pleijel and weyl never gate
+GATING_KEYS = ("courant", "multBound", "faberKrahn", "euler", "parity")
+
+
 def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
                          seed: int = 0, n_combos: int = 200) -> LawReport:
-    """Courant, multiplicity, Faber-Krahn, Pleijel, Weyl, and Euler checks
-    on a computed spectrum.  Random in-cluster combinations are sampled with
-    a seeded generator; the seed is recorded in the report.  Each eigenvector
-    is extracted into a partition for the Euler and parity checks; sampled
-    combinations are only counted, COMBO_BLOCK at a time (kappa by
-    nodal_counts), with no partition.  n_combos must be an int >= 0."""
+    """Courant, multiplicity, Faber-Krahn, Pleijel, Weyl and Euler checks,
+    one eigenvalue cluster at a time.  Each eigenvector is extracted for the
+    Euler and parity checks; random in-cluster combinations (seeded, seed
+    recorded) are only counted, COMBO_BLOCK at a time, by nodal_counts.
+    `passed` needs every combination check and the GATING_KEYS of every
+    entry: courant, multBound, euler, parity and, on Dirichlet problems
+    only, faberKrahn; pleijel and weyl are reported but do not gate.
+    InvalidProblem unless n_combos is an int >= 0, `problem` is the one
+    `sol` solves, and the clusters are non-empty and concatenate to 1..K."""
     if isinstance(n_combos, bool) or not isinstance(n_combos, int) \
             or n_combos < 0:
         raise InvalidProblem("n_combos must be an int >= 0, got %r"
                              % (n_combos,))
+    if problem != sol.operator.problem:
+        raise InvalidProblem("problem differs from the solved problem")
+    K = len(sol.eigenvalues)
+    if not all(sol.clusters) or [k for cluster in sol.clusters
+                                 for k in cluster] != list(range(1, K + 1)):
+        raise InvalidProblem("clusters must be non-empty and concatenate to "
+                             "1..%d, got %.60r" % (K, sol.clusters))
     area = problem.domain.area(problem.grid_step)
     rng = np.random.default_rng(seed)
-    entries = []
-    ok = True
-    first_of = {}
-    last_of = {}
+    entries, combo_checks = [], []
     for cluster in sol.clusters:
-        for idx in cluster:
-            first_of[idx] = cluster[0]
-            last_of[idx] = cluster[-1]
-    for k in range(1, len(sol.eigenvalues) + 1):
-        lam = float(sol.eigenvalues[k - 1])
-        ext = extract_nodal(sol.field(k))
-        kappa = ext.domain_count
-        mult = last_of[k] - first_of[k] + 1
-        kf = first_of[k]
-        courant = kappa <= k
+        kf, k_hi, mult = cluster[0], cluster[-1], len(cluster)
         mult_ok = mult <= 2 * kf - 1 and (kf < 3 or mult <= 2 * kf - 2)
-        fk_lhs = lam * area
-        fk_rhs = faber_krahn_threshold(kappa)
-        faber_krahn = fk_lhs >= fk_rhs * (1 - FK_REL_TOL)
-        # the Pleijel bound needs lambda > 0, and a Neumann lambda_1 may
-        # round below; the entry then rests on its 2k - 1 clause
-        pleijel = mult <= 2 * kf - 1 or (
-            lam > 0 and mult <= pleijel_bound(lam, area)[0] + 1e-9)
-        euler = verify_euler(ext.as_partition).passed
-        parity = all(r["passed"] for r in check_boundary_parity(ext.as_partition))
-        entry = {"k": k, "lambda": lam, "kappa": kappa, "mult": mult,
-                 "courant": courant, "multBound": mult_ok,
-                 "faberKrahn": faber_krahn,
-                 "faberKrahnRatio": fk_lhs / fk_rhs,
-                 "pleijel": pleijel, "euler": euler, "parity": parity}
-        entries.append(entry)
-        ok = ok and courant and mult_ok and faber_krahn and euler and parity
-    combo_checks = []
-    for cluster in sol.clusters:
-        if len(cluster) < 2:
-            continue
-        k_hi = cluster[-1]
-        coeffs = rng.standard_normal((n_combos, len(cluster)))
-        # a row's 1-D norm; norm(axis=1) may round differently
-        coeffs /= np.array([np.linalg.norm(c) for c in coeffs])[:, None]
-        worst = 0
-        for start in range(0, n_combos, COMBO_BLOCK):
-            block = coeffs[start:start + COMBO_BLOCK]
-            vecs = sum(block[:, j, None] * sol.vectors[:, idx - 1]
-                       for j, idx in enumerate(cluster))
-            _, kappas = nodal_counts(sol.operator.cell_values(vecs),
-                                     sol.operator.mask)
-            worst = max(worst, int(kappas.max()))
-        good = worst <= k_hi
-        combo_checks.append({"cluster": list(cluster), "samples": n_combos,
-                             "maxKappa": worst, "bound": k_hi, "passed": good})
-        ok = ok and good
+        for k in cluster:
+            lam = float(sol.eigenvalues[k - 1])
+            ext = extract_nodal(sol.field(k))
+            kappa = ext.domain_count
+            fk_lhs = lam * area
+            fk_rhs = faber_krahn_threshold(kappa)
+            # the Pleijel bound needs lambda > 0, and a Neumann lambda_1 may
+            # round below; the entry then rests on its 2k - 1 clause
+            pleijel = mult <= 2 * kf - 1 or (
+                lam > 0 and mult <= pleijel_bound(lam, area)[0] + 1e-9)
+            entries.append({
+                "k": k, "lambda": lam, "kappa": kappa, "mult": mult,
+                "courant": kappa <= k, "multBound": mult_ok,
+                "faberKrahn": fk_lhs >= fk_rhs * (1 - FK_REL_TOL),
+                "faberKrahnRatio": fk_lhs / fk_rhs, "pleijel": pleijel,
+                "euler": verify_euler(ext.as_partition).passed,
+                "parity": all(r["passed"] for r in
+                              check_boundary_parity(ext.as_partition))})
+        if mult > 1:
+            coeffs = rng.standard_normal((n_combos, mult))
+            # a row's 1-D norm; norm(axis=1) may round differently
+            coeffs /= np.array([np.linalg.norm(c) for c in coeffs])[:, None]
+            worst = 0
+            for start in range(0, n_combos, COMBO_BLOCK):
+                block = coeffs[start:start + COMBO_BLOCK]
+                vecs = sum(block[:, j, None] * sol.vectors[:, idx - 1]
+                           for j, idx in enumerate(cluster))
+                _, kappas = nodal_counts(sol.operator.cell_values(vecs),
+                                         sol.operator.mask)
+                worst = max(worst, int(kappas.max()))
+            combo_checks.append({"cluster": list(cluster), "samples": n_combos,
+                                 "maxKappa": worst, "bound": k_hi,
+                                 "passed": worst <= k_hi})
     lam_max = float(sol.eigenvalues[-1])
-    n_below = int(len(sol.eigenvalues))
     w = weyl_term(lam_max, area)
-    weyl = {"lambda": lam_max, "count": n_below, "weylTerm": w,
-            "relativeDeviation": abs(n_below - w) / max(n_below, 1)}
-    return LawReport(seed, entries, combo_checks, weyl, ok)
+    weyl = {"lambda": lam_max, "count": K, "weylTerm": w,
+            "relativeDeviation": abs(K - w) / K}
+    gates = [key for key in GATING_KEYS
+             if key != "faberKrahn" or problem.bc == DIRICHLET]
+    passed = all(e[key] for e in entries for key in gates) \
+        and all(c["passed"] for c in combo_checks)
+    return LawReport(seed, entries, combo_checks, weyl, passed)

@@ -10,7 +10,8 @@ checked against bit for bit, a 1-D interval
 operator used as an oracle for the ghost-cell treatment, the
 pair-by-pair type validators that the constructors of `InteriorType` and
 `BoundaryType` must agree with, the law report's combination checks
-with a full nodal extraction per sampled eigenspace member, a pure-Python
+with a full nodal extraction per sampled eigenspace member, the law
+report built index by index with every law gating, a pure-Python
 flood fill that counts nodal domains without scipy, the nodal extraction
 with two walkers and two dart tables that the one-walker extraction must
 reproduce, the per-cell boundary-cycle walk it takes its boundary from
@@ -36,14 +37,17 @@ from scipy.spatial import Delaunay
 from nodalkit.comb_type import InteriorType, labeling_from_type
 from nodalkit.errors import (DegenerateGrid, InconsistentLabeling,
                              InvalidProblem, InvalidType, MalformedEmbedding)
+from nodalkit.bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
                                 PartitionBuilder, PartitionStats,
                                 PartitionVertex, _blow_up_boundary,
                                 _blow_up_interior, _components, _hole_faces,
-                                dart, trace_faces)
-from nodalkit.spectral import (DIRICHLET, NEUMANN, ROBIN, Annulus, Disk,
-                               MaskedGrid, NodalExtract, Rectangle,
-                               extract_nodal, nodal_count)
+                                check_boundary_parity, dart, trace_faces,
+                                verify_euler)
+from nodalkit.spectral import (COMBO_BLOCK, DIRICHLET, FK_REL_TOL, NEUMANN,
+                               ROBIN, Annulus, Disk, LawReport, MaskedGrid,
+                               NodalExtract, Rectangle, extract_nodal,
+                               nodal_count, nodal_counts)
 from nodalkit.surface import SurfaceSpec
 
 
@@ -569,6 +573,72 @@ def reference_combo_checks(sol, problem, seed, n_combos):
         combo_checks.append({"cluster": list(cluster), "samples": n_combos,
                              "maxKappa": worst, "bound": k_hi, "passed": good})
     return combo_checks
+
+
+def reference_law_report(sol, problem, seed=0, n_combos=200):
+    """A law report built index by index: each k's cluster found again from
+    first/last maps, every verdict folded into a running `ok`, and every
+    law gating `passed`, Faber-Krahn on every boundary condition.  What
+    `verify_spectral_laws` must reproduce byte for byte on Dirichlet
+    problems, and apart from `passed` on Neumann and Robin ones."""
+    area = problem.domain.area(problem.grid_step)
+    rng = np.random.default_rng(seed)
+    entries = []
+    ok = True
+    first_of = {}
+    last_of = {}
+    for cluster in sol.clusters:
+        for idx in cluster:
+            first_of[idx] = cluster[0]
+            last_of[idx] = cluster[-1]
+    for k in range(1, len(sol.eigenvalues) + 1):
+        lam = float(sol.eigenvalues[k - 1])
+        ext = extract_nodal(sol.field(k))
+        kappa = ext.domain_count
+        mult = last_of[k] - first_of[k] + 1
+        kf = first_of[k]
+        courant = kappa <= k
+        mult_ok = mult <= 2 * kf - 1 and (kf < 3 or mult <= 2 * kf - 2)
+        fk_lhs = lam * area
+        fk_rhs = faber_krahn_threshold(kappa)
+        faber_krahn = fk_lhs >= fk_rhs * (1 - FK_REL_TOL)
+        pleijel = mult <= 2 * kf - 1 or (
+            lam > 0 and mult <= pleijel_bound(lam, area)[0] + 1e-9)
+        euler = verify_euler(ext.as_partition).passed
+        parity = all(r["passed"] for r in
+                     check_boundary_parity(ext.as_partition))
+        entry = {"k": k, "lambda": lam, "kappa": kappa, "mult": mult,
+                 "courant": courant, "multBound": mult_ok,
+                 "faberKrahn": faber_krahn,
+                 "faberKrahnRatio": fk_lhs / fk_rhs,
+                 "pleijel": pleijel, "euler": euler, "parity": parity}
+        entries.append(entry)
+        ok = ok and courant and mult_ok and faber_krahn and euler and parity
+    combo_checks = []
+    for cluster in sol.clusters:
+        if len(cluster) < 2:
+            continue
+        k_hi = cluster[-1]
+        coeffs = rng.standard_normal((n_combos, len(cluster)))
+        coeffs /= np.array([np.linalg.norm(c) for c in coeffs])[:, None]
+        worst = 0
+        for start in range(0, n_combos, COMBO_BLOCK):
+            block = coeffs[start:start + COMBO_BLOCK]
+            vecs = sum(block[:, j, None] * sol.vectors[:, idx - 1]
+                       for j, idx in enumerate(cluster))
+            _, kappas = nodal_counts(sol.operator.cell_values(vecs),
+                                     sol.operator.mask)
+            worst = max(worst, int(kappas.max()))
+        good = worst <= k_hi
+        combo_checks.append({"cluster": list(cluster), "samples": n_combos,
+                             "maxKappa": worst, "bound": k_hi, "passed": good})
+        ok = ok and good
+    lam_max = float(sol.eigenvalues[-1])
+    n_below = int(len(sol.eigenvalues))
+    w = weyl_term(lam_max, area)
+    weyl = {"lambda": lam_max, "count": n_below, "weylTerm": w,
+            "relativeDeviation": abs(n_below - w) / max(n_below, 1)}
+    return LawReport(seed, entries, combo_checks, weyl, ok)
 
 
 def reference_kappa(values, mask):

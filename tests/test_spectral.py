@@ -1,6 +1,7 @@
 """Finite-difference eigensolver, nodal extraction, and law checks."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -661,6 +662,60 @@ def test_verify_laws_neumann_ground_state_below_zero():
     assert rep.entries[0]["lambda"] == -6.1e-14
     assert rep.entries[0]["mult"] == 1 and rep.entries[0]["pleijel"]
     assert all(e["pleijel"] for e in rep.entries)
+
+
+@pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5),
+                                    Annulus(0.2, 0.5)],
+                         ids=["square", "disk", "annulus"])
+def test_law_report_matches_index_by_index_reference(domain):
+    p = EigenProblem(domain, 1 / 32)
+    sol = solve_eigen(assemble_operator(p), 8)
+    rep = verify_spectral_laws(sol, p, seed=1, n_combos=10)
+    ref = helpers.reference_law_report(sol, p, seed=1, n_combos=10)
+    assert json.dumps(rep.to_json()) == json.dumps(ref.to_json())
+    assert rep.combo_checks
+
+
+@pytest.mark.parametrize("bc", ["Neumann", "Robin"])
+def test_faber_krahn_gates_dirichlet_problems_only(bc):
+    # lambda_1 of a Neumann rectangle is 0, so Faber-Krahn fails there; it
+    # is still reported, and every other key is as in the reference
+    p = EigenProblem(Rectangle(2, 1), 1 / 16, bc=bc, robin_h=2.0)
+    sol = solve_eigen(assemble_operator(p), 12)
+    for seed in (1, 7):
+        rep = verify_spectral_laws(sol, p, seed=seed, n_combos=10).to_json()
+        ref = helpers.reference_law_report(sol, p, seed, 10).to_json()
+        assert rep["passed"] and not ref["passed"]
+        assert not all(e["faberKrahn"] for e in rep["entries"])
+        ref["passed"] = True
+        assert json.dumps(rep) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("other", [
+    EigenProblem(Disk(0.5), 1 / 16),
+    EigenProblem(Rectangle(1, 1), 1 / 8),
+    EigenProblem(Rectangle(1, 1), 1 / 16, bc="Neumann")],
+    ids=["domain", "grid-step", "bc"])
+def test_law_report_rejects_another_problem(other):
+    p = EigenProblem(Rectangle(1, 1), 1 / 16)
+    sol = solve_eigen(assemble_operator(p), 4)
+    with pytest.raises(InvalidProblem, match="solved problem"):
+        verify_spectral_laws(sol, other, n_combos=2)
+    # an equal problem, built anew, is the solved problem
+    assert verify_spectral_laws(sol, EigenProblem(Rectangle(1, 1), 1 / 16),
+                                n_combos=2).passed
+
+
+@pytest.mark.parametrize("clusters", [
+    [[1], [2, 3]], [[1], [3, 2], [4]], [[1], [2, 3, 4], [4]],
+    [[1], [2, 3], [4], []], [[], [1], [2, 3], [4]]],
+    ids=["short", "reversed", "overlap", "trailing-empty", "leading-empty"])
+def test_law_report_rejects_malformed_clusters(clusters):
+    p = EigenProblem(Rectangle(1, 1), 1 / 16)
+    sol = dataclasses.replace(solve_eigen(assemble_operator(p), 4),
+                              clusters=clusters)
+    with pytest.raises(InvalidProblem, match="clusters"):
+        verify_spectral_laws(sol, p, n_combos=2)
 
 
 @pytest.mark.parametrize("domain, message", [
