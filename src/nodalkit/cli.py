@@ -17,10 +17,12 @@ Every subcommand writes its text through one writer, `_emit`: to the file
 named by -o when it is given, else to stdout.
 Every subcommand that reads a file parses and validates it through one
 loader, `_load`, which turns whatever a malformed file raises into exit 2;
-a file that cannot be read, or is not UTF-8, exits 2 as well.  `solve`
-assembles its problem's operator.  `nodal report` and `plot` read the
-solution's grid (sites, mask, origin) and evaluate its potential, but they
-only map vectors to grid cells, so they never build the matrix.
+a file that cannot be read, or is not UTF-8, exits 2 as well.  A partition
+file is loaded with its stats, so one whose boundary cycle bounds no face
+exits 2 too.  `solve` assembles its problem's operator.  `nodal report`
+and `plot` read the solution's grid (sites, mask, origin) and evaluate its
+potential, but they only map vectors to grid cells, so they never build
+the matrix.
 The argument parser is built once per process; a command group without a
 subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
 Input files are parsed by orjson, whose correctly rounded decimal reader
@@ -126,6 +128,17 @@ def _solution(obj):
                          np.array(obj.get("residuals", [0] * len(evs))), op)
 
 
+def _partition(obj):
+    """The loader of partition euler and normalize: the partition with its
+    stats, so that a boundary circle that bounds no face exits 2."""
+    p = EmbeddedPartition.from_json(obj)
+    p.stats  # computed here and kept on p
+    return p
+
+
+_parse_partition = _parse_json(_partition)
+
+
 # a solution is digested by its eigenvalues alone
 _parse_solution = _parse_json(_solution,
                               lambda obj: json.dumps(obj["eigenvalues"]))
@@ -181,7 +194,7 @@ def _exit_code(checks):
 # ---------------------------------------------------------------------------
 
 def cmd_partition_euler(args):
-    p = _load(args, _parse_json(EmbeddedPartition.from_json))
+    p = _load(args, _parse_partition)
     er = verify_euler(p)
     parity = check_boundary_parity(p) if p.surface.has_boundary else []
     checks = [{"name": "euler", "passed": er.passed,
@@ -195,7 +208,7 @@ def cmd_partition_euler(args):
 
 
 def cmd_partition_normalize(args):
-    p = _load(args, _parse_json(EmbeddedPartition.from_json))
+    p = _load(args, _parse_partition)
     before = partition_stats(p)
     n = normalize(p)
     after = partition_stats(n)

@@ -13,9 +13,9 @@ the rest), and chi = V - E + F - 2(c-1) is the Euler characteristic of the
 cellular completion.
 
 Planar domains are modeled on the sphere with q+1 distinguished hole faces
-(one per boundary circle: the unique traced face whose walk uses only that
-circle's boundary edges); kappa = regions - holes.  The Moebius strip is
-modeled on the projective plane the same way.
+(one per boundary circle: a traced face whose walk uses only that circle's
+boundary edges); kappa = regions - holes.  The Moebius strip is modeled on
+the projective plane the same way.
 
 For closed surfaces of genus >= 1 the embedding of a partition need not be
 cellular; a region with b boundary circles is traced as b faces.  We report
@@ -31,12 +31,16 @@ orientable and omega = 0.
 Partitions are built with PartitionBuilder, either fresh or as a copy of
 another partition for surgery (the blow-ups of `normalize`, the subdivisions
 of `nodal_graph.simplify_to_graph`), or read with `from_json`.  A partition is
-frozen and validated once, when it is constructed, so the functions here take
-a well-formed input for granted.  Its PartitionStats (one face trace, which
-also lists the vertices `normalize` blows up) are computed once per
-partition, on first use, and kept for `partition_stats`, `verify_euler`,
-`normalize`, `simplify_to_graph` and `build_multigraph`.  Only that small
-object is kept, not the face walks; a failure is raised again on every call.
+frozen and validated once, when it is constructed (ids, kinds, signatures,
+rotations, degrees; one boundary component per boundary circle, and each
+boundary component is one non-empty cycle), so the functions here take a
+well-formed input for granted.  Its PartitionStats (one face trace, which
+also lists the vertices `normalize` blows up and finds each circle's hole
+face, so a circle that bounds no face fails there; the CLI's loader
+computes them) are computed once per partition, on first use, and kept for
+`partition_stats`, `verify_euler`, `normalize`, `simplify_to_graph` and
+`build_multigraph`.  Only that small object is kept, not the face walks; a
+failure is raised again on every call.
 
 All arithmetic is exact (int / Fraction).
 """
@@ -86,8 +90,11 @@ class EmbeddedPartition:
     """Frozen: operations return new objects (`dataclasses.replace` too, with
     stats of their own, except where `normalize` only drops the nodal flag
     and hands the input's stats on).  Validated once, when constructed: an
-    EmbeddedPartition that exists is well formed.  Its stats are computed
-    once, on first use (see `stats`)."""
+    EmbeddedPartition that exists is well formed (ids, kinds, signatures,
+    rotations and degrees agree, and each boundary component is one
+    non-empty cycle whose boundary vertices name it).  That each one bounds
+    a hole face needs the face trace, so the stats check it; they are
+    computed once, on first use (see `stats`)."""
     surface: SurfaceSpec
     vertices: list                  # list[PartitionVertex], ids = positions
     edge_ends: list                 # list[(u, v)]; dart 2e at u, 2e+1 at v
@@ -171,14 +178,9 @@ class EmbeddedPartition:
                                              "2 boundary darts" % v.id)
             elif deg < 1:
                 raise MalformedEmbedding("isolated vertex %d" % v.id)
-        # boundary components
+        # boundary components: each one a single non-empty cycle (on a
+        # closed surface the two checks below reject any boundary edge)
         want = self.surface.boundary_components
-        if want == 0:
-            if any(self.edge_boundary):
-                raise MalformedEmbedding("closed surface with boundary edges")
-            if self.boundary_components:
-                raise MalformedEmbedding("closed surface with boundary components")
-            return
         if len(self.boundary_components) != want:
             raise MalformedEmbedding("expected %d boundary components, got %d"
                                      % (want, len(self.boundary_components)))
@@ -187,38 +189,29 @@ class EmbeddedPartition:
                                      if self.edge_boundary[i]):
             raise MalformedEmbedding("boundary components must partition the "
                                      "boundary edges")
-        for comp in self.boundary_components:
-            degs = {}
+        for ci, comp in enumerate(self.boundary_components):
+            at = {}                 # vertex -> its darts on this component
             for e in comp:
-                for x in self.edge_ends[e]:
-                    degs[x] = degs.get(x, 0) + 1
-            if any(d != 2 for d in degs.values()):
-                raise MalformedEmbedding("boundary component is not a disjoint "
-                                         "union-free single cycle")
-            # connectivity of the cycle
-            if comp:
-                reach = {self.edge_ends[comp[0]][0]}
-                grow = True
-                while grow:
-                    grow = False
-                    for e in comp:
-                        u, v = self.edge_ends[e]
-                        if (u in reach) != (v in reach):
-                            reach.update((u, v))
-                            grow = True
-                if set(degs) != reach:
-                    raise MalformedEmbedding("boundary component is not connected")
-        component_of = {e: ci for ci, comp in enumerate(self.boundary_components)
-                        for e in comp}
-        for v in self.vertices:
-            if v.kind != BOUNDARY:
-                continue
-            e = next(d // 2 for d in self.rotation[v.id]
-                     if self.edge_boundary[d // 2])
-            if component_of[e] != v.component:
-                raise MalformedEmbedding("boundary vertex %d says component %d, "
-                                         "but its boundary edges lie on %d"
-                                         % (v.id, v.component, component_of[e]))
+                for d in (dart(e, 0), dart(e, 1)):
+                    at.setdefault(self.vertex_of(d), []).append(d)
+            if not comp or any(len(ds) != 2 for ds in at.values()):
+                raise MalformedEmbedding("boundary component %d is not one "
+                                         "non-empty cycle" % ci)
+            # walk once from comp[0]: cross an edge, leave its far end by
+            # the other dart there; one cycle iff back after len(comp) steps
+            d, steps = dart(comp[0], 0), 0
+            while steps == 0 or d != dart(comp[0], 0):
+                v = self.vertices[self.vertex_of(d ^ 1)]
+                if v.kind == BOUNDARY and v.component != ci:
+                    raise MalformedEmbedding("boundary vertex %d says component "
+                                             "%d, but its boundary edges lie "
+                                             "on %d" % (v.id, v.component, ci))
+                a, b = at[v.id]
+                d = b if a == d ^ 1 else a
+                steps += 1
+            if steps != len(comp):
+                raise MalformedEmbedding("boundary component %d is not one "
+                                         "non-empty cycle" % ci)
 
     # ------------------------------------------------------------------
 
@@ -469,21 +462,6 @@ class PartitionStats:
                 "defect": self.defect}
 
 
-def _hole_faces(p: EmbeddedPartition, faces):
-    """One hole face per boundary component: the traced face whose walk uses
-    only that component's boundary edges.  For an untouched circle both sides
-    qualify; the first is taken (the count is unaffected by the choice)."""
-    holes = []
-    for ci, comp in enumerate(p.boundary_components):
-        comp_edges = set(comp)
-        cands = [fi for fi, f in enumerate(faces) if f.edges <= comp_edges]
-        cands = [fi for fi in cands if fi not in holes]
-        if not cands:
-            raise MalformedEmbedding("no hole face for boundary component %d" % ci)
-        holes.append(cands[0])
-    return holes
-
-
 def partition_stats(p: EmbeddedPartition) -> PartitionStats:
     """The stats of p, computed once per partition (`EmbeddedPartition.stats`)."""
     return p.stats
@@ -501,7 +479,9 @@ def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
     regions = F - (c - 1)
     b0 = p.surface.boundary_components
     if b0:
-        _hole_faces(p, faces)  # existence check
+        for ci, comp in enumerate(p.boundary_components):
+            if not any(f.edges.issubset(comp) for f in faces):
+                raise MalformedEmbedding("no hole face for boundary component %d" % ci)
         kappa = regions - b0
     elif p.surface.param == 0 and p.surface.orientable:
         kappa = regions

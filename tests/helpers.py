@@ -17,8 +17,11 @@ with two walkers and two dart tables that the one-walker extraction must
 reproduce, the per-cell boundary-cycle walk it takes its boundary from
 (so the oracle shares no boundary code with `extract_nodal`), the face
 tracer that walks every orbit and pairs each with its mirror afterwards,
-the partition statistics traced afresh on every call (with the locally
-disconnected vertices found from rotation wedges), the iterative
+the partition checks with the boundary components checked by degree
+count, reachability loop and a pass over the boundary vertices, the
+partition statistics traced afresh on every call (with the locally
+disconnected vertices found from rotation wedges and the hole faces
+picked one per boundary component), the iterative
 normalization that blew up one vertex per face trace, and the recursive
 non-crossing matchings, sorted afterwards, that the type enumerations
 and the shift census must agree with, and the recursive run parser that
@@ -38,10 +41,10 @@ from nodalkit.comb_type import InteriorType, labeling_from_type
 from nodalkit.errors import (DegenerateGrid, InconsistentLabeling,
                              InvalidProblem, InvalidType, MalformedEmbedding)
 from nodalkit.bounds import faber_krahn_threshold, pleijel_bound, weyl_term
-from nodalkit.partition import (BOUNDARY, INTERIOR, FaceWalk,
-                                PartitionBuilder, PartitionStats,
+from nodalkit.partition import (_KINDS, BOUNDARY, INTERIOR, EmbeddedPartition,
+                                FaceWalk, PartitionBuilder, PartitionStats,
                                 PartitionVertex, _blow_up_boundary,
-                                _blow_up_interior, _components, _hole_faces,
+                                _blow_up_interior, _components,
                                 check_boundary_parity, dart, trace_faces,
                                 verify_euler)
 from nodalkit.spectral import (COMBO_BLOCK, DIRICHLET, FK_REL_TOL, NEUMANN,
@@ -851,6 +854,124 @@ def reference_extract_nodal(u):
 
 
 # ---------------------------------------------------------------------------
+# reference partition validation
+# ---------------------------------------------------------------------------
+
+class UncheckedPartition(EmbeddedPartition):
+    """An EmbeddedPartition that is not validated when constructed, so that
+    `reference_validate` can judge fields the constructor would reject."""
+
+    def __post_init__(self):
+        pass
+
+
+def reference_validate(p):
+    """The partition checks with the boundary components checked by a degree
+    count, a fixed-point reachability loop and a second pass over the
+    boundary vertices.  It accepts an empty boundary component, which
+    `EmbeddedPartition` rejects; otherwise the two must agree."""
+    nv, ne = len(p.vertices), p.n_edges
+    for i, v in enumerate(p.vertices):
+        if v.id != i:
+            raise MalformedEmbedding("vertex ids must be 0..n-1 in order")
+        if v.kind not in _KINDS:
+            raise MalformedEmbedding("unknown vertex kind %r" % v.kind)
+    if not (len(p.edge_boundary) == len(p.edge_signature) == ne):
+        raise MalformedEmbedding("edge attribute lists disagree in length")
+    if not set(p.edge_signature) <= {1, -1}:
+        # face tracing multiplies by signatures and closes only on +-1
+        raise MalformedEmbedding("edge signatures must be +1 or -1")
+    seen = {}
+    for vid, rot in p.rotation.items():
+        if not 0 <= vid < nv:
+            raise MalformedEmbedding("rotation given at %r, which is not a "
+                                     "vertex id" % (vid,))
+        for d in rot:
+            if d in seen:
+                raise MalformedEmbedding("dart %d in two rotations" % d)
+            seen[d] = vid
+    if sorted(seen) != list(range(2 * ne)):
+        raise MalformedEmbedding("rotations do not cover every dart exactly once")
+    for d, vid in seen.items():
+        if p.vertex_of(d) != vid:
+            raise MalformedEmbedding("dart %d listed at vertex %d but edge says %d"
+                                     % (d, vid, p.vertex_of(d)))
+    # degree constraints
+    for v in p.vertices:
+        deg = len(p.rotation.get(v.id, ()))
+        if v.kind == INTERIOR:
+            if v.nu < 3:
+                raise MalformedEmbedding("interior singular vertex needs nu >= 3")
+            if p.nodal and (v.nu % 2 or v.nu < 4):
+                raise MalformedEmbedding("nodal partitions need even interior "
+                                         "valency >= 4 (vertex %d has nu=%d)"
+                                         % (v.id, v.nu))
+            if deg != v.nu:
+                raise MalformedEmbedding("vertex %d: degree %d != nu %d"
+                                         % (v.id, deg, v.nu))
+        elif v.kind == BOUNDARY:
+            if v.rho < 1:
+                raise MalformedEmbedding("boundary singular vertex needs rho >= 1")
+            if deg != v.rho + 2:
+                raise MalformedEmbedding("vertex %d: degree %d != rho+2"
+                                         % (v.id, deg))
+            nb = sum(1 for d in p.rotation[v.id] if p.edge_boundary[d // 2])
+            if nb != 2:
+                raise MalformedEmbedding("boundary vertex %d must meet exactly "
+                                         "2 boundary darts" % v.id)
+        elif deg < 1:
+            raise MalformedEmbedding("isolated vertex %d" % v.id)
+    # boundary components
+    want = p.surface.boundary_components
+    if want == 0:
+        if any(p.edge_boundary):
+            raise MalformedEmbedding("closed surface with boundary edges")
+        if p.boundary_components:
+            raise MalformedEmbedding("closed surface with boundary components")
+        return
+    if len(p.boundary_components) != want:
+        raise MalformedEmbedding("expected %d boundary components, got %d"
+                                 % (want, len(p.boundary_components)))
+    claimed = [e for comp in p.boundary_components for e in comp]
+    if sorted(claimed) != sorted(i for i in range(p.n_edges)
+                                 if p.edge_boundary[i]):
+        raise MalformedEmbedding("boundary components must partition the "
+                                 "boundary edges")
+    for comp in p.boundary_components:
+        degs = {}
+        for e in comp:
+            for x in p.edge_ends[e]:
+                degs[x] = degs.get(x, 0) + 1
+        if any(d != 2 for d in degs.values()):
+            raise MalformedEmbedding("boundary component is not a disjoint "
+                                     "union-free single cycle")
+        # connectivity of the cycle
+        if comp:
+            reach = {p.edge_ends[comp[0]][0]}
+            grow = True
+            while grow:
+                grow = False
+                for e in comp:
+                    u, v = p.edge_ends[e]
+                    if (u in reach) != (v in reach):
+                        reach.update((u, v))
+                        grow = True
+            if set(degs) != reach:
+                raise MalformedEmbedding("boundary component is not connected")
+    component_of = {e: ci for ci, comp in enumerate(p.boundary_components)
+                    for e in comp}
+    for v in p.vertices:
+        if v.kind != BOUNDARY:
+            continue
+        e = next(d // 2 for d in p.rotation[v.id]
+                 if p.edge_boundary[d // 2])
+        if component_of[e] != v.component:
+            raise MalformedEmbedding("boundary vertex %d says component %d, "
+                                     "but its boundary edges lie on %d"
+                                     % (v.id, v.component, component_of[e]))
+
+
+# ---------------------------------------------------------------------------
 # reference face tracer
 # ---------------------------------------------------------------------------
 
@@ -910,6 +1031,21 @@ def reference_trace_faces(p):
 # reference partition statistics
 # ---------------------------------------------------------------------------
 
+def _reference_hole_faces(p: EmbeddedPartition, faces):
+    """One hole face per boundary component: the traced face whose walk uses
+    only that component's boundary edges.  For an untouched circle both sides
+    qualify; the first is taken (the count is unaffected by the choice)."""
+    holes = []
+    for ci, comp in enumerate(p.boundary_components):
+        comp_edges = set(comp)
+        cands = [fi for fi, f in enumerate(faces) if f.edges <= comp_edges]
+        cands = [fi for fi in cands if fi not in holes]
+        if not cands:
+            raise MalformedEmbedding("no hole face for boundary component %d" % ci)
+        holes.append(cands[0])
+    return holes
+
+
 def reference_partition_stats(p):
     """PartitionStats traced afresh on every call, kept on nothing; the
     cached `partition_stats` must give equal stats."""
@@ -922,7 +1058,7 @@ def reference_partition_stats(p):
     regions = F - (c - 1)
     b0 = p.surface.boundary_components
     if b0:
-        _hole_faces(p, faces)  # existence check
+        _reference_hole_faces(p, faces)  # existence check
         kappa = regions - b0
     elif p.surface.param == 0 and p.surface.orientable:
         kappa = regions

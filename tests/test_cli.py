@@ -21,6 +21,7 @@ from nodalkit.comb_type import BoundaryType, InteriorType, format_tau_text
 from nodalkit.errors import InvalidProblem
 from nodalkit.spectral import (Disk, EigenProblem, Rectangle,
                                assemble_operator, solve_eigen)
+from nodalkit.surface import SurfaceSpec
 
 TAU16 = (3, 2, 1, 0, 9, 8, 7, 6, 5, 4, 15, 12, 11, 14, 13, 10)
 
@@ -414,6 +415,34 @@ def test_fewer_vectors_than_eigenvalues_exit_2(solution_file, tmp_path,
                            vectors=obj["vectors"][:2])
     assert main(["nodal", "report", sol, "3"]) == 2
     assert "one vector per eigenvalue" in capsys.readouterr().err
+
+
+def _partition_doc(p, **changes):
+    doc = p.to_json()
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a circle marker on a nodal loop, and a boundary component listing
+    # no edge at all
+    (_partition_doc(helpers.circle_on_sphere(), boundaryComponents=[[]],
+                    surface=SurfaceSpec.planar_domain(0).to_json()),
+     "boundary component 0 is not one non-empty cycle"),
+    # the disk with a diameter, its rotation at y reversed: the boundary
+    # cycle bounds no face
+    (_partition_doc(helpers.disk_with_diameter(),
+                    rotation={"0": [0, 4, 3], "1": [2, 1, 5]}),
+     "no hole face for boundary component 0"),
+], ids=["empty-component", "no-hole-face"])
+@pytest.mark.parametrize("command", ["euler", "normalize"])
+def test_malformed_boundary_exits_2(tmp_path, capsys, doc, message, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["partition", command, str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: %s: MalformedEmbedding: %s\n" % (bad, message)
 
 
 def test_partition_normalize_bridge(tmp_path):

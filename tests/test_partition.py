@@ -15,6 +15,7 @@ switch.
 import dataclasses
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,179 @@ def test_invalid_partition_cannot_be_constructed():
             EmbeddedPartition(p.surface, p.vertices, p.edge_ends,
                               p.edge_boundary, [1, bad, 1], p.rotation,
                               p.boundary_components)
+
+
+# ---------------------------------------------------------------------------
+# boundary components, checked at construction
+# ---------------------------------------------------------------------------
+
+def _fields(p, **changes):
+    """The constructor arguments of p, with some of them replaced."""
+    f = {fd.name: getattr(p, fd.name) for fd in dataclasses.fields(p)}
+    f.update(changes)
+    return f
+
+
+def _circles(surface, components):
+    """A builder with a circle marker and a boundary loop on it for each
+    entry of components, on the component the entry names."""
+    b = PartitionBuilder(surface)
+    for ci in components:
+        m = b.circle()
+        b.edge(m, m, boundary=True, component=ci)
+    return b
+
+
+def _empty_component():
+    b = PartitionBuilder(SurfaceSpec.planar_domain(0), nodal=True)
+    c = b.circle()
+    b.edge(c, c)                    # a nodal loop; the boundary lists nothing
+    b.build()
+
+
+def _three_edges_at_a_vertex():
+    b = PartitionBuilder(SurfaceSpec.planar_domain(0))
+    u, v = b.added(), b.added()
+    for _ in range(3):
+        b.edge(u, v, boundary=True)
+    b.set_rotation(u, [dart(0, 0), dart(1, 0), dart(2, 0)])
+    b.set_rotation(v, [dart(0, 1), dart(2, 1), dart(1, 1)])
+    b.build()
+
+
+def _vertex_names_another_component():
+    b = PartitionBuilder(SurfaceSpec.planar_domain(1))
+    x = b.boundary_vertex(1, component=1)       # its edges lie on 0
+    y = b.boundary_vertex(1, component=0)
+    b1 = b.edge(x, y, boundary=True, component=0)
+    b2 = b.edge(y, x, boundary=True, component=0)
+    d0 = b.edge(x, y)
+    b.set_rotation(x, [dart(b1, 0), dart(d0, 0), dart(b2, 1)])
+    b.set_rotation(y, [dart(b2, 0), dart(d0, 1), dart(b1, 1)])
+    m = b.circle()
+    b.edge(m, m, boundary=True, component=1)
+    b.build()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: EmbeddedPartition(**_fields(
+        helpers.disk_with_diameter(), boundary_components=[[0, 1], []])),
+     "expected 1 boundary components, got 2"),
+    (lambda: EmbeddedPartition(**_fields(
+        helpers.theta_graph(), edge_boundary=[True, False, False])),
+     "partition the boundary edges"),
+    (lambda: EmbeddedPartition(**_fields(
+        helpers.disk_with_diameter(), boundary_components=[[0, 1, 2]])),
+     "partition the boundary edges"),
+    (lambda: EmbeddedPartition(**_fields(
+        _circles(SurfaceSpec.planar_domain(1), [0, 1]).build(),
+        boundary_components=[[0, 1], [1]])),
+     "partition the boundary edges"),
+    (_empty_component, "component 0 is not one non-empty cycle"),
+    (lambda: _circles(SurfaceSpec.planar_domain(0), [0, 0]).build(),
+     "component 0 is not one non-empty cycle"),
+    (_three_edges_at_a_vertex, "component 0 is not one non-empty cycle"),
+    (_vertex_names_another_component, "vertex 0 says component 1"),
+], ids=["count", "closed-surface", "non-boundary-edge", "edge-in-two",
+        "empty", "two-loops", "three-edges-at-a-vertex", "other-component"])
+def test_boundary_components_rejected(build, match):
+    with pytest.raises(MalformedEmbedding, match=match):
+        build()
+
+
+def _mutant(p, rng):
+    """The constructor arguments of p after one or two seeded edits of its
+    boundary data: move or drop a component entry, list an edge (again) in
+    a component or a new one, flip an edge's boundary flag (half the time
+    adding or dropping its entry too), move one end of an edge (and its
+    dart) to another vertex, or relabel a vertex's component.  A move or
+    drop with no entry to take relabels a vertex instead."""
+    f = _fields(p, vertices=list(p.vertices), edge_ends=list(p.edge_ends),
+                edge_boundary=list(p.edge_boundary),
+                rotation={v: list(r) for v, r in p.rotation.items()},
+                boundary_components=[list(c) for c in p.boundary_components])
+    comps, ne, nv = f["boundary_components"], p.n_edges, len(p.vertices)
+
+    def pick(n):
+        return int(rng.integers(n))
+    for _ in range(1 + pick(2)):
+        op = pick(6)
+        full = [c for c in comps if c]
+        if op == 0 and full:                            # move an entry
+            c = full[pick(len(full))]
+            entry = c.pop(pick(len(c)))
+            target = comps[pick(len(comps))]
+            target.insert(pick(len(target) + 1), entry)
+        elif op == 1 and full:                          # drop an entry
+            c = full[pick(len(full))]
+            c.pop(pick(len(c)))
+        elif op == 2:                                   # list an edge
+            i = pick(len(comps) + 1)
+            if i == len(comps):
+                comps.append([])
+            comps[i].append(pick(ne))
+        elif op == 3:                                   # flip a boundary flag
+            e = pick(ne)
+            f["edge_boundary"][e] = not f["edge_boundary"][e]
+            if pick(2) and comps:       # and keep the components a partition
+                if f["edge_boundary"][e]:
+                    comps[pick(len(comps))].append(e)
+                else:
+                    for c in comps:
+                        if e in c:
+                            c.remove(e)
+        elif op == 4:                                   # retarget an edge end
+            d, w = pick(2 * ne), pick(nv)
+            e = d // 2
+            old = f["edge_ends"][e][d % 2]
+            f["rotation"][old].remove(d)
+            rot = f["rotation"].setdefault(w, [])
+            rot.insert(pick(len(rot) + 1), d)
+            ends = list(f["edge_ends"][e])
+            ends[d % 2] = w
+            f["edge_ends"][e] = tuple(ends)
+        else:                                           # relabel a vertex
+            v = pick(nv)
+            f["vertices"][v] = dataclasses.replace(
+                f["vertices"][v], component=pick(len(comps) + 1))
+    f["rotation"] = {v: tuple(r) for v, r in f["rotation"].items()}
+    return f
+
+
+def _stats_or_message(stats):
+    try:
+        return stats()
+    except MalformedEmbedding as exc:
+        return str(exc)
+
+
+def test_boundary_checks_match_reference():
+    # EmbeddedPartition accepts exactly what the reference validator accepts,
+    # apart from empty boundary components, with the same stats
+    rng = np.random.default_rng(29)
+    bases = _fixtures() + [normalize(helpers.disk_tangent_loop())] + [
+        helpers.random_planar_partition(rng, i % 3) for i in range(20)]
+    seen = Counter()
+    for i, p in enumerate(bases):
+        for j in range(40):
+            f = _mutant(p, rng)
+            ref = helpers.UncheckedPartition(**f)
+            try:
+                helpers.reference_validate(ref)
+                want = all(f["boundary_components"])
+                seen["empty" if not want else "accepted"] += 1
+            except MalformedEmbedding:
+                want = False
+                seen["rejected"] += 1
+            try:
+                q = EmbeddedPartition(**f)
+            except MalformedEmbedding:
+                assert not want, (i, j)
+                continue
+            assert want, (i, j)
+            assert _stats_or_message(lambda: q.stats) == _stats_or_message(
+                lambda: helpers.reference_partition_stats(ref)), (i, j)
+    assert min(seen.values()) >= 10 and len(seen) == 3, seen
 
 
 def test_from_partition_copies():
