@@ -62,7 +62,7 @@ FK_REL_TOL = 0.05
 RAY_FIT_LMAX = 6
 RAY_FIT_ANGLES = 96
 RAY_FIT_THRESHOLD = 0.25
-# prescribe_singular: rank and residual tolerance of the suppressed jet
+# prescribe_singular: residual tolerance of the suppressed jet
 PRESCRIBE_REL_TOL = 1e-6
 
 
@@ -277,13 +277,17 @@ def parse_potential(expr):
     Number literals are floats.  V takes coordinate arrays (or floats) and
     gives, element for element, the bits a Python float evaluation gives.
     Division by zero, overflow, domain errors and non-finite values raise
-    ValueError.
+    ValueError.  V._source is expr, which EigenProblem.to_json writes back.
     """
     if expr is None:
         return None
     if isinstance(expr, (int, float)):
         c = float(expr)
-        return (lambda x, y: c) if c != 0.0 else None
+        if c == 0.0:
+            return None
+        V = lambda x, y: c
+        V._source = expr
+        return V
     try:
         tree = ast.parse(str(expr), mode="eval")
     except SyntaxError as exc:
@@ -300,6 +304,7 @@ def parse_potential(expr):
         if not np.all(np.isfinite(v)):
             raise ValueError("potential %r is not finite on the grid" % expr)
         return v
+    V._source = expr
     return V
 
 
@@ -396,12 +401,10 @@ class EigenProblem:
             dom = MaskedGrid(tuple(tuple(int(v) for v in row) for row in rows))
         else:
             raise InvalidProblem("unknown domain shape %r" % (shape,))
-        V = parse_potential(obj.get("V"))
-        if V is not None:
-            V._source = obj.get("V")
         return EigenProblem(dom, float(obj["gridStep"]),
                             obj.get("bc", DIRICHLET),
-                            float(obj.get("robinH", 0.0)), V)
+                            float(obj.get("robinH", 0.0)),
+                            parse_potential(obj.get("V")))
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +421,35 @@ class GridField:
     h: float
 
     def sample(self, x, y):
-        """Bilinear interpolation between cell centers."""
-        fx = (x - self.origin[0]) / self.h - 0.5
-        fy = (y - self.origin[1]) / self.h - 0.5
+        """Bilinear interpolation between cell centers, element for element
+        on coordinate arrays or at one point; ValueError at a non-finite one."""
+        fx = (np.asarray(x) - self.origin[0]) / self.h - 0.5
+        fy = (np.asarray(y) - self.origin[1]) / self.h - 0.5
+        if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
+            raise ValueError("cannot sample a field at a non-finite point")
         ny, nx = self.values.shape
-        ix = min(max(int(math.floor(fx)), 0), nx - 2)
-        iy = min(max(int(math.floor(fy)), 0), ny - 2)
+        ix = np.clip(np.floor(fx), 0, nx - 2).astype(int)
+        iy = np.clip(np.floor(fy), 0, ny - 2).astype(int)
         tx, ty = fx - ix, fy - iy
         v = self.values
         return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
                 + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
 
 
+def _sampler(u):
+    """f(x, y) on coordinate arrays: a GridField's sample, or a callable
+    called once per point with Python floats, its values read as floats."""
+    if isinstance(u, GridField):
+        return u.sample
+    return lambda x, y: np.asarray(np.frompyfunc(u, 2, 1)(x, y), float)
+
+
 def sample_field(problem: EigenProblem, fn) -> GridField:
-    """Sample an analytic function fn(x, y) at the cell centers of a problem."""
+    """Sample an analytic function fn(x, y) at the cell centers of a
+    problem, read as floats (see _sampler)."""
     mask, origin = problem.grid
     X, Y = _cell_centres(mask.shape, origin, problem.grid_step)
-    vals = np.vectorize(fn)(X, Y).astype(float)
+    vals = _sampler(fn)(X, Y)
     vals[~mask] = 0.0
     return GridField(vals, mask.copy(), origin, problem.grid_step)
 
@@ -856,121 +871,102 @@ def extract_nodal(u: GridField) -> NodalExtract:
 def local_ray_fit(u, x0, radius):
     """Fit r^l (a sin l*omega + b cos l*omega) on circles around x0.
 
-    u is a GridField or a callable (x, y) -> value.  Returns
-    (l, rayAngles, residual): the order minimizing the relative residual,
-    the 2l equiangular zero angles of the fitted trigonometric polynomial,
-    and the residual itself."""
-    sample = u.sample if isinstance(u, GridField) else u
-    radii = [0.5 * radius, 0.75 * radius, radius]
+    u is a GridField or a callable (x, y) -> value, sampled once (see
+    _sampler).  Returns (l, rayAngles, residual): the order minimizing the
+    relative residual, the 2l equiangular zero angles of the fitted
+    trigonometric polynomial, and the residual itself.  NoFit unless the
+    radius is finite and positive and the centre finite."""
+    if not (0 < radius < math.inf and all(map(math.isfinite, x0))):
+        raise NoFit("need a finite positive radius and a finite centre, got "
+                    "radius %r about %r" % (radius, x0))
+    radii = np.array([0.5 * radius, 0.75 * radius, radius])[:, None]
     omegas = np.arange(RAY_FIT_ANGLES) * (2 * math.pi / RAY_FIT_ANGLES)
-    pts, vals = [], []
-    for r in radii:
-        for w in omegas:
-            pts.append((r, w))
-            vals.append(sample(x0[0] + r * math.cos(w), x0[1] + r * math.sin(w)))
-    vals = np.array(vals)
+    # libm's sin, cos and pow, which numpy's may not match in the last bit
+    lw = np.arange(1, RAY_FIT_LMAX + 1)[:, None] * omegas
+    sin_lw, cos_lw = _FUNCS["sin"](lw), _FUNCS["cos"](lw)
+    vals = _sampler(u)(x0[0] + radii * cos_lw[0],
+                       x0[1] + radii * sin_lw[0]).ravel()
     norm = np.linalg.norm(vals)
     if norm == 0:
         raise NoFit("field vanishes on the sampling circles")
-    best = None
-    for ell in range(1, RAY_FIT_LMAX + 1):
-        cols = np.empty((len(pts), 2))
-        for i, (r, w) in enumerate(pts):
-            rl = r ** ell
-            cols[i, 0] = rl * math.sin(ell * w)
-            cols[i, 1] = rl * math.cos(ell * w)
-        coef, _, _, _ = np.linalg.lstsq(cols, vals, rcond=None)
-        resid = np.linalg.norm(cols @ coef - vals) / norm
-        if best is None or resid < best[2]:
-            best = (ell, coef, resid)
-    ell, (a, bcoef), resid = best
+
+    def fit(ell):
+        rl = _BINARY[ast.Pow](radii, ell)
+        cols = np.stack([(rl * sin_lw[ell - 1]).ravel(),
+                         (rl * cos_lw[ell - 1]).ravel()], axis=1)
+        coef = np.linalg.lstsq(cols, vals, rcond=None)[0]
+        return ell, coef, np.linalg.norm(cols @ coef - vals) / norm
+    ell, (a, bcoef), resid = min(map(fit, range(1, RAY_FIT_LMAX + 1)),
+                                 key=lambda t: t[2])
     if resid > RAY_FIT_THRESHOLD:
         raise NoFit("best relative residual %.3g above threshold" % resid)
     # zeros of a sin(l w) + b cos(l w): l*w = -atan2(b, a) + j*pi
-    base = -math.atan2(bcoef, a)
     two_pi = 2 * math.pi
-    angles = []
-    for j in range(2 * ell):
-        w = ((base + j * math.pi) / ell) % two_pi
-        if two_pi - w < 1e-9:
-            w = 0.0
-        angles.append(w)
-    angles.sort()
-    return ell, angles, resid
+    w = ((-math.atan2(bcoef, a) + np.arange(2 * ell) * math.pi) / ell) % two_pi
+    return ell, sorted(np.where(two_pi - w < 1e-9, 0.0, w).tolist()), resid
 
 
 # ---------------------------------------------------------------------------
 # prescribed singular points
 # ---------------------------------------------------------------------------
 
-def _central_difference(g, k, h):
-    """k-th derivative of g(t) at t = 0 by k iterated central differences
-    over the 2k + 1 samples g(-kh), ..., g(kh)."""
-    arr = np.array([g(i * h) for i in range(-k, k + 1)], float)
-    for _ in range(k):
-        arr = (arr[2:] - arr[:-2]) / (2 * h)
-    return float(arr[0])
-
-
-def _jet_rows_interior(fn, site, order, h):
-    """Central-difference partial derivatives d^(i+j)/dx^i dy^j for
-    i + j < order at the site: differenced in x, then in y."""
-    x0, y0 = site
-    return [_central_difference(
-                lambda t: _central_difference(
-                    lambda s: fn(x0 + s, y0 + t), i, h), total - i, h)
-            for total in range(order) for i in range(total + 1)]
+def _derivatives(samples, h):
+    """(..., K + 1): for k = 0..K, the centre of the 2K + 1 samples at step
+    h along the last axis after k iterated central differences."""
+    K = samples.shape[-1] // 2
+    out = [samples[..., K]]
+    for k in range(1, K + 1):
+        samples = (samples[..., 2:] - samples[..., :-2]) / (2 * h)
+        out.append(samples[..., K - k])
+    return np.stack(out, axis=-1)
 
 
 def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     """Unit coefficient vector whose combination vanishes to the requested
     order at the site (interior) or suppresses the boundary data (boundary).
 
-    basis: list of GridFields or callables.  For an interior site the
-    constraints are all discrete partial derivatives of total order
-    < target_order.  For a boundary site, pass boundary=(outward normal,
-    tangent); constraints are the one-sided normal trace and its tangential
-    derivatives of order < target_order.  Raises InfeasibleOrder when fewer
-    than 2 basis fields are given or the constraint matrix has no null
-    space."""
+    basis: list of GridFields or callables, each sampled once (see
+    _sampler); each derivative is a central difference of those samples
+    (see _derivatives).  For an interior site the constraints are all
+    discrete partial derivatives of total order < q = target_order.  For a
+    boundary site, pass boundary=(outward normal, tangent); constraints are
+    the one-sided normal trace and its tangential derivatives of order < q.
+    Raises InfeasibleOrder when fewer than 2 basis fields are given, q < 1,
+    the constraints (q(q + 1)/2 interior, q boundary) are not fewer than
+    the basis fields, or the suppressed jet's residual is above
+    PRESCRIBE_REL_TOL."""
     m = len(basis)
     if m < 2:
         raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
-    fns = [f.sample if isinstance(f, GridField) else f for f in basis]
+    q = target_order
+    if not q >= 1:
+        raise InfeasibleOrder("target order must be >= 1, got %r" % (q,))
+    count = q * (q + 1) // 2 if boundary is None else q
+    if count >= m:
+        raise InfeasibleOrder("order %d needs %d constraints, only %d basis "
+                              "fields" % (q, count, m))
     if h is None:
         h = basis[0].h if isinstance(basis[0], GridField) else 1e-3
-    rows = []
+    t = np.arange(1 - q, q) * h
     if boundary is None:
-        q = target_order * (target_order + 1) // 2
-        if q > m - 1:
-            raise InfeasibleOrder(
-                "order %d needs %d constraints, only %d basis fields"
-                % (target_order, q, m))
-        for fn in fns:
-            rows.append(_jet_rows_interior(fn, site, target_order, h))
+        x, y = site[0] + t, site[1] + t[:, None]
     else:
+        # one step inward along the tangent line: proportional to the normal
+        # derivative under Dirichlet conditions, a trace otherwise
         nrm, tangent = boundary
-        if target_order > m - 1:
-            raise InfeasibleOrder("order beyond the guaranteed range")
-
-        def breve(fn):
-            # one-sided inward normal sample (proportional to the normal
-            # derivative under Dirichlet conditions; a trace otherwise)
-            def g(t):
-                x = site[0] + t * tangent[0] - h * nrm[0]
-                y = site[1] + t * tangent[1] - h * nrm[1]
-                return fn(x, y)
-            return g
-        for fn in fns:
-            rows.append([_central_difference(breve(fn), k, h)
-                         for k in range(target_order)])
-    J = np.array(rows, float).T   # constraints x basis
+        x = site[0] + t * tangent[0] - h * nrm[0]
+        y = site[1] + t * tangent[1] - h * nrm[1]
+    jets = _derivatives(np.array([_sampler(f)(x, y) for f in basis]), h)
+    if boundary is None:
+        # (basis, x order, y order) -> the orders of total below q
+        kx, ky = zip(*[(i, total - i) for total in range(q)
+                       for i in range(total + 1)])
+        jets = _derivatives(jets.swapaxes(1, 2), h)[:, kx, ky]
+    # constraints x basis, the transpose of a C-ordered basis x constraints
+    # array: a matrix's layout sets the order in which J @ c sums
+    J = np.ascontiguousarray(jets).T
     scale = max(np.abs(J).max(), 1e-300)
-    _, s, Vt = np.linalg.svd(J)
-    if J.shape[0] >= m and s[-1] > PRESCRIBE_REL_TOL * max(s[0], scale):
-        raise InfeasibleOrder("constraint matrix has full rank "
-                              "(smallest singular value %.3g)" % s[-1])
-    c = Vt[-1]
+    c = np.linalg.svd(J)[2][-1]
     c = c / np.linalg.norm(c)
     resid = np.linalg.norm(J @ c) / scale
     if resid > PRESCRIBE_REL_TOL:

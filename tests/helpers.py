@@ -25,7 +25,9 @@ picked one per boundary component), the iterative
 normalization that blew up one vertex per face trace, and the recursive
 non-crossing matchings, sorted afterwards, that the type enumerations
 and the shift census must agree with, and the recursive run parser that
-the stack-sweep inverse of a domain labeling must agree with.
+the stack-sweep inverse of a domain labeling must agree with, and the
+point-by-point field sample, ray fit and prescribed-singular-point jets
+that the array versions must reproduce bit for bit.
 """
 
 import ast
@@ -39,7 +41,8 @@ from scipy.spatial import Delaunay
 
 from nodalkit.comb_type import InteriorType, labeling_from_type
 from nodalkit.errors import (DegenerateGrid, InconsistentLabeling,
-                             InvalidProblem, InvalidType, MalformedEmbedding)
+                             InfeasibleOrder, InvalidProblem, InvalidType,
+                             MalformedEmbedding, NoFit)
 from nodalkit.bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from nodalkit.partition import (_KINDS, BOUNDARY, INTERIOR, EmbeddedPartition,
                                 FaceWalk, PartitionBuilder, PartitionStats,
@@ -48,7 +51,9 @@ from nodalkit.partition import (_KINDS, BOUNDARY, INTERIOR, EmbeddedPartition,
                                 check_boundary_parity, dart, trace_faces,
                                 verify_euler)
 from nodalkit.spectral import (COMBO_BLOCK, DIRICHLET, FK_REL_TOL, NEUMANN,
-                               ROBIN, Annulus, Disk, LawReport, MaskedGrid,
+                               PRESCRIBE_REL_TOL, RAY_FIT_ANGLES,
+                               RAY_FIT_LMAX, RAY_FIT_THRESHOLD, ROBIN, Annulus,
+                               Disk, GridField, LawReport, MaskedGrid,
                                NodalExtract, Rectangle, extract_nodal,
                                nodal_count, nodal_counts)
 from nodalkit.surface import SurfaceSpec
@@ -642,6 +647,155 @@ def reference_law_report(sol, problem, seed=0, n_combos=200):
     weyl = {"lambda": lam_max, "count": n_below, "weylTerm": w,
             "relativeDeviation": abs(n_below - w) / max(n_below, 1)}
     return LawReport(seed, entries, combo_checks, weyl, ok)
+
+
+def reference_sample(self, x, y):
+    """Bilinear interpolation between cell centers."""
+    fx = (x - self.origin[0]) / self.h - 0.5
+    fy = (y - self.origin[1]) / self.h - 0.5
+    ny, nx = self.values.shape
+    ix = min(max(int(math.floor(fx)), 0), nx - 2)
+    iy = min(max(int(math.floor(fy)), 0), ny - 2)
+    tx, ty = fx - ix, fy - iy
+    v = self.values
+    return ((1 - tx) * (1 - ty) * v[iy, ix] + tx * (1 - ty) * v[iy, ix + 1]
+            + (1 - tx) * ty * v[iy + 1, ix] + tx * ty * v[iy + 1, ix + 1])
+
+
+def _reference_sampler(u):
+    """A GridField's point sample by reference_sample, or the callable."""
+    if isinstance(u, GridField):
+        return lambda x, y: reference_sample(u, x, y)
+    return u
+
+
+# reference_local_ray_fit and reference_prescribe_singular are the
+# point-by-point ray fit and jet construction, sampling a GridField through
+# reference_sample; local_ray_fit and prescribe_singular must reproduce them
+# bit for bit
+
+def reference_local_ray_fit(u, x0, radius):
+    """Fit r^l (a sin l*omega + b cos l*omega) on circles around x0.
+
+    u is a GridField or a callable (x, y) -> value.  Returns
+    (l, rayAngles, residual): the order minimizing the relative residual,
+    the 2l equiangular zero angles of the fitted trigonometric polynomial,
+    and the residual itself."""
+    sample = _reference_sampler(u)
+    radii = [0.5 * radius, 0.75 * radius, radius]
+    omegas = np.arange(RAY_FIT_ANGLES) * (2 * math.pi / RAY_FIT_ANGLES)
+    pts, vals = [], []
+    for r in radii:
+        for w in omegas:
+            pts.append((r, w))
+            vals.append(sample(x0[0] + r * math.cos(w), x0[1] + r * math.sin(w)))
+    vals = np.array(vals)
+    norm = np.linalg.norm(vals)
+    if norm == 0:
+        raise NoFit("field vanishes on the sampling circles")
+    best = None
+    for ell in range(1, RAY_FIT_LMAX + 1):
+        cols = np.empty((len(pts), 2))
+        for i, (r, w) in enumerate(pts):
+            rl = r ** ell
+            cols[i, 0] = rl * math.sin(ell * w)
+            cols[i, 1] = rl * math.cos(ell * w)
+        coef, _, _, _ = np.linalg.lstsq(cols, vals, rcond=None)
+        resid = np.linalg.norm(cols @ coef - vals) / norm
+        if best is None or resid < best[2]:
+            best = (ell, coef, resid)
+    ell, (a, bcoef), resid = best
+    if resid > RAY_FIT_THRESHOLD:
+        raise NoFit("best relative residual %.3g above threshold" % resid)
+    # zeros of a sin(l w) + b cos(l w): l*w = -atan2(b, a) + j*pi
+    base = -math.atan2(bcoef, a)
+    two_pi = 2 * math.pi
+    angles = []
+    for j in range(2 * ell):
+        w = ((base + j * math.pi) / ell) % two_pi
+        if two_pi - w < 1e-9:
+            w = 0.0
+        angles.append(w)
+    angles.sort()
+    return ell, angles, resid
+
+
+def _reference_central_difference(g, k, h):
+    """k-th derivative of g(t) at t = 0 by k iterated central differences
+    over the 2k + 1 samples g(-kh), ..., g(kh)."""
+    arr = np.array([g(i * h) for i in range(-k, k + 1)], float)
+    for _ in range(k):
+        arr = (arr[2:] - arr[:-2]) / (2 * h)
+    return float(arr[0])
+
+
+def _reference_jet_rows_interior(fn, site, order, h):
+    """Central-difference partial derivatives d^(i+j)/dx^i dy^j for
+    i + j < order at the site: differenced in x, then in y."""
+    x0, y0 = site
+    return [_reference_central_difference(
+                lambda t: _reference_central_difference(
+                    lambda s: fn(x0 + s, y0 + t), i, h), total - i, h)
+            for total in range(order) for i in range(total + 1)]
+
+
+def reference_prescribe_singular(basis, site, target_order, boundary=None,
+                                 h=None):
+    """Unit coefficient vector whose combination vanishes to the requested
+    order at the site (interior) or suppresses the boundary data (boundary).
+
+    basis: list of GridFields or callables.  For an interior site the
+    constraints are all discrete partial derivatives of total order
+    < target_order.  For a boundary site, pass boundary=(outward normal,
+    tangent); constraints are the one-sided normal trace and its tangential
+    derivatives of order < target_order.  Raises InfeasibleOrder when fewer
+    than 2 basis fields are given or the constraint matrix has no null
+    space."""
+    m = len(basis)
+    if m < 2:
+        raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
+    fns = [_reference_sampler(f) for f in basis]
+    if h is None:
+        h = basis[0].h if isinstance(basis[0], GridField) else 1e-3
+    rows = []
+    if boundary is None:
+        q = target_order * (target_order + 1) // 2
+        if q > m - 1:
+            raise InfeasibleOrder(
+                "order %d needs %d constraints, only %d basis fields"
+                % (target_order, q, m))
+        for fn in fns:
+            rows.append(_reference_jet_rows_interior(fn, site, target_order,
+                                                     h))
+    else:
+        nrm, tangent = boundary
+        if target_order > m - 1:
+            raise InfeasibleOrder("order beyond the guaranteed range")
+
+        def breve(fn):
+            # one-sided inward normal sample (proportional to the normal
+            # derivative under Dirichlet conditions; a trace otherwise)
+            def g(t):
+                x = site[0] + t * tangent[0] - h * nrm[0]
+                y = site[1] + t * tangent[1] - h * nrm[1]
+                return fn(x, y)
+            return g
+        for fn in fns:
+            rows.append([_reference_central_difference(breve(fn), k, h)
+                         for k in range(target_order)])
+    J = np.array(rows, float).T   # constraints x basis
+    scale = max(np.abs(J).max(), 1e-300)
+    _, s, Vt = np.linalg.svd(J)
+    if J.shape[0] >= m and s[-1] > PRESCRIBE_REL_TOL * max(s[0], scale):
+        raise InfeasibleOrder("constraint matrix has full rank "
+                              "(smallest singular value %.3g)" % s[-1])
+    c = Vt[-1]
+    c = c / np.linalg.norm(c)
+    resid = np.linalg.norm(J @ c) / scale
+    if resid > PRESCRIBE_REL_TOL:
+        raise InfeasibleOrder("suppressed jet residual %.3g above %.3g"
+                              % (resid, PRESCRIBE_REL_TOL))
+    return c, resid
 
 
 def reference_kappa(values, mask):

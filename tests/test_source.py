@@ -86,3 +86,19 @@ def test_cli_writes_stdout_only_through_emit():
             if "file=sys.stderr" not in map(ast.unparse, node.keywords)] == []
     assert _call_sites(lambda f: f == "sys.stdout.write") == [
         ("cli.py", "_emit", "sys.stdout.write")]
+
+
+def test_user_callables_called_only_in_sampler():
+    # fields are evaluated on point arrays: a user callable is called at
+    # points only through _sampler's one np.frompyfunc, and every jet
+    # derivative comes from one difference stencil (_derivatives)
+    assert all("np.vectorize" not in path.read_text()
+               for path in SRC.glob("*.py"))
+    assert _call_sites(lambda f: f.endswith("frompyfunc")) == [
+        ("spectral.py", "_sampler", "np.frompyfunc")]
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    assert "_derivatives" in names
+    assert names.isdisjoint({"_central_difference", "_jet_rows_interior",
+                             "breve"})

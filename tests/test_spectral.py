@@ -634,6 +634,107 @@ def test_prescribe_infeasible():
         prescribe_singular([b1], (0, 0), 0, h=1e-3)
 
 
+def test_prescribe_order_below_one():
+    b1 = lambda x, y: x
+    b2 = lambda x, y: y
+    for order in (0, -1):
+        for boundary in (None, ((1, 0), (0, 1))):
+            with pytest.raises(InfeasibleOrder, match="order must be >= 1"):
+                prescribe_singular([b1, b2], (0.5, 0.5), order,
+                                   boundary=boundary, h=1e-3)
+
+
+@pytest.mark.parametrize("x0, radius", [
+    ((0, 0), -0.1), ((0, 0), 0.0), ((0, 0), math.nan), ((0, 0), math.inf),
+    ((math.nan, 0), 0.1), ((0, -math.inf), 0.1)])
+def test_ray_fit_needs_finite_positive_radius_and_centre(x0, radius):
+    with pytest.raises(NoFit, match="finite positive radius"):
+        local_ray_fit(lambda x, y: x * y, x0, radius)
+
+
+def test_grid_field_sample_on_arrays():
+    p = EigenProblem(Disk(0.5), 1 / 16)
+    f = sample_field(p, lambda x, y: math.cos(3 * x) * (y - 0.1))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-0.7, 0.7, (2, 7, 9))
+    got = f.sample(x, y)
+    assert got.shape == (7, 9)
+    assert [v.hex() for v in got.ravel().tolist()] == [
+        float(helpers.reference_sample(f, a, b)).hex()
+        for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    assert f.sample(0.1, -0.2) == helpers.reference_sample(f, 0.1, -0.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            f.sample(np.array([0.0, bad]), np.zeros(2))
+
+
+def test_sample_field_reads_values_as_floats():
+    # the first value an int must not make every value an int
+    p = EigenProblem(Rectangle(1, 1), 1 / 8)
+    for fn in (lambda x, y: 1 if x < 0.5 else -0.5,
+               lambda x, y: 0 if x < 0.1 else x - 0.5):
+        x = (np.arange(8) + 0.5) / 8
+        expect = [float(fn(v, 0.0)) for v in x.tolist()]
+        assert sample_field(p, fn).values[0].tolist() == expect
+
+
+def _bits(obj):
+    """Exact, comparable bits of a result: floats by hex, arrays by bytes."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (tuple, list)):
+        return tuple(_bits(o) for o in obj)
+    if isinstance(obj, float):
+        return (type(obj).__name__, obj.hex())
+    return (type(obj).__name__, obj)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return _bits(fn(*args, **kwargs))
+    except (NoFit, InfeasibleOrder) as exc:
+        return type(exc).__name__
+
+
+def test_local_analysis_matches_reference():
+    # ray fits and prescribed singular combinations on callables and on the
+    # GridFields of a solved square, against the point-by-point originals
+    def harmonic(ell):
+        return lambda x, y: (math.hypot(x, y) ** ell
+                             * math.sin(ell * math.atan2(y, x)))
+    callables = [lambda x, y: x * y, lambda x, y: x ** 3 - 3 * x * y ** 2,
+                 lambda x, y: 1.0] + [harmonic(ell) for ell in (1, 4, 5)]
+    p = EigenProblem(Rectangle(1, 1), 1 / 32)
+    fields = [solve_eigen(assemble_operator(p), 6).field(k)
+              for k in range(1, 7)]
+    cases = [(u, x0, r) for u in callables
+             for x0, r in (((0, 0), 0.1), ((0.01, -0.02), 0.05))]
+    cases += [(u, x0, r) for u in fields
+              for x0, r in (((0.5, 0.5), 0.1), ((0.5, 0.25), 0.1),
+                            ((1 / 3, 0.5), 0.07))]
+    fits = [_outcome(local_ray_fit, *case) for case in cases]
+    assert fits == [_outcome(helpers.reference_local_ray_fit, *case)
+                    for case in cases]
+    assert sum(type(fit) is tuple for fit in fits) >= 10
+    b = [lambda x, y: math.sin(2 * math.pi * x) * math.sin(math.pi * y),
+         lambda x, y: math.sin(math.pi * x) * math.sin(2 * math.pi * y),
+         lambda x, y: math.sin(3 * math.pi * x) * math.sin(math.pi * y),
+         lambda x, y: math.sin(3 * math.pi * x) * math.sin(2 * math.pi * y)]
+    edge = ((1, 0), (0, 1))
+    calls = [(basis, site, order, None, h)
+             for basis, site, h in ((b, (0.3, 0.45), 1e-4),
+                                    (fields, (0.61, 0.37), None))
+             for order in (1, 2)]
+    calls += [(basis, site, order, edge, h)
+              for basis, site, h in ((b, (1.0, 0.3), 1e-3),
+                                     (fields, (1.0, 0.41), None))
+              for order in (1, 2, 3, 4)]
+    got = [_outcome(prescribe_singular, *call) for call in calls]
+    assert got == [_outcome(helpers.reference_prescribe_singular, *call)
+                   for call in calls]
+    assert sum(type(out) is tuple for out in got) >= 10
+
+
 def test_verify_laws_square():
     p = EigenProblem(Rectangle(1, 1), 1 / 32)
     sol = solve_eigen(assemble_operator(p), 6)
@@ -759,6 +860,19 @@ def test_problem_json_round_trip():
     m = EigenProblem(MaskedGrid(tuple(map(tuple, bitmap))), 1 / 8).to_json()
     assert m["domain"]["bitmap"] == bitmap
     assert EigenProblem.from_json(m).to_json() == m
+
+
+def test_potential_source_round_trip():
+    # a potential built in Python keeps its source through problem and
+    # solution files, as one read from a file does
+    for expr in ("3*(x*x+y*y)", 2.5):
+        p = EigenProblem(Disk(0.5), 1 / 16, potential=parse_potential(expr))
+        assert p.to_json()["V"] == expr
+        q = EigenProblem.from_json(json.loads(json.dumps(p.to_json())))
+        assert q.to_json() == p.to_json()
+        sol = solve_eigen(assemble_operator(p), 2)
+        assert sol.to_json()["problem"] == p.to_json()
+    assert parse_potential(0) is None
 
 
 @pytest.mark.parametrize("removed, corner", [
