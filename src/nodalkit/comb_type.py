@@ -11,9 +11,11 @@ forth (each map determines the other).
 A *boundary type* is the analogue at a boundary singular point of index
 2k-3: rays 1..2k-3 on a half-circle, one of them (the odd position `a`) is an
 arc going off to the boundary, the remaining rays pair up within the two
-blocks K+ = {1..a-1} and K- = {a+1..2k-3}.  From a boundary type we build the
-interval words m_theta, m^(0), m^(pi) whose first-repeat positions drive the
-rotating-function argument.
+blocks K+ = {1..a-1} and K- = {a+1..2k-3}.  With the arrow as ray 0 it is a
+non-crossing perfect matching of the rays 0..2k-3 (the arrow's loop (0, a)
+forces a odd, K+ inside it and K- after it), checked and labeled as one.
+From it we build the interval words m_theta, m^(0), m^(pi) whose
+first-repeat positions drive the rotating-function argument.
 
 Both enumerations read one table: the tau tuples of all non-crossing
 matchings of a block of rays, built bottom-up from a Catalan table in
@@ -22,10 +24,11 @@ ray 0).  The shift census compares those tuples and builds a type only for
 a hit.
 
 Every InteriorType, BoundaryType, DomainLabeling and Word is validated
-once, when it is constructed (InvalidType, or InconsistentLabeling for a
+once, in its constructor (InvalidType, or InconsistentLabeling for a
 labeling), so any such object that exists is valid and the functions here
-take it as it is.  Both validators, the labeling sweeps and their inverse
-scan the rays once with a stack of open loops.
+take it as it is.  Both type kinds run one matching check and one labeling
+sweep; the check, the sweep and its inverse scan the rays once with a stack
+of open loops.
 
 Indexing: an interior type's rays and intervals are 0..2p-1; a boundary
 type's rays are 1..2k-3 (matching the half-circle picture), with the arrow
@@ -62,47 +65,43 @@ class InteriorType:
     tau: tuple  # tau[j] = image of ray j, length 2p
 
     def __post_init__(self):
-        _raise_if(validate_interior(self))
+        if self.p < 1 or len(self.tau) != 2 * self.p:
+            raise InvalidType("tau must have length 2p >= 2, got p=%r and %d "
+                              "rays" % (self.p, len(self.tau)))
+        _raise_if(_matching_problems(self.tau))
 
 
-def _matching_problems(tau, lo, hi, name):
+def _matching_problems(tau):
     """Faults of tau as a fixed-point-free non-crossing involution of the
-    rays lo..hi (empty = valid).
+    rays 0..len(tau)-1 (empty = valid).
 
     One pass with a stack of the open rays, those whose partner comes later:
     a ray whose partner comes earlier closes the loop on top of the stack,
     or else crosses that loop.  A valid matching has odd differences, since
     each loop encloses whole loops.
     """
+    n = len(tau)
     problems = []
     stack = []
-    for j in range(lo, hi + 1):
+    for j in range(n):
         t = tau[j]
-        if not lo <= t <= hi:
-            problems.append("%s: ray %d pairs with %s, outside rays %d..%d"
-                            % (name, j, t, lo, hi))
+        if not 0 <= t < n:
+            problems.append("ray %d pairs with %s, outside rays 0..%d"
+                            % (j, t, n - 1))
         elif t == j:
-            problems.append("%s: fixed point at ray %d" % (name, j))
+            problems.append("fixed point at ray %d" % j)
         elif tau[t] != j:
-            problems.append("%s: not an involution at ray %d" % (name, j))
+            problems.append("not an involution at ray %d" % j)
         elif j < t:
             stack.append(j)
         elif stack[-1] == t:
             stack.pop()
         else:
             s = stack[-1]
-            problems.append("%s: crossing pairs (%d,%d) and (%d,%d)"
-                            % (name, t, j, s, tau[s]))
+            problems.append("crossing pairs (%d,%d) and (%d,%d)"
+                            % (t, j, s, tau[s]))
             stack.remove(t)
     return problems
-
-
-def validate_interior(t: InteriorType):
-    """Return a list of violated-invariant descriptions (empty = valid)."""
-    if t.p < 1 or len(t.tau) != 2 * t.p:
-        return ["tau must have length 2p >= 2, got p=%r and %d rays"
-                % (t.p, len(t.tau))]
-    return _matching_problems(t.tau, 0, 2 * t.p - 1, "tau")
 
 
 def _check_size(name, value, least):
@@ -161,35 +160,25 @@ class DomainLabeling:
     delta: tuple
 
     def __post_init__(self):
-        _raise_if(validate_labeling(self), InconsistentLabeling)
+        delta, n = self.delta, len(self.delta)
+        if n == 0 or n % 2:
+            raise InconsistentLabeling("delta length must be positive and even")
+        problems = ([] if sorted(set(delta)) == list(range(1, n // 2 + 2))
+                    else ["label set must be exactly 1..p+1"])
+        problems += ["equal labels on adjacent intervals %d,%d" % (j, (j + 1) % n)
+                     for j in range(n) if delta[j] == delta[(j + 1) % n]]
+        _raise_if(problems, InconsistentLabeling)
 
     @property
     def p(self) -> int:
         return len(self.delta) // 2
 
 
-def validate_labeling(d: DomainLabeling):
-    problems = []
-    n = len(d.delta)
-    if n == 0 or n % 2:
-        problems.append("delta length must be a positive even number")
-        return problems
-    p = n // 2
-    labels = sorted(set(d.delta))
-    if labels != list(range(1, p + 2)):
-        problems.append("label set must be exactly 1..p+1")
-    for j in range(n):
-        if d.delta[j] == d.delta[(j + 1) % n]:
-            problems.append("equal labels on adjacent intervals %d,%d" % (j, (j + 1) % n))
-    return problems
-
-
-def _innermost(tau, rays):
-    """After each ray in `rays`, in order, the opening ray of the innermost
-    loop still open (None outside every loop); `rays` must be closed under a
-    valid tau."""
+def _innermost(tau):
+    """After each ray of a valid tau, in order, the opening ray of the
+    innermost loop still open (None outside every loop)."""
     stack = []
-    for j in rays:
+    for j in range(len(tau)):
         if j < tau[j]:
             stack.append(j)
         else:
@@ -197,11 +186,10 @@ def _innermost(tau, rays):
         yield stack[-1] if stack else None
 
 
-def _first_encounter(keys, offset=0):
-    """Number the keys offset+1, offset+2, ... in order of first appearance."""
+def _first_encounter(keys):
+    """Number the keys 1, 2, ... in order of first appearance."""
     labels = {}
-    return tuple(labels.setdefault(key, offset + len(labels) + 1)
-                 for key in keys)
+    return tuple(labels.setdefault(key, len(labels) + 1) for key in keys)
 
 
 def labeling_from_type(t: InteriorType) -> DomainLabeling:
@@ -209,7 +197,7 @@ def labeling_from_type(t: InteriorType) -> DomainLabeling:
     its domain = the innermost loop enclosing it (or the outer domain); new
     labels are assigned in first-encounter order starting at 1.  Interval j
     follows ray j, so loop (a,b) encloses intervals a..b-1."""
-    return DomainLabeling(_first_encounter(_innermost(t.tau, range(2 * t.p))))
+    return DomainLabeling(_first_encounter(_innermost(t.tau)))
 
 
 def type_from_labeling(d: DomainLabeling) -> InteriorType:
@@ -282,16 +270,19 @@ def shift_invariant_types(p: int):
 class BoundaryType:
     """Involution on {arrow} + {1..2k-3}; position 0 stands for the arrow.
 
-    tau[0] = a pairs the arrow with the boundary-bound arc at the odd ray a;
-    the remaining rays pair up inside the blocks {1..a-1} and {a+1..2k-3},
-    each block non-crossing and fixed-point-free.  Validated once, when
-    constructed.
+    tau[0] = a pairs the arrow with the boundary-bound arc at the ray a;
+    the remaining rays pair up inside the blocks {1..a-1} and {a+1..2k-3}.
+    Validated once, when constructed, as a non-crossing perfect matching of
+    the rays 0..2k-3, which forces a odd and both blocks matched within.
     """
     k: int
     tau: tuple  # length 2k-2, index 0 = arrow
 
     def __post_init__(self):
-        _raise_if(validate_boundary(self))
+        if self.k < 3 or len(self.tau) != 2 * self.k - 2:
+            raise InvalidType("tau must have length 2k-2 >= 4, got k=%r and "
+                              "%d entries" % (self.k, len(self.tau)))
+        _raise_if(_matching_problems(self.tau))
 
     @property
     def a(self) -> int:
@@ -301,20 +292,6 @@ class BoundaryType:
     def a_plus(self) -> int:
         """(a-1)/2: number of loops on the + side."""
         return (self.a - 1) // 2
-
-
-def validate_boundary(t: BoundaryType):
-    """Return a list of violated-invariant descriptions (empty = valid)."""
-    n = 2 * t.k - 2  # arrow + 2k-3 rays
-    if t.k < 3 or len(t.tau) != n:
-        return ["tau must have length 2k-2 >= 4, got k=%r and %d entries"
-                % (t.k, len(t.tau))]
-    a = t.tau[0]
-    if a not in range(1, n, 2):
-        return ["arc position a=%s must be an odd ray in 1..%d" % (a, n - 1)]
-    problems = [] if t.tau[a] == 0 else ["tau must pair the arrow with ray a"]
-    return (problems + _matching_problems(t.tau, 1, a - 1, "K+")
-            + _matching_problems(t.tau, a + 1, n - 1, "K-"))
 
 
 def enumerate_boundary(k: int):
@@ -339,7 +316,9 @@ class Word:
     letters: tuple
 
     def __post_init__(self):
-        _raise_if(validate_word(self))
+        _raise_if(["word %s: equal adjacent letters at %d" % (self, i)
+                   for i in range(len(self.letters) - 1)
+                   if self.letters[i] == self.letters[i + 1]])
 
     def __str__(self):
         return "".join(str(c) for c in self.letters)
@@ -348,30 +327,18 @@ class Word:
         return len(self.letters)
 
 
-def validate_word(w: Word):
-    problems = []
-    for i in range(len(w.letters) - 1):
-        if w.letters[i] == w.letters[i + 1]:
-            problems.append("word %s: equal adjacent letters at %d" % (w, i))
-    return problems
-
-
 def boundary_words(t: BoundaryType):
     """(m_theta, m_zero, m_pi) for a boundary type.
 
     m_theta labels the 2k-2 intervals along the half-circle: intervals 1..a on
     the + side of the arc (labels 1..a_plus+1), intervals a+1..2k-2 on the -
-    side (labels a_plus+2..k).  m_zero prepends the first - label (the arc has
-    closed into a loop on the - side); m_pi appends the label 1.  Interval j
-    precedes ray j, so each block starts with the interval outside all its
-    loops and loop (u,v) encloses intervals u+1..v.
+    side (labels a_plus+2..k).  Interval j follows ray j-1 (the arrow is ray
+    0), so m_theta is the matching's domain labeling, labeling_from_type's
+    sweep: the arrow's loop is the + side's outer domain.  m_zero prepends
+    the first - label (the arc has closed into a loop on the - side); m_pi
+    appends the label 1.
     """
-    n = 2 * t.k - 2
-    a = t.a
-    plus = _first_encounter([None, *_innermost(t.tau, range(1, a))])
-    minus = _first_encounter([None, *_innermost(t.tau, range(a + 1, n))],
-                             t.a_plus + 1)
-    m_theta = Word(plus + minus)
+    m_theta = Word(_first_encounter(_innermost(t.tau)))
     m_zero = Word((t.a_plus + 2,) + m_theta.letters)
     m_pi = Word(m_theta.letters + (1,))
     return m_theta, m_zero, m_pi

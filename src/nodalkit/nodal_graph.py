@@ -7,7 +7,8 @@ singular-point-free circle.  Closed-form counts:
     alpha0 = e + |S_i| + |S_b|
     alpha1 = e + (sum nu + sum rho)/2 + |S_b|
 
-with e = number of circle components, so alpha1 - alpha0 = sigma.
+with e = number of circle components (components without a singular
+point, the partition stats' `circles`), so alpha1 - alpha0 = sigma.
 simplify_to_graph removes loops (2 added vertices, 3 edges) and parallel
 edges (1 added vertex each) without changing alpha1 - alpha0, the component
 count c, or the region count r.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 from .errors import MalformedEmbedding
 from .partition import (ADDED, BOUNDARY, CIRCLE, INTERIOR, EmbeddedPartition,
-                        PartitionBuilder, _components, dart, partition_stats)
+                        PartitionBuilder, dart, partition_stats)
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,6 @@ class MultigraphCounts:
                 "c": self.c, "r": self.r}
 
 
-def _circle_components(p: EmbeddedPartition):
-    """Components all of whose vertices are markers / added (i.e. circles)."""
-    _, labels = _components(p)
-    singular = {labels[v.id] for v in p.vertices if v.kind in (INTERIOR, BOUNDARY)}
-    return len(set(labels) - singular)
-
-
 def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
     """Counts computed directly and from the closed formulas; both must agree.
 
@@ -55,7 +49,7 @@ def build_multigraph(p: EmbeddedPartition) -> MultigraphCounts:
     if any(v.kind == CIRCLE and len(p.rotation[v.id]) != 2 for v in p.vertices):
         raise MalformedEmbedding("circle markers must have degree 2")
     st = partition_stats(p)
-    e = _circle_components(p)
+    e = st.circles
     s_i = [v for v in p.vertices if v.kind == INTERIOR]
     s_b = [v for v in p.vertices if v.kind == BOUNDARY]
     alpha0_formula = e + len(s_i) + len(s_b)
@@ -140,6 +134,6 @@ def simplify_to_graph(p: EmbeddedPartition):
             or st_after.kappa != st_before.kappa):
         raise MalformedEmbedding("(c, r) not preserved by simplification")
     counts = MultigraphCounts(len(out.vertices), out.n_edges,
-                              _circle_components(out), st_after.components,
+                              st_after.circles, st_after.components,
                               st_after.kappa)
     return out, counts

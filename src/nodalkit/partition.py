@@ -448,6 +448,7 @@ class PartitionStats:
     regions: int
     defect: int
     locally_disconnected: tuple     # vertex ids that `normalize` blows up
+    circles: int                    # components without a singular vertex
 
     @property
     def sigma(self) -> Fraction:
@@ -470,7 +471,7 @@ def partition_stats(p: EmbeddedPartition) -> PartitionStats:
 def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
     faces = trace_faces(p)
     F = len(faces)
-    c, _ = _components(p)
+    c, labels = _components(p)
     # Euler characteristic of the cellular completion: the c components are
     # joined into one surface by c - 1 connected sums
     chi = len(p.vertices) - p.n_edges + F - 2 * (c - 1)
@@ -497,7 +498,9 @@ def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
         raise MalformedEmbedding("computed kappa %d < 1" % kappa)
     return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
                           F, c, regions, defect,
-                          _locally_disconnected(p, faces))
+                          _locally_disconnected(p, faces),
+                          c - len({labels[v.id] for v in p.vertices
+                                   if v.kind in (INTERIOR, BOUNDARY)}))
 
 
 def _locally_disconnected(p: EmbeddedPartition, faces):

@@ -414,11 +414,34 @@ class EigenProblem:
 @dataclass
 class GridField:
     """Cell-centered scalar field: values[iy, ix] at
-    (origin + (ix+1/2)h, origin + (iy+1/2)h); mask marks cells in the domain."""
+    (origin + (ix+1/2)h, origin + (iy+1/2)h); mask marks cells in the domain.
+
+    Checked when constructed: InvalidProblem unless values is a 2-D array,
+    mask a boolean array of its shape that does not pinch (_check_pinch),
+    origin two finite numbers and h finite and positive."""
     values: np.ndarray
     mask: np.ndarray
     origin: tuple
     h: float
+
+    def __post_init__(self):
+        values, mask = self.values, self.mask
+        if not (isinstance(values, np.ndarray) and values.ndim == 2):
+            raise InvalidProblem("field values must be a 2-D array")
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == values.shape):
+            raise InvalidProblem("field mask must be a boolean array of the "
+                                 "values' shape %s" % (values.shape,))
+        try:
+            ok = (len(self.origin) == 2 and all(map(math.isfinite, self.origin))
+                  and 0 < self.h < math.inf)
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidProblem("field origin must be two finite numbers and "
+                                 "h finite and positive, got %r and %r"
+                                 % (self.origin, self.h))
+        _check_pinch(mask)
 
     def sample(self, x, y):
         """Bilinear interpolation between cell centers, element for element
@@ -677,9 +700,8 @@ class NodalExtract:
 def _boundary_cycles(mask):
     """Boundary of the cell mask as cyclic corner sequences (one per boundary
     component), each traced with the domain kept on the left (outer boundary
-    counter-clockwise, hole boundaries clockwise).  Raises InvalidProblem
-    where the mask pinches (see _check_pinch)."""
-    _check_pinch(mask)
+    counter-clockwise, hole boundaries clockwise).  The mask must not pinch,
+    as a GridField's is checked when constructed (see _check_pinch)."""
     ny, nx = mask.shape
 
     def inside(c):
@@ -931,22 +953,27 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     discrete partial derivatives of total order < q = target_order.  For a
     boundary site, pass boundary=(outward normal, tangent); constraints are
     the one-sided normal trace and its tangential derivatives of order < q.
-    Raises InfeasibleOrder when fewer than 2 basis fields are given, q < 1,
-    the constraints (q(q + 1)/2 interior, q boundary) are not fewer than
-    the basis fields, or the suppressed jet's residual is above
-    PRESCRIBE_REL_TOL."""
+    Raises InfeasibleOrder when fewer than 2 basis fields are given, q is
+    not an integer >= 1 (a numpy integer counts, a bool does not), the
+    constraints (q(q + 1)/2 interior, q boundary) are not fewer than the
+    basis fields, h is not finite and positive, or the suppressed jet's
+    residual is above PRESCRIBE_REL_TOL."""
     m = len(basis)
     if m < 2:
         raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
     q = target_order
-    if not q >= 1:
-        raise InfeasibleOrder("target order must be >= 1, got %r" % (q,))
+    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
+        raise InfeasibleOrder("target order must be >= 1 and an integer, got "
+                              "%r" % (q,))
     count = q * (q + 1) // 2 if boundary is None else q
     if count >= m:
         raise InfeasibleOrder("order %d needs %d constraints, only %d basis "
                               "fields" % (q, count, m))
     if h is None:
         h = basis[0].h if isinstance(basis[0], GridField) else 1e-3
+    if not 0 < h < math.inf:
+        raise InfeasibleOrder("step h must be finite and positive, got %r"
+                              % (h,))
     t = np.arange(1 - q, q) * h
     if boundary is None:
         x, y = site[0] + t, site[1] + t[:, None]

@@ -47,7 +47,7 @@ from nodalkit.bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from nodalkit.partition import (_KINDS, BOUNDARY, INTERIOR, EmbeddedPartition,
                                 FaceWalk, PartitionBuilder, PartitionStats,
                                 PartitionVertex, _blow_up_boundary,
-                                _blow_up_interior, _components,
+                                _blow_up_interior,
                                 check_boundary_parity, dart, trace_faces,
                                 verify_euler)
 from nodalkit.spectral import (COMBO_BLOCK, DIRICHLET, FK_REL_TOL, NEUMANN,
@@ -326,6 +326,21 @@ def reference_boundary_taus(k):
             for m_minus in _reference_noncrossing_matchings(list(range(a + 1, n))):
                 out.append(_reference_tau(n, ((0, a),) + m_plus + m_minus))
     return sorted(out)
+
+
+def reference_m_theta(tau):
+    """m_theta of a boundary type, interval by interval.  Interval j
+    (1..2k-2) lies between rays j-1 and j, the arrow as ray 0; its domain is
+    the loop (u, v) of least span with u < j <= v, or the outside of every
+    loop.  The letters number those domains in order of first appearance."""
+    loops = [(u, v) for u, v in enumerate(tau) if u < v]
+    seen = {}
+    letters = []
+    for j in range(1, len(tau) + 1):
+        spans = [(v - u, u) for u, v in loops if u < j <= v]
+        letters.append(seen.setdefault(min(spans, default=None),
+                                       len(seen) + 1))
+    return tuple(letters)
 
 
 def reference_shift_invariant_taus(p):
@@ -1200,12 +1215,37 @@ def _reference_hole_faces(p: EmbeddedPartition, faces):
     return holes
 
 
+def _reference_components(p):
+    """(components, components without an interior or boundary singular
+    vertex), by a breadth-first search from each unseen vertex."""
+    nbrs = [[] for _ in p.vertices]
+    for u, v in p.edge_ends:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = set()
+    count = circles = 0
+    for s in range(len(p.vertices)):
+        if s in seen:
+            continue
+        seen.add(s)
+        queue = [s]
+        for x in queue:
+            for y in nbrs[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        count += 1
+        circles += all(p.vertices[x].kind not in (INTERIOR, BOUNDARY)
+                       for x in queue)
+    return count, circles
+
+
 def reference_partition_stats(p):
     """PartitionStats traced afresh on every call, kept on nothing; the
     cached `partition_stats` must give equal stats."""
     faces = trace_faces(p)
     F = len(faces)
-    c, _ = _components(p)
+    c, circles = _reference_components(p)
     chi = len(p.vertices) - p.n_edges + F - 2 * (c - 1)
     defect = chi - p.surface.closed_model_euler()
 
@@ -1228,7 +1268,7 @@ def reference_partition_stats(p):
         raise MalformedEmbedding("computed kappa %d < 1" % kappa)
     return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
                           F, c, regions, defect,
-                          reference_locally_disconnected(p, faces))
+                          reference_locally_disconnected(p, faces), circles)
 
 
 def reference_locally_disconnected(p, faces):

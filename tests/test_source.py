@@ -102,3 +102,38 @@ def test_user_callables_called_only_in_sampler():
     assert "_derivatives" in names
     assert names.isdisjoint({"_central_difference", "_jet_rows_interior",
                              "breve"})
+
+
+def test_one_matching_check_and_one_labeling_sweep():
+    # a boundary type is a non-crossing matching with the arrow as ray 0:
+    # each type kind's constructor runs the one matching check over all of
+    # its rays, and m_theta is the labeling sweep labeling_from_type runs
+    tree = ast.parse((SRC / "comb_type.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("validate_")] == []
+    checks = [(cls.name, f.name) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) for f in cls.body
+              if isinstance(f, ast.FunctionDef) for node in ast.walk(f)
+              if isinstance(node, ast.Call)
+              and ast.unparse(node) == "_matching_problems(self.tau)"]
+    assert sorted(checks) == [("BoundaryType", "__post_init__"),
+                              ("InteriorType", "__post_init__")]
+    assert len(_call_sites(lambda f: f == "_matching_problems")) == 2
+    sweeps = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and "_innermost" in ast.unparse(node.func)]
+    assert sweeps == ["_innermost(t.tau)"] * 2
+    assert sorted(site[1] for site in _call_sites(
+        lambda f: f == "_first_encounter")
+        if site[1] != "canonical_word") == ["boundary_words",
+                                            "labeling_from_type"]
+    assert (SRC / "comb_type.py").read_text().count(
+        "_first_encounter(_innermost(t.tau))") == 2
+
+
+def test_nodal_graph_imports_no_private_partition_name():
+    # the circle count comes with the partition's stats, so nodal_graph
+    # needs none of partition's internals
+    assert [name for path, name in _imported_names("partition")
+            if path == "nodal_graph.py" and name.startswith("_")] == []

@@ -632,6 +632,19 @@ def test_prescribe_infeasible():
         prescribe_singular([b1, b2], (0, 0), 3, h=1e-3)
     with pytest.raises(InfeasibleOrder, match="at least 2 basis fields"):
         prescribe_singular([b1], (0, 0), 0, h=1e-3)
+    # a bad step or a fractional order fails with InfeasibleOrder, not
+    # inside the SVD or the jet indexing
+    basis = [lambda x, y: x, lambda x, y: y, lambda x, y: x * y,
+             lambda x, y: 1.0]
+    for h in (math.nan, 0.0, -1e-3, math.inf):
+        with pytest.raises(InfeasibleOrder, match="finite and positive"):
+            prescribe_singular(basis, (0.3, 0.2), 2, h=h)
+    for order in (1.5, 2.0, True):
+        with pytest.raises(InfeasibleOrder, match="an integer"):
+            prescribe_singular(basis, (0.3, 0.2), order, h=1e-3)
+    c, _ = prescribe_singular(basis, (0.3, 0.2), np.int64(2), h=1e-3)
+    assert np.array_equal(c, prescribe_singular(basis, (0.3, 0.2), 2,
+                                                h=1e-3)[0])
 
 
 def test_prescribe_order_below_one():
@@ -888,14 +901,53 @@ def test_pinched_mask_rejected(removed, corner):
         bitmap[iy][ix] = 0
     with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
         assemble_operator(EigenProblem(MaskedGrid(bitmap), 1 / 8))
-    # a field built directly never passes that check; extraction meets the
-    # pinch in the boundary walk
+    # a field built directly meets the same check when it is constructed
     h = 1 / 6
     X, Y = np.meshgrid((np.arange(6) + 0.5) * h, (np.arange(6) + 0.5) * h)
-    field = GridField(np.sin(np.pi * X) * np.sin(2 * np.pi * Y),
-                      np.array(bitmap, bool), (0.0, 0.0), h)
     with pytest.raises(InvalidProblem, match=r"corner \(%d, %d\)" % corner):
-        extract_nodal(field)
+        GridField(np.sin(np.pi * X) * np.sin(2 * np.pi * Y),
+                  np.array(bitmap, bool), (0.0, 0.0), h)
+
+
+def _field_8x8():
+    """sin(2 pi x) sin(pi y) at the cell centres of the unit square,
+    h = 1/8: two nodal domains on a full boolean mask."""
+    c = (np.arange(8) + 0.5) / 8
+    X, Y = np.meshgrid(c, c)
+    return np.sin(2 * np.pi * X) * np.sin(np.pi * Y), np.ones((8, 8), bool)
+
+
+def test_grid_field_needs_boolean_mask():
+    # ~ on an int mask is a bitwise not, so an int 0/1 mask marks every
+    # cell as outside it as well as inside; it is refused, not extracted
+    values, mask = _field_8x8()
+    good = GridField(values, mask, (0.0, 0.0), 1 / 8)
+    assert extract_nodal(good).domain_count == 2
+    for bad in (mask.astype(int), mask.astype(float), mask.tolist()):
+        with pytest.raises(InvalidProblem, match="boolean array"):
+            GridField(values, bad, (0.0, 0.0), 1 / 8)
+
+
+def test_grid_field_needs_finite_positive_step_and_origin():
+    # the step and origin place every extracted point, so a step that is
+    # not finite and positive, or a non-finite origin, is refused
+    values, mask = _field_8x8()
+    for origin, h in (((0.0, 0.0), math.nan), ((0.0, 0.0), 0.0),
+                      ((0.0, 0.0), -1 / 8), ((0.0, 0.0), math.inf),
+                      ((math.nan, 0.0), 1 / 8), ((0.0, -math.inf), 1 / 8),
+                      ((0.0,), 1 / 8), ((0.0, 0.0), "1/8")):
+        with pytest.raises(InvalidProblem, match="finite and positive"):
+            GridField(values, mask, origin, h)
+
+
+def test_grid_field_mask_and_values_shapes():
+    # the mask covers exactly the grid of values
+    values, mask = _field_8x8()
+    with pytest.raises(InvalidProblem, match=r"values' shape \(8, 8\)"):
+        GridField(values, np.ones((9, 9), bool), (0.0, 0.0), 1 / 8)
+    for bad in (values[0], values[None], values.tolist()):
+        with pytest.raises(InvalidProblem, match="2-D array"):
+            GridField(bad, mask, (0.0, 0.0), 1 / 8)
 
 
 def test_grid_checked_at_construction():
