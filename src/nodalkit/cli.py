@@ -22,7 +22,8 @@ file is loaded with its stats, so one whose boundary cycle bounds no face
 exits 2 too.  `solve` assembles its problem's operator.  `nodal report`
 and `plot` read the solution's grid (sites, mask, origin) and evaluate its
 potential, but they only map vectors to grid cells, so they never build
-the matrix.
+the matrix.  A solution whose mask is in more than one piece solves, but
+its extraction raises InvalidProblem, and they exit 2.
 The argument parser is built once per process; a command group without a
 subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
 Input files are parsed by orjson, whose correctly rounded decimal reader
@@ -50,7 +51,7 @@ from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
                         enumerate_interior, labeling_from_type, parse_tau_text,
                         rotating_limit_check, shift_invariant_types)
-from .errors import NodalkitError
+from .errors import InvalidProblem, NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
@@ -290,7 +291,10 @@ def _extract_for_index(args):
     if not 1 <= args.index <= len(sol.eigenvalues):
         raise InputError("index %d out of range 1..%d"
                          % (args.index, len(sol.eigenvalues)))
-    return sol, extract_nodal(sol.field(args.index))
+    try:
+        return sol, extract_nodal(sol.field(args.index))
+    except InvalidProblem as exc:   # a mask that extraction cannot walk
+        raise InputError("%s: %s" % (args.file, exc))
 
 
 def cmd_nodal_report(args):

@@ -14,14 +14,22 @@ cellular completion.
 
 Planar domains are modeled on the sphere with q+1 distinguished hole faces
 (one per boundary circle: a traced face whose walk uses only that circle's
-boundary edges); kappa = regions - holes.  The Moebius strip is modeled on
-the projective plane the same way.
+boundary edges), and the Moebius strip on the projective plane the same
+way.  On every surface
 
-For closed surfaces of genus >= 1 the embedding of a partition need not be
-cellular; a region with b boundary circles is traced as b faces.  We report
-kappa = regions - defect/2 where defect = chi(completion) - chi(model) counts
-the handles/cross-caps hidden inside regions; this is a lower bound for the
-true region count, which keeps the Euler inequality check conservative.
+    kappa = regions - b0 - max(0, defect) // 2,
+
+where b0 is the number of boundary circles (0 on a closed surface) and
+defect = chi(completion) - chi(model).  On closed surfaces of genus >= 1
+the embedding of a partition need not be cellular (a region with b boundary
+circles is traced as b faces), and the defect counts the handles and
+cross-caps hidden inside regions; the formula is then a lower bound for the
+true region count, which keeps the Euler inequality check conservative.  On
+the sphere, planar domains and the Moebius strip it is exact: each graph
+component's rotation system is a closed surface (chi <= 2), and c - 1
+connected sums join them, so chi(completion) <= 2.  The defect is then <= 0
+on the sphere's model and <= 1 on the projective plane, the floored term is
+0, and kappa = regions - b0.
 
 The orientability character omega is 1 iff the model surface is
 non-orientable and the defect is positive (a cross-cap hides inside some
@@ -53,7 +61,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import MalformedEmbedding
-from .surface import SurfaceSpec, euler_characteristic
+from .surface import SurfaceSpec
 
 INTERIOR = "InteriorSingular"   # interior singular point, index nu >= 3
 BOUNDARY = "BoundarySingular"   # boundary singular point, index rho >= 1
@@ -477,17 +485,12 @@ def _compute_stats(p: EmbeddedPartition) -> PartitionStats:
     chi = len(p.vertices) - p.n_edges + F - 2 * (c - 1)
     defect = chi - p.surface.closed_model_euler()
 
+    for ci, comp in enumerate(p.boundary_components):
+        if not any(f.edges.issubset(comp) for f in faces):
+            raise MalformedEmbedding("no hole face for boundary component %d" % ci)
     regions = F - (c - 1)
     b0 = p.surface.boundary_components
-    if b0:
-        for ci, comp in enumerate(p.boundary_components):
-            if not any(f.edges.issubset(comp) for f in faces):
-                raise MalformedEmbedding("no hole face for boundary component %d" % ci)
-        kappa = regions - b0
-    elif p.surface.param == 0 and p.surface.orientable:
-        kappa = regions
-    else:
-        kappa = regions - max(0, defect) // 2
+    kappa = regions - b0 - max(0, defect) // 2
     beta = c - b0
     sigma_i = sum((Fraction(v.nu - 2, 2) for v in p.vertices if v.kind == INTERIOR),
                   Fraction(0))
@@ -528,20 +531,16 @@ class EulerReport:
 
 
 def verify_euler(p: EmbeddedPartition) -> EulerReport:
-    """Sphere/planar: kappa = 1 + beta + sigma; Moebius: kappa = omega + beta
-    + sigma; other closed surfaces: kappa >= chi + sigma."""
-    st = partition_stats(p)
-    kind = p.surface.kind
-    if kind == "PlanarDomain" or (kind == "ClosedOrientable" and p.surface.param == 0):
-        predicted = 1 + st.beta + st.sigma
-        return EulerReport(p.surface, st, "equality", predicted, st.kappa,
+    """Sphere, planar domain, Moebius strip: kappa = chi - 1 + omega + beta
+    + sigma (chi of the closed model); else kappa >= chi + sigma."""
+    st, s = partition_stats(p), p.surface
+    chi = s.closed_model_euler()
+    if s.has_boundary or chi == 2:
+        predicted = chi - 1 + st.omega + st.beta + st.sigma
+        return EulerReport(s, st, "equality", predicted, st.kappa,
                            st.kappa == predicted)
-    if kind == "MoebiusStrip":
-        predicted = st.omega + st.beta + st.sigma
-        return EulerReport(p.surface, st, "equality", predicted, st.kappa,
-                           st.kappa == predicted)
-    predicted = euler_characteristic(p.surface) + st.sigma
-    return EulerReport(p.surface, st, "inequality", predicted, st.kappa,
+    predicted = chi + st.sigma
+    return EulerReport(s, st, "inequality", predicted, st.kappa,
                        st.kappa >= predicted)
 
 

@@ -209,6 +209,25 @@ def _check_pinch(mask):
                              % (ix, iy))
 
 
+def _integer(value, least, name, error=InvalidProblem):
+    """value as an int: an int or numpy integer (a bool is not one) at least
+    `least`, else `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise error("%s must be >= %d and an integer, got %r"
+                    % (name, least, value))
+    return int(value)
+
+
+def _placed(xy, step):
+    """Whether xy is two finite numbers and step is finite and positive."""
+    try:
+        return len(xy) == 2 and all(map(math.isfinite, xy)) \
+            and 0 < step < math.inf
+    except TypeError:
+        return False
+
+
 def _per_element(fn):
     """fn applied with Python floats to each element of its broadcast
     arguments: the bits of a scalar evaluation at every grid site."""
@@ -416,9 +435,10 @@ class GridField:
     """Cell-centered scalar field: values[iy, ix] at
     (origin + (ix+1/2)h, origin + (iy+1/2)h); mask marks cells in the domain.
 
-    Checked when constructed: InvalidProblem unless values is a 2-D array,
-    mask a boolean array of its shape that does not pinch (_check_pinch),
-    origin two finite numbers and h finite and positive."""
+    Checked when constructed: InvalidProblem unless values is a 2-D array
+    of finite real numbers, mask a boolean array of its shape that does not
+    pinch (_check_pinch), origin two finite numbers and h finite and
+    positive."""
     values: np.ndarray
     mask: np.ndarray
     origin: tuple
@@ -426,18 +446,15 @@ class GridField:
 
     def __post_init__(self):
         values, mask = self.values, self.mask
-        if not (isinstance(values, np.ndarray) and values.ndim == 2):
-            raise InvalidProblem("field values must be a 2-D array")
+        if not (isinstance(values, np.ndarray) and values.ndim == 2
+                and values.dtype.kind in "iuf" and np.isfinite(values).all()):
+            raise InvalidProblem("field values must be a 2-D array of finite "
+                                 "real numbers")
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool
                 and mask.shape == values.shape):
             raise InvalidProblem("field mask must be a boolean array of the "
                                  "values' shape %s" % (values.shape,))
-        try:
-            ok = (len(self.origin) == 2 and all(map(math.isfinite, self.origin))
-                  and 0 < self.h < math.inf)
-        except TypeError:
-            ok = False
-        if not ok:
+        if not _placed(self.origin, self.h):
             raise InvalidProblem("field origin must be two finite numbers and "
                                  "h finite and positive, got %r and %r"
                                  % (self.origin, self.h))
@@ -488,8 +505,9 @@ class AssembledOperator:
     made: `layout` ("nodes" for the interior nodes of a Dirichlet rectangle,
     else "cells"), `sites` ((iy, ix) index arrays, row -> site on the grid),
     `origin` and the cell `mask`.  So is the potential at each site, so a
-    potential that fails on the grid fails here.  The CSR `matrix` is built
-    on first use; assemble_operator builds it at once."""
+    potential that fails on the grid fails here, as does one that is not
+    real and finite, one value per site or a scalar (InvalidProblem).  The
+    CSR `matrix` is built on first use; assemble_operator builds it at once."""
 
     def __init__(self, problem: EigenProblem):
         self.problem = problem
@@ -505,9 +523,14 @@ class AssembledOperator:
         self._potential = None
         if problem.potential is not None:
             h = problem.grid_step
-            V = problem.potential(self.origin[0] + (ix + offset) * h,
-                                  self.origin[1] + (iy + offset) * h)
-            if not np.all(np.isfinite(V)):
+            V = np.asarray(problem.potential(
+                self.origin[0] + (ix + offset) * h,
+                self.origin[1] + (iy + offset) * h))
+            if V.dtype.kind not in "iuf" or V.shape not in ((), ix.shape):
+                raise InvalidProblem("the potential must be real, one value "
+                                     "per site or a scalar, got %s of shape "
+                                     "%s" % (V.dtype, V.shape))
+            if not np.isfinite(V).all():
                 raise InvalidProblem("the potential is not finite on the grid")
             self._potential = V
 
@@ -632,12 +655,17 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
                 cluster_rel_tol: float = 1e-3) -> EigenSolution:
     """First K eigenpairs, sorted, by shift-invert Lanczos (ARPACK eigsh)
     about a shift below the spectrum.  ARPACK cannot return every
-    eigenpair, so K must be below the number of unknowns n."""
-    if not 0 <= tol < math.inf:
-        raise InvalidProblem("residual tolerance must be finite and >= 0, "
-                             "got %r" % (tol,))
-    if not K >= 1:
-        raise InvalidProblem("K must be at least 1, got %r" % (K,))
+    eigenpair, so K must be below the number of unknowns n.  InvalidProblem
+    unless K is an integer >= 1 and both tolerances are finite and >= 0."""
+    for name, value in (("residual", tol), ("cluster", cluster_rel_tol)):
+        try:
+            ok = 0 <= value < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidProblem("%s tolerance must be finite and >= 0, got "
+                                 "%r" % (name, value))
+    K = _integer(K, 1, "K")
     A = op.matrix
     n = A.shape[0]
     if K >= n:
@@ -701,7 +729,9 @@ def _boundary_cycles(mask):
     """Boundary of the cell mask as cyclic corner sequences (one per boundary
     component), each traced with the domain kept on the left (outer boundary
     counter-clockwise, hole boundaries clockwise).  The mask must not pinch,
-    as a GridField's is checked when constructed (see _check_pinch)."""
+    as a GridField's is checked when constructed (see _check_pinch), and
+    must be one piece: InvalidProblem when a second cycle is
+    counter-clockwise."""
     ny, nx = mask.shape
 
     def inside(c):
@@ -737,6 +767,9 @@ def _boundary_cycles(mask):
         return sum(ax * by - bx * ay
                    for (ax, ay), (bx, by) in zip(c, c[1:] + c[:1])) < 0
     cycles.sort(key=lambda c: (clockwise(c), -len(c), c[0]))
+    if len(cycles) > 1 and not clockwise(cycles[1]):
+        raise InvalidProblem("the domain mask is not connected: nodal "
+                             "extraction needs a mask in one piece")
     return cycles
 
 
@@ -784,9 +817,9 @@ def extract_nodal(u: GridField) -> NodalExtract:
     alternate in sign are interior singular points (nu = 4 on a square
     lattice), and corners where the interface between opposite-sign cells
     meets the mask boundary are boundary singular points (rho = 1 each).
-    One walker follows the interface from each singular corner to the next
-    (a nodal edge) and around each closed loop without one (a circle); the
-    boundary cycles between singular corners give the boundary edges."""
+    One walker builds every edge: it follows the interface, then each
+    boundary cycle, from each singular corner to the next (an edge) and
+    around each closed curve without one (a circle)."""
     sign, kappa = nodal_count(u)
     mask = u.mask
     ny, nx = sign.shape
@@ -838,43 +871,40 @@ def extract_nodal(u: GridField) -> NodalExtract:
     def step_angle(a, b):
         return math.atan2(b[1] - a[1], b[0] - a[0])
 
-    # one walker: a chain runs from a singular corner to the next one and
-    # becomes an edge; a leftover segment starts a closed loop, which runs
-    # back to its start and becomes a circle.  Each dart is kept with the
-    # direction of its first step for the rotation at its vertex.
+    # one walker builds every edge.  It walks the interface from each
+    # singular corner, then from each leftover segment, then each boundary
+    # cycle forward from each of its singular corners (or, with none, from
+    # its first corner); `nbrs` maps a corner to its two neighbours on the
+    # curve walked.  A chain from a singular corner to the next one becomes
+    # an edge; a walk from any other corner runs back to its start and
+    # becomes a circle.  Each dart is kept with the direction of its first
+    # step for the rotation at its vertex.
+    walks = [(c, first, incident, {}) for c in vid
+             for first in sorted(incident[c])]
+    walks += [(a, c, incident, {}) for a, c in sorted(segments)]
+    for ci, cyc in enumerate(cycles):
+        # each corner's predecessor and successor on the cycle
+        nbrs = dict(zip(cyc, zip(cyc[-1:] + cyc[:-1], cyc[1:] + cyc[:1])))
+        walks += [(c, nbrs[c][1], nbrs, {"boundary": True, "component": ci})
+                  for c in [c for c in cyc if c in vid] or cyc[:1]]
     darts_at = {c: [] for c in vid}
     used = set()
-    starts = [(c, first) for c in vid for first in sorted(incident[c])]
-    for start, first in starts + sorted(segments):
+    for start, first, nbrs, kind in walks:
         if (min(start, first), max(start, first)) in used:
             continue
         path = [start, first]
         while path[-1] not in vid and path[-1] != start:
-            nbrs = incident[path[-1]]   # two: other degrees are singular
-            path.append(nbrs[0] if nbrs[1] == path[-2] else nbrs[1])
+            pair = nbrs[path[-1]]   # two: other degrees are singular
+            path.append(pair[0] if pair[1] == path[-2] else pair[1])
         used.update((min(p, q), max(p, q)) for p, q in zip(path, path[1:]))
         if start in vid:
-            e = b.edge(vid[start], vid[path[-1]])
+            e = b.edge(vid[start], vid[path[-1]], **kind)
             darts_at[start].append((dart(e, 0), step_angle(start, first)))
             darts_at[path[-1]].append((dart(e, 1),
                                        step_angle(path[-1], path[-2])))
         else:
             m = b.circle()
-            b.edge(m, m)
-
-    # boundary edges along each cycle between consecutive singular corners;
-    # a cycle with none gets a circle marker with a boundary loop
-    for ci, cyc in enumerate(cycles):
-        hits = [(pos, c) for pos, c in enumerate(cyc) if c in vid]
-        if not hits:
-            m = b.circle()
-            b.edge(m, m, boundary=True, component=ci)
-        for (pos_a, ca), (pos_b, cb) in zip(hits, hits[1:] + hits[:1]):
-            e = b.edge(vid[ca], vid[cb], boundary=True, component=ci)
-            # outgoing direction along the cycle at each endpoint
-            darts_at[ca].append((dart(e, 0), step_angle(
-                ca, cyc[(pos_a + 1) % len(cyc)])))
-            darts_at[cb].append((dart(e, 1), step_angle(cb, cyc[pos_b - 1])))
+            b.edge(m, m, **kind)
 
     # no two darts at a corner leave in the same direction
     for corner, entries in darts_at.items():
@@ -897,10 +927,10 @@ def local_ray_fit(u, x0, radius):
     _sampler).  Returns (l, rayAngles, residual): the order minimizing the
     relative residual, the 2l equiangular zero angles of the fitted
     trigonometric polynomial, and the residual itself.  NoFit unless the
-    radius is finite and positive and the centre finite."""
-    if not (0 < radius < math.inf and all(map(math.isfinite, x0))):
-        raise NoFit("need a finite positive radius and a finite centre, got "
-                    "radius %r about %r" % (radius, x0))
+    radius is finite and positive and the centre two finite numbers."""
+    if not _placed(x0, radius):
+        raise NoFit("need a finite positive radius and a centre of two "
+                    "finite numbers, got radius %r about %r" % (radius, x0))
     radii = np.array([0.5 * radius, 0.75 * radius, radius])[:, None]
     omegas = np.arange(RAY_FIT_ANGLES) * (2 * math.pi / RAY_FIT_ANGLES)
     # libm's sin, cos and pow, which numpy's may not match in the last bit
@@ -961,10 +991,7 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     m = len(basis)
     if m < 2:
         raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
-    q = target_order
-    if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q < 1:
-        raise InfeasibleOrder("target order must be >= 1 and an integer, got "
-                              "%r" % (q,))
+    q = _integer(target_order, 1, "target order", InfeasibleOrder)
     count = q * (q + 1) // 2 if boundary is None else q
     if count >= m:
         raise InfeasibleOrder("order %d needs %d constraints, only %d basis "
@@ -1034,12 +1061,11 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
     `passed` needs every combination check and the GATING_KEYS of every
     entry: courant, multBound, euler, parity and, on Dirichlet problems
     only, faberKrahn; pleijel and weyl are reported but do not gate.
-    InvalidProblem unless n_combos is an int >= 0, `problem` is the one
-    `sol` solves, and the clusters are non-empty and concatenate to 1..K."""
-    if isinstance(n_combos, bool) or not isinstance(n_combos, int) \
-            or n_combos < 0:
-        raise InvalidProblem("n_combos must be an int >= 0, got %r"
-                             % (n_combos,))
+    InvalidProblem unless seed and n_combos are integers >= 0, `problem`
+    is the one `sol` solves, and the clusters are non-empty and concatenate
+    to 1..K."""
+    seed = _integer(seed, 0, "seed")
+    n_combos = _integer(n_combos, 0, "n_combos")
     if problem != sol.operator.problem:
         raise InvalidProblem("problem differs from the solved problem")
     K = len(sol.eigenvalues)

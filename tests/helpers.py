@@ -20,8 +20,10 @@ tracer that walks every orbit and pairs each with its mirror afterwards,
 the partition checks with the boundary components checked by degree
 count, reachability loop and a pass over the boundary vertices, the
 partition statistics traced afresh on every call (with the locally
-disconnected vertices found from rotation wedges and the hole faces
-picked one per boundary component), the iterative
+disconnected vertices found from rotation wedges, the hole faces picked
+one per boundary component and kappa by surface kind) and the Euler
+relation by surface kind, curves on closed surfaces of genus >= 1 and
+with cross-caps, the iterative
 normalization that blew up one vertex per face trace, and the recursive
 non-crossing matchings, sorted afterwards, that the type enumerations
 and the shift census must agree with, and the recursive run parser that
@@ -145,6 +147,29 @@ def moebius_separating_arc():
 def moebius_fixtures():
     return [moebius_core_circle(), moebius_parallel_circle(),
             moebius_separating_arc()]
+
+
+def closed_surface_fixtures():
+    """Curves on the torus, the genus-2 surface, the projective plane and
+    the Klein bottle: a one- and a two-sided circle, the theta graph with
+    three twist patterns and the figure eight on each.  Some hide handles
+    or cross-caps in a region (defect > 0); some have no region count at
+    all (stats raise), or do not fit their surface (the inequality fails)."""
+    out = []
+    for spec in (SurfaceSpec.closed_orientable(1),
+                 SurfaceSpec.closed_orientable(2),
+                 SurfaceSpec.closed_non_orientable(1),
+                 SurfaceSpec.closed_non_orientable(2)):
+        for signature in (1, -1):
+            b = PartitionBuilder(spec, nodal=True)
+            c = b.circle()
+            b.edge(c, c, signature=signature)
+            out.append(b.build())
+        for twists in ((1, 1, 1), (-1, -1, -1), (1, -1, 1)):
+            out.append(dataclasses.replace(theta_graph(), surface=spec,
+                                           edge_signature=list(twists)))
+        out.append(dataclasses.replace(figure_eight(), surface=spec))
+    return out
 
 
 def random_planar_partition(rng, planar_holes=None):
@@ -1269,6 +1294,24 @@ def reference_partition_stats(p):
     return PartitionStats(kappa, beta, sigma_i, sigma_b, omega, b0,
                           F, c, regions, defect,
                           reference_locally_disconnected(p, faces), circles)
+
+
+def reference_verify_euler(p):
+    """(relation, predicted, passed) by the surface kind: 1 + beta + sigma
+    on the sphere and planar domains, omega + beta + sigma on the Moebius
+    strip, and the inequality kappa >= chi + sigma elsewhere, from the
+    reference stats."""
+    st = reference_partition_stats(p)
+    kind, param = p.surface.kind, p.surface.param
+    if kind == "PlanarDomain" or (kind == "ClosedOrientable" and param == 0):
+        predicted = 1 + st.beta + st.sigma
+    elif kind == "MoebiusStrip":
+        predicted = st.omega + st.beta + st.sigma
+    else:
+        chi = 2 - 2 * param if kind == "ClosedOrientable" else 2 - param
+        predicted = chi + st.sigma
+        return "inequality", predicted, st.kappa >= predicted
+    return "equality", predicted, st.kappa == predicted
 
 
 def reference_locally_disconnected(p, faces):

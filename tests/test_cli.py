@@ -393,6 +393,26 @@ def test_report_and_plot_check_the_potential(solution_file, tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_report_and_plot_reject_a_disconnected_mask(tmp_path, capsys):
+    # the solve accepts a mask in two pieces; extraction refuses it, which
+    # is malformed input (exit 2), not a failed check (exit 1)
+    bitmap = [[int(1 <= iy <= 8 and (1 <= ix <= 6 or 9 <= ix <= 13))
+               for ix in range(16)] for iy in range(10)]
+    doc = {"formatVersion": 1, "gridStep": 1 / 16, "bc": "Dirichlet",
+           "domain": {"shape": "MaskedGrid", "bitmap": bitmap}}
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", _problem_file(tmp_path, doc), "-k", "4",
+                 "-o", sol]) == 0
+    svg = tmp_path / "out.svg"
+    for argv in (["nodal", "report", sol, "2"],
+                 ["plot", sol, "2", "-o", str(svg)]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "not connected" in out.err
+        assert out.out == ""
+    assert not svg.exists()
+
+
 def _edited_solution(solution_file, tmp_path, **fields):
     obj = json.loads(open(solution_file).read())
     obj.update(fields)
@@ -571,11 +591,11 @@ def test_orjson_floats_read_back_bit_identically(values):
 def test_k_below_one_rejected(tmp_path, capsys):
     problem = EigenProblem(Rectangle(1, 1), 1 / 8)
     for K in (0, -2):
-        with pytest.raises(InvalidProblem, match="at least 1"):
+        with pytest.raises(InvalidProblem, match=">= 1 and an integer"):
             solve_eigen(assemble_operator(problem), K)
     prob = _problem_file(tmp_path, problem.to_json())
     assert main(["solve", prob, "-k", "0"]) == 2
-    assert "K must be at least 1" in capsys.readouterr().err
+    assert "K must be >= 1 and an integer" in capsys.readouterr().err
 
 
 def test_handlers_resolved_when_main_runs(tmp_path, monkeypatch):

@@ -530,6 +530,35 @@ def test_partition_stats_match_reference():
         assert partition_stats(p) is p.stats
 
 
+def _euler_or_message(p, verify):
+    try:
+        r = verify(p)
+    except MalformedEmbedding as exc:
+        return str(exc)
+    if not isinstance(r, tuple):
+        r = (r.relation, r.predicted, r.passed)
+    return r + (type(r[1]),)
+
+
+def test_kappa_and_euler_match_reference_on_every_surface():
+    # one kappa formula and one Euler equality, against the formulas by
+    # surface kind; on closed surfaces of genus >= 1 and with cross-caps
+    # the floored defect term is what keeps kappa a lower bound
+    closed = helpers.closed_surface_fixtures()
+    for i, p in enumerate(_fixtures() + closed):
+        assert _stats_or_message(lambda: partition_stats(p)) == \
+            _stats_or_message(lambda: helpers.reference_partition_stats(p)), i
+        assert _euler_or_message(p, verify_euler) == \
+            _euler_or_message(p, helpers.reference_verify_euler), i
+    # the fixtures reach every case: a defect of 2 or more, omega = 1, no
+    # region count, and a failed inequality
+    reports = [_euler_or_message(p, verify_euler) for p in closed]
+    stats = [p.stats for p, r in zip(closed, reports) if r[0] == "inequality"]
+    assert max(st_.defect for st_ in stats) >= 2
+    assert any(st_.omega for st_ in stats) and len(stats) < len(closed)
+    assert not all(r[2] for r in reports if r[0] == "inequality")
+
+
 @pytest.fixture
 def traced(monkeypatch):
     """The partitions `trace_faces` is called on, in call order."""

@@ -137,3 +137,42 @@ def test_nodal_graph_imports_no_private_partition_name():
     # needs none of partition's internals
     assert [name for path, name in _imported_names("partition")
             if path == "nodal_graph.py" and name.startswith("_")] == []
+
+
+def _function(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_one_edge_walker_and_one_euler_path():
+    # extract_nodal builds every partition edge, the boundary's included,
+    # in its one walker loop; _compute_stats gives kappa by one formula and
+    # verify_euler picks its relation without naming a surface kind
+    extract = _function("spectral.py", "extract_nodal")
+    loops = [node for node in ast.walk(extract) if isinstance(node, ast.For)]
+    edge_loops = [loop for loop in loops
+                  if any(isinstance(node, ast.Call)
+                         and ast.unparse(node.func) == "b.edge"
+                         for node in ast.walk(loop))]
+    assert len(edge_loops) == 1
+    walker = edge_loops[0]
+    assert any(isinstance(node, ast.While) for node in ast.walk(walker))
+    edges = [node for node in ast.walk(extract) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "b.edge"]
+    assert len(edges) == 2 and all(
+        any(node is edge for node in ast.walk(walker)) for edge in edges)
+    assert "hits" not in {node.id for node in ast.walk(extract)
+                          if isinstance(node, ast.Name)}
+    stats = _function("partition.py", "_compute_stats")
+    assert [ast.unparse(node) for node in ast.walk(stats)
+            if isinstance(node, ast.Assign)
+            and "kappa" in map(ast.unparse, node.targets)] == [
+        "kappa = regions - b0 - max(0, defect) // 2"]
+    euler = _function("partition.py", "verify_euler")
+    strings = {node.value for node in ast.walk(euler)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert strings.isdisjoint({"ClosedOrientable", "ClosedNonOrientable",
+                               "PlanarDomain", "MoebiusStrip"})
+    assert sorted(strings - {euler.body[0].value.value}) == ["equality",
+                                                             "inequality"]

@@ -367,10 +367,9 @@ def test_boundary_cycles_outer_first():
     assert verify_euler(e.as_partition).passed
 
 
-@pytest.mark.parametrize("case", ["square", "disk", "annulus", "robin",
-                                  "comb"])
-def test_extract_nodal_matches_reference(case):
-    # every per-k field and 10 sampled members of each degenerate cluster
+def _extract_case_fields(case, K):
+    """Every per-k field of the first K eigenpairs of a case and 10 sampled
+    members of each degenerate cluster."""
     if case == "comb":
         p, tol = _comb_hole_problem(), 1e-3
     elif case == "robin":
@@ -378,21 +377,66 @@ def test_extract_nodal_matches_reference(case):
         tol = 0.05   # near pairs, grouped as in _combo_case
     else:
         domain = {"square": Rectangle(1, 1), "disk": Disk(0.5),
-                  "annulus": Annulus(0.2, 0.5)}[case]
-        p, tol = EigenProblem(domain, 1 / 32), 1e-3
-    sol = solve_eigen(assemble_operator(p), 12, cluster_rel_tol=tol)
+                  "disk64": Disk(0.5), "annulus": Annulus(0.2, 0.5)}[case]
+        p = EigenProblem(domain, 1 / 64 if case == "disk64" else 1 / 32)
+        tol = 1e-3
+    sol = solve_eigen(assemble_operator(p), K, cluster_rel_tol=tol)
     rng = np.random.default_rng(12)
-    fields = [sol.field(k) for k in range(1, 13)]
+    fields = [sol.field(k) for k in range(1, K + 1)]
     for cluster in sol.clusters:
         if len(cluster) >= 2:
             basis = sol.vectors[:, [k - 1 for k in cluster]]
             fields += [sol.operator.to_field(basis @ rng.standard_normal(
                 len(cluster))) for _ in range(10)]
+    return fields
+
+
+@pytest.mark.parametrize("case", ["square", "disk", "annulus", "robin",
+                                  "comb"])
+def test_extract_nodal_matches_reference(case):
+    fields = _extract_case_fields(case, 12)
     assert len(fields) > 12 or case == "comb"
     for f in fields:
         e, ref = extract_nodal(f), helpers.reference_extract_nodal(f)
         assert e.to_json() == ref.to_json()
         assert e.segments == ref.segments
+
+
+@pytest.mark.parametrize("case, n_fields", [
+    ("square", 76), ("disk", 46), ("annulus", 56), ("robin", 46),
+    ("disk64", 46)])
+def test_partition_kappa_equals_labelling_kappa(case, n_fields):
+    # the partition's regions less its hole faces are the labelled nodal
+    # domains, on 270 fields in all
+    fields = _extract_case_fields(case, 16)
+    assert len(fields) == n_fields
+    for f in fields:
+        e = extract_nodal(f)
+        assert partition_stats(e.as_partition).kappa == e.domain_count
+
+
+def _two_piece_problem():
+    """A 16 x 10 mask at h = 1/16 in two pieces of 6 x 8 and 5 x 8 cells."""
+    bitmap = [[int(1 <= iy <= 8 and (1 <= ix <= 6 or 9 <= ix <= 13))
+               for ix in range(16)] for iy in range(10)]
+    return EigenProblem(MaskedGrid(bitmap), 1 / 16)
+
+
+def test_extraction_rejects_a_disconnected_mask():
+    # the second piece's outer boundary was once modelled as a hole: the
+    # partition's kappa fell one below the labelling's, Euler still held,
+    # and the law report failed Courant; the solve itself stays accepted
+    p = _two_piece_problem()
+    sol = solve_eigen(assemble_operator(p), 4)
+    assert sol.clusters == [[1], [2], [3], [4]]
+    with pytest.raises(InvalidProblem, match="not connected"):
+        spectral._boundary_cycles(sol.operator.mask)
+    for k in range(1, 5):
+        assert nodal_count(sol.field(k))[1] >= 2
+        with pytest.raises(InvalidProblem, match="not connected"):
+            extract_nodal(sol.field(k))
+    with pytest.raises(InvalidProblem, match="not connected"):
+        verify_spectral_laws(sol, p, n_combos=0)
 
 
 def _count_problems():
@@ -469,6 +513,47 @@ def test_combo_checks_match_extract_reference(case, n_combos):
         assert rep.combo_checks == helpers.reference_combo_checks(
             sol, p, seed, n_combos)
         assert rep.combo_checks
+
+
+@pytest.mark.parametrize("K", [3.0, True, "3", None, np.float64(3)],
+                         ids=["float", "bool", "str", "none", "numpy-float"])
+def test_solve_needs_an_integer_k(K):
+    # 3.0 and True once failed inside eigsh, as NoConvergence
+    op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 8))
+    with pytest.raises(InvalidProblem, match="K must be >= 1 and an integer"):
+        solve_eigen(op, K)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "0.1"])
+def test_solve_needs_finite_tolerances(tol):
+    # NaN or a negative tolerance once made every eigenvalue its own
+    # cluster, and a string for either tolerance raised a bare TypeError
+    op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 16))
+    assert solve_eigen(op, 6).clusters == [[1], [2, 3], [4], [5, 6]]
+    with pytest.raises(InvalidProblem, match="cluster tolerance"):
+        solve_eigen(op, 6, cluster_rel_tol=tol)
+    with pytest.raises(InvalidProblem, match="residual tolerance"):
+        solve_eigen(op, 6, tol=tol)
+
+
+@pytest.mark.parametrize("seed", [-1, "a", True, 2.0, None])
+def test_law_report_rejects_bad_seed(seed):
+    p = EigenProblem(Rectangle(1, 1), 1 / 8)
+    sol = solve_eigen(assemble_operator(p), 4)
+    with pytest.raises(InvalidProblem, match="seed"):
+        verify_spectral_laws(sol, p, seed=seed, n_combos=5)
+
+
+def test_numpy_integers_are_read_as_ints():
+    # a numpy seed once reached to_json, which json.dumps cannot write, and
+    # a numpy n_combos was refused while a numpy K was accepted
+    p = EigenProblem(Rectangle(1, 1), 1 / 8)
+    sol = solve_eigen(assemble_operator(p), np.int64(4))
+    assert np.array_equal(sol.eigenvalues,
+                          solve_eigen(assemble_operator(p), 4).eigenvalues)
+    rep = verify_spectral_laws(sol, p, seed=np.int64(3), n_combos=np.int32(5))
+    assert json.dumps(rep.to_json()) == json.dumps(
+        verify_spectral_laws(sol, p, seed=3, n_combos=5).to_json())
 
 
 @pytest.mark.parametrize("n_combos", [-5, 2.5, True, "3", None])
@@ -659,7 +744,10 @@ def test_prescribe_order_below_one():
 
 @pytest.mark.parametrize("x0, radius", [
     ((0, 0), -0.1), ((0, 0), 0.0), ((0, 0), math.nan), ((0, 0), math.inf),
-    ((math.nan, 0), 0.1), ((0, -math.inf), 0.1)])
+    ((math.nan, 0), 0.1), ((0, -math.inf), 0.1),
+    # a centre that is not two numbers once raised IndexError or TypeError
+    ((0.5,), 0.1), ((0.5, 0.5, 0.5), 0.1), (0.5, 0.1), ("ab", 0.1),
+    ((0.5, 1j), 0.1)])
 def test_ray_fit_needs_finite_positive_radius_and_centre(x0, radius):
     with pytest.raises(NoFit, match="finite positive radius"):
         local_ray_fit(lambda x, y: x * y, x0, radius)
@@ -679,6 +767,24 @@ def test_grid_field_sample_on_arrays():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             f.sample(np.array([0.0, bad]), np.zeros(2))
+
+
+def test_grid_field_values_must_be_finite_and_real():
+    # NaN once counted as negative (kappa 3 for a half-NaN sin 3 pi y on
+    # the square), an all-NaN field as vanishing, and None was accepted
+    values, mask = _field_8x8()
+    x = (np.arange(8) + 0.5) / 8
+    half_nan = np.where(x < 0.5, math.nan, values)
+    for bad in (np.full((8, 8), math.nan), half_nan,
+                np.where(x < 0.5, math.inf, values), values + 0j,
+                np.full((8, 8), None), values.astype(str)):
+        with pytest.raises(InvalidProblem, match="finite real numbers"):
+            GridField(bad, mask, (0.0, 0.0), 1 / 8)
+    with pytest.raises(InvalidProblem, match="finite real numbers"):
+        sample_field(EigenProblem(Rectangle(1, 1), 1 / 16),
+                     lambda x, y: None)
+    signs = GridField(np.sign(values).astype(int), mask, (0.0, 0.0), 1 / 8)
+    assert extract_nodal(signs).domain_count == 2
 
 
 def test_sample_field_reads_values_as_floats():
@@ -975,6 +1081,29 @@ def test_problem_file_domain_must_be_an_object(domain):
     doc = {"formatVersion": 1, "gridStep": 0.125, "domain": domain}
     with pytest.raises(InvalidProblem, match="domain must be a JSON object"):
         EigenProblem.from_json(doc)
+
+
+@pytest.mark.parametrize("V", [
+    lambda x, y: np.zeros(3), lambda x, y: x * 1j,
+    lambda x, y: [None] * len(x), lambda x, y: np.stack([x, y]),
+    lambda x, y: "7"], ids=["three-values", "complex", "none", "two-per-site",
+                            "string"])
+def test_potential_needs_one_real_value_per_site(V):
+    # once numpy's broadcast ValueError, a complex matrix and a TypeError
+    p = EigenProblem(Rectangle(1, 1), 1 / 8, potential=V)
+    with pytest.raises(InvalidProblem, match="one value per site"):
+        spectral.AssembledOperator(p)
+
+
+def test_potential_list_and_scalar_keep_their_bits():
+    def matrix(V):
+        A = assemble_operator(EigenProblem(Disk(0.5), 1 / 16, potential=V))
+        return A.matrix.toarray()
+    array = matrix(lambda x, y: 3.5 * x * x + y)
+    assert matrix(lambda x, y: (3.5 * x * x + y).tolist()).tobytes() \
+        == array.tobytes()
+    assert matrix(lambda x, y: 2.0).tobytes() \
+        == matrix(lambda x, y: np.full(x.shape, 2.0)).tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
