@@ -219,6 +219,19 @@ def _integer(value, least, name, error=InvalidProblem):
     return int(value)
 
 
+def _tolerance(value, name):
+    """value as a float: a real number (a bool is not one), finite and >= 0,
+    else InvalidProblem naming the `name` tolerance."""
+    try:
+        ok = not isinstance(value, bool) and 0 <= value < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidProblem("%s tolerance must be finite and >= 0, got %r"
+                             % (name, value))
+    return float(value)
+
+
 def _placed(xy, step):
     """Whether xy is two finite numbers and step is finite and positive."""
     try:
@@ -636,7 +649,9 @@ class EigenSolution:
 def cluster_multiplicities(evs, rel_tol=1e-3):
     """Maximal runs of consecutive eigenvalues with relative gap < rel_tol.
 
-    Returns clusters as lists of 1-based indices."""
+    Returns clusters as lists of 1-based indices.  InvalidProblem unless
+    rel_tol is finite and >= 0."""
+    rel_tol = _tolerance(rel_tol, "cluster")
     evs = list(evs)
     if not evs:
         return []
@@ -651,20 +666,41 @@ def cluster_multiplicities(evs, rel_tol=1e-3):
     return clusters
 
 
+def _shift_factor(A, sigma):
+    """Sparse LU factor of A - sigma*I in SuperLU's symmetric mode: one
+    minimum-degree ordering of A + A^T for rows and columns, and no
+    pivoting.  NoConvergence if the factor pivoted anyway (see
+    solve_eigen)."""
+    n = A.shape[0]
+    shifted = (A - sigma * scipy.sparse.identity(n, format="csr")).tocsc()
+    lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                                  diag_pivot_thresh=0.0,
+                                  options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NoConvergence("the factor of A - sigma*I pivoted off its "
+                            "diagonal")
+    return lu
+
+
 def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
                 cluster_rel_tol: float = 1e-3) -> EigenSolution:
     """First K eigenpairs, sorted, by shift-invert Lanczos (ARPACK eigsh)
-    about a shift below the spectrum.  ARPACK cannot return every
+    about a shift sigma below the spectrum.  ARPACK cannot return every
     eigenpair, so K must be below the number of unknowns n.  InvalidProblem
-    unless K is an integer >= 1 and both tolerances are finite and >= 0."""
-    for name, value in (("residual", tol), ("cluster", cluster_rel_tol)):
-        try:
-            ok = 0 <= value < math.inf
-        except TypeError:
-            ok = False
-        if not ok:
-            raise InvalidProblem("%s tolerance must be finite and >= 0, got "
-                                 "%r" % (name, value))
+    unless K is an integer >= 1 and both tolerances are finite and >= 0.
+
+    eigsh applies (A - sigma*I)^-1 through one sparse factor per solve
+    (_shift_factor): SuperLU in symmetric mode, with a minimum-degree
+    ordering of A + A^T and no pivoting.  sigma lies below the Gershgorin
+    bound of the symmetric A, so A - sigma*I is strictly diagonally dominant
+    with a positive diagonal, hence positive definite; elimination in any
+    symmetric order keeps it so, and no pivot is ever needed.  The
+    symmetric ordering then fills about half as much as SuperLU's default
+    column ordering with partial pivoting.  A factor that pivoted anyway,
+    a failed eigsh or a residual above tolerance is a NoConvergence that
+    names sigma, n and K."""
+    tol = _tolerance(tol, "residual")
+    cluster_rel_tol = _tolerance(cluster_rel_tol, "cluster")
     K = _integer(K, 1, "K")
     A = op.matrix
     n = A.shape[0]
@@ -675,14 +711,18 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
     diag = A.diagonal()
     radii = np.abs(A).sum(axis=1).A1 - np.abs(diag)
     sigma = float((diag - radii).min()) - 1.0
+    where = "at shift %g (n = %d, K = %d)" % (sigma, n, K)
     try:
+        lu = _shift_factor(A, sigma)
+        OPinv = scipy.sparse.linalg.LinearOperator(A.shape, matvec=lu.solve,
+                                                   dtype=A.dtype)
         # a fixed random start vector makes the solve repeatable; a
         # constant one would be orthogonal to modes odd in x or y
         v0 = np.random.default_rng(0).standard_normal(n)
         w, v = scipy.sparse.linalg.eigsh(A, k=K, sigma=sigma, which="LM",
-                                         v0=v0)
+                                         v0=v0, OPinv=OPinv)
     except Exception as exc:
-        raise NoConvergence("eigsh failed: %s" % exc)
+        raise NoConvergence("eigsh failed %s: %s" % (where, exc))
     order = np.argsort(w)
     evs, vecs = w[order], v[:, order]
     res = np.empty(K)
@@ -690,8 +730,8 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
         u = vecs[:, i]
         res[i] = np.linalg.norm(A @ u - evs[i] * u) / np.linalg.norm(u)
     if res.max() > max(tol, 1e3 * np.finfo(float).eps * max(abs(evs))):
-        raise NoConvergence("max residual %.3g above tolerance %.3g"
-                            % (res.max(), tol))
+        raise NoConvergence("max residual %.3g above tolerance %.3g %s"
+                            % (res.max(), tol, where))
     if K >= 2:
         scale = max(abs(evs[1]), 1.0)
         if not (evs[1] - evs[0]) / scale > 1e-12:

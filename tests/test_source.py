@@ -52,6 +52,20 @@ def test_one_nodal_domain_labelling_site():
     assert [site[:2] for site in sites] == [("spectral.py", "nodal_counts")]
 
 
+def test_one_eigensolver():
+    # every eigenpair comes from solve_eigen's shift-invert eigsh, and every
+    # solve with A - sigma*I from the one factor _shift_factor makes
+    solvers = ("eigsh", "eigs", "lobpcg", "eigh", "eigvalsh", "eig",
+               "eigvals", "splu", "spilu", "factorized", "spsolve")
+    assert [name for module in ("numpy.linalg", "scipy.linalg",
+                                "scipy.sparse.linalg")
+            for _, name in _imported_names(module) if name in solvers] == []
+    sites = _call_sites(lambda f: f.split(".")[-1] in solvers)
+    assert sites == [
+        ("spectral.py", "_shift_factor", "scipy.sparse.linalg.splu"),
+        ("spectral.py", "solve_eigen", "scipy.sparse.linalg.eigsh")]
+
+
 def test_one_json_parse_site():
     # the CLI parses every JSON file through orjson in _parse_json's parse,
     # which _load calls; nothing else in the package parses JSON

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import helpers
 from nodalkit import spectral
 from nodalkit.bounds import bessel_j0_first_zero
 from nodalkit.errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
-                             InvalidProblem, NoFit)
+                             InvalidProblem, NoConvergence, NoFit)
 from nodalkit.partition import (check_boundary_parity, partition_stats,
                                 trace_faces, verify_euler)
 from nodalkit.spectral import (Annulus, Disk, EigenProblem, GridField,
@@ -524,7 +525,7 @@ def test_solve_needs_an_integer_k(K):
         solve_eigen(op, K)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "0.1"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "0.1", True])
 def test_solve_needs_finite_tolerances(tol):
     # NaN or a negative tolerance once made every eigenvalue its own
     # cluster, and a string for either tolerance raised a bare TypeError
@@ -534,6 +535,83 @@ def test_solve_needs_finite_tolerances(tol):
         solve_eigen(op, 6, cluster_rel_tol=tol)
     with pytest.raises(InvalidProblem, match="residual tolerance"):
         solve_eigen(op, 6, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1, math.inf, "1e-3", True])
+def test_cluster_multiplicities_needs_a_finite_tolerance(tol):
+    # NaN and -1 once made every eigenvalue its own cluster, inf made one
+    # cluster of them all
+    with pytest.raises(InvalidProblem, match="cluster tolerance"):
+        cluster_multiplicities([1.0, 2.0, 2.0, 3.0], tol)
+
+
+_DENSE_ORACLE_PROBLEMS = {
+    "dirichlet-square": EigenProblem(Rectangle(1, 1), 1 / 10),
+    "neumann-2x1": EigenProblem(Rectangle(2, 1), 1 / 8, bc="Neumann"),
+    "robin-2x1": EigenProblem(Rectangle(2, 1), 1 / 8, bc="Robin",
+                              robin_h=2.0),
+    "disk-negative": EigenProblem(Disk(0.5), 1 / 16,
+                                  potential=parse_potential("-400")),
+    "annulus-xy": EigenProblem(Annulus(0.2, 0.5), 1 / 16,
+                               potential=parse_potential("50*x*y")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_ORACLE_PROBLEMS))
+def test_solve_matches_dense_eigenvalues(name):
+    # the shift-invert solve against every eigenvalue of the dense matrix
+    p = _DENSE_ORACLE_PROBLEMS[name]
+    op = assemble_operator(p)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())[:6]
+    sol = solve_eigen(op, 6)
+    assert np.max(np.abs(sol.eigenvalues - dense)) \
+        <= 1e-10 * np.max(np.abs(dense))
+    assert sol.clusters == cluster_multiplicities(dense)
+    if name == "dirichlet-square":
+        assert op.n == 81
+    if name == "disk-negative":
+        assert dense[0] < 0
+
+
+def test_shift_factor_keeps_the_diagonal_order():
+    # V = 50xy >= -12.5 on the annulus, so sigma = -20 lies below the
+    # Gershgorin bound: A - sigma*I is strictly diagonally dominant, and the
+    # factor needs no row pivot and solves exactly
+    op = assemble_operator(_DENSE_ORACLE_PROBLEMS["annulus-xy"])
+    A = op.matrix
+    lu = spectral._shift_factor(A, -20.0)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    b = np.random.default_rng(1).standard_normal(op.n)
+    x = lu.solve(b)
+    assert np.allclose(A @ x + 20.0 * x, b, rtol=0, atol=1e-12)
+
+
+def test_solve_failures_name_the_shift_n_and_k(monkeypatch):
+    op = assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 8))   # n = 49
+    where = r"at shift -1 \(n = 49, K = 3\)"
+    splu = spectral.scipy.sparse.linalg.splu
+
+    def pivoted(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        return types.SimpleNamespace(perm_r=lu.perm_r[::-1],
+                                     perm_c=lu.perm_c, solve=lu.solve)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral.scipy.sparse.linalg, "splu", pivoted)
+        with pytest.raises(NoConvergence, match="eigsh failed " + where
+                           + ": the factor of A - sigma\\*I pivoted"):
+            solve_eigen(op, 3)
+    eigsh = spectral.scipy.sparse.linalg.eigsh
+
+    def inexact(*args, **kwargs):
+        w, v = eigsh(*args, **kwargs)
+        return w, v + 1e-3
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral.scipy.sparse.linalg, "eigsh", inexact)
+        with pytest.raises(NoConvergence, match="above tolerance 1e-09 "
+                           + where):
+            solve_eigen(op, 3)
 
 
 @pytest.mark.parametrize("seed", [-1, "a", True, 2.0, None])
