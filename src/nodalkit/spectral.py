@@ -49,10 +49,10 @@ MAX_CELLS = 1_000_000  # largest grid a problem may ask for (InvalidProblem)
 # followed by a blank row, so no domain reaches the next image
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 # sampled eigenspace members counted per nodal_counts call in the law
-# report.  Memory sets it: with one labelling per block, law reports on the
-# square and the disk at h = 1/48 ran no faster with blocks of 25 or 50 and
-# slower with 100, while the process's peak RSS grew from 70.8 MB at 10 to
-# 72.5, 75.3, 80.4 and 91.2 MB at 25, 50, 100 and 200.
+# report.  Memory sets it: with members formed on the cell grid and one
+# labelling per block, law reports on the square and the disk at h = 1/48
+# (K = 10, 200 members per cluster) ran no faster with blocks of 25, while
+# the process's peak RSS grew from 70.4-71.2 MB at 10 to 72.1-72.5 MB at 25.
 COMBO_BLOCK = 10
 # the law report's Faber-Krahn check passes when
 # lambda |Omega| >= (1 - FK_REL_TOL) kappa pi j01^2
@@ -634,7 +634,12 @@ class EigenSolution:
     operator: AssembledOperator
 
     def field(self, k) -> GridField:
-        """Cell field of the k-th eigenfunction (1-based)."""
+        """Cell field of the k-th eigenfunction (1-based).  InvalidProblem
+        unless k is an integer in 1..K."""
+        k = _integer(k, 1, "k")
+        if k > len(self.eigenvalues):
+            raise InvalidProblem("k must be <= K = %d, got %d"
+                                 % (len(self.eigenvalues), k))
         return self.operator.to_field(self.vectors[:, k - 1])
 
     def to_json(self):
@@ -817,24 +822,23 @@ def nodal_count(u: GridField):
     """Sign array (+1/-1 in the mask, 0 outside) and kappa, the number of
     4-connected same-sign cell components, without tracing the nodal set.
 
-    extract_nodal starts from the same two values.  Raises AllZeroField when
-    the field vanishes on the mask."""
-    signs, kappas = nodal_counts(u.values[None], u.mask)
-    return signs[0], int(kappas[0])
+    extract_nodal starts from the same two values.  An exact zero counts as
+    negative.  Raises AllZeroField when the field vanishes on the mask."""
+    kappa = int(nodal_counts(u.values[None], u.mask)[0])
+    sign = np.where(u.values > 0, 1, -1)
+    sign[~u.mask] = 0
+    return sign, kappa
 
 
 def nodal_counts(values, mask):
-    """nodal_count of each member of a (B, ny, nx) stack of cell values on
-    one mask: the (B, ny, nx) sign stack and the B kappas, from one
-    labelling of the whole stack.
+    """The kappa of nodal_count for each member of a (B, ny, nx) stack of
+    cell values on one mask, from one labelling of the whole stack.
 
     An exact zero counts as negative.  Raises AllZeroField when any member
     vanishes on the mask."""
     if not ((np.abs(values) > 0) & mask).any(axis=(1, 2)).all():
         raise AllZeroField("field vanishes identically")
     positive = values > 0
-    sign = np.where(positive, 1, -1)
-    sign[:, ~mask] = 0
     n, ny, nx = values.shape
     same = np.zeros((2, n, ny + 1, nx), bool)
     np.logical_and(positive, mask, out=same[0, :, :ny])
@@ -845,7 +849,7 @@ def nodal_counts(values, mask):
     # running maximum label at the end of an image, less the one before it
     top = np.maximum.accumulate(labels.reshape(2 * n, -1).max(axis=1))
     counts = np.diff(top, prepend=0)
-    return sign, counts[:n] + counts[n:]
+    return counts[:n] + counts[n:]
 
 
 def extract_nodal(u: GridField) -> NodalExtract:
@@ -1096,8 +1100,9 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
                          seed: int = 0, n_combos: int = 200) -> LawReport:
     """Courant, multiplicity, Faber-Krahn, Pleijel, Weyl and Euler checks,
     one eigenvalue cluster at a time.  Each eigenvector is extracted for the
-    Euler and parity checks; random in-cluster combinations (seeded, seed
-    recorded) are only counted, COMBO_BLOCK at a time, by nodal_counts.
+    Euler and parity checks.  Random in-cluster combinations (seeded, seed
+    recorded) are formed on the cell grid from the cluster's basis, mapped
+    to cells once, and only counted, COMBO_BLOCK at a time, by nodal_counts.
     `passed` needs every combination check and the GATING_KEYS of every
     entry: courant, multBound, euler, parity and, on Dirichlet problems
     only, faberKrahn; pleijel and weyl are reported but do not gate.
@@ -1141,13 +1146,13 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
             coeffs = rng.standard_normal((n_combos, mult))
             # a row's 1-D norm; norm(axis=1) may round differently
             coeffs /= np.array([np.linalg.norm(c) for c in coeffs])[:, None]
+            basis = sol.operator.cell_values(sol.vectors.T[kf - 1:k_hi])
             worst = 0
             for start in range(0, n_combos, COMBO_BLOCK):
                 block = coeffs[start:start + COMBO_BLOCK]
-                vecs = sum(block[:, j, None] * sol.vectors[:, idx - 1]
-                           for j, idx in enumerate(cluster))
-                _, kappas = nodal_counts(sol.operator.cell_values(vecs),
-                                         sol.operator.mask)
+                cells = sum(block[:, j, None, None] * basis[j]
+                            for j in range(mult))
+                kappas = nodal_counts(cells, sol.operator.mask)
                 worst = max(worst, int(kappas.max()))
             combo_checks.append({"cluster": list(cluster), "samples": n_combos,
                                  "maxKappa": worst, "bound": k_hi,

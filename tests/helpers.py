@@ -674,8 +674,8 @@ def reference_law_report(sol, problem, seed=0, n_combos=200):
             block = coeffs[start:start + COMBO_BLOCK]
             vecs = sum(block[:, j, None] * sol.vectors[:, idx - 1]
                        for j, idx in enumerate(cluster))
-            _, kappas = nodal_counts(sol.operator.cell_values(vecs),
-                                     sol.operator.mask)
+            kappas = nodal_counts(sol.operator.cell_values(vecs),
+                                  sol.operator.mask)
             worst = max(worst, int(kappas.max()))
         good = worst <= k_hi
         combo_checks.append({"cluster": list(cluster), "samples": n_combos,

@@ -181,6 +181,25 @@ def test_assembler_matches_loop_reference(problem, expr):
     assert A.data.dtype == R.data.dtype and A.data.tobytes() == R.data.tobytes()
 
 
+@pytest.mark.parametrize("k", [0, -1, True, 5, 1.5, "2", None],
+                         ids=["zero", "negative", "bool", "above-K", "float",
+                              "str", "none"])
+def test_field_rejects_bad_index(k):
+    # 0 and -1 once indexed from the end, True read as 1, and K + 1 and
+    # 1.5 raised a bare IndexError
+    sol = solve_eigen(assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 16)),
+                      4)
+    with pytest.raises(InvalidProblem, match="k must be"):
+        sol.field(k)
+
+
+def test_field_accepts_numpy_integers():
+    sol = solve_eigen(assemble_operator(EigenProblem(Rectangle(1, 1), 1 / 16)),
+                      4)
+    for k in (np.int64(4), np.int32(1), np.uint8(2)):
+        assert np.array_equal(sol.field(k).values, sol.field(int(k)).values)
+
+
 @pytest.mark.parametrize("problem", [EigenProblem(Rectangle(2, 1), 1 / 8),
                                      EigenProblem(Rectangle(2, 1), 1 / 8,
                                                   bc="Neumann"),
@@ -664,6 +683,46 @@ def test_law_report_extracts_eigenvectors_only(monkeypatch):
     assert calls.count("to_field") == len(sol.eigenvalues)
 
 
+@pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
+                         ids=["nodes", "masked-cells"])
+def test_law_report_maps_each_cluster_basis_to_cells_once(monkeypatch,
+                                                          domain):
+    # members are formed on the cell grid from one cell_values call per
+    # cluster with mult > 1, whatever the number of blocks; every other
+    # call maps one eigenvector, through to_field
+    calls, stacks = [], []
+    cell_values = spectral.AssembledOperator.cell_values
+    to_field = spectral.AssembledOperator.to_field
+
+    def counting_cell_values(self, vecs):
+        stacks.append(len(vecs))
+        return cell_values(self, vecs)
+
+    def counting_to_field(*args, **kwargs):
+        calls.append("to_field")
+        return to_field(*args, **kwargs)
+
+    def counting_extract(*args, **kwargs):
+        calls.append("extract")
+        return extract_nodal(*args, **kwargs)
+    monkeypatch.setattr(spectral.AssembledOperator, "cell_values",
+                        counting_cell_values)
+    monkeypatch.setattr(spectral.AssembledOperator, "to_field",
+                        counting_to_field)
+    monkeypatch.setattr(spectral, "extract_nodal", counting_extract)
+    p = EigenProblem(domain, 1 / 24)
+    sol = solve_eigen(assemble_operator(p), 6)
+    K = len(sol.eigenvalues)
+    rep = verify_spectral_laws(sol, p, seed=1, n_combos=37)
+    multi = [len(c) for c in sol.clusters if len(c) > 1]
+    assert multi and [c["samples"] for c in rep.combo_checks] == \
+        [37] * len(multi)
+    assert [n for n in stacks if n > 1] == multi
+    assert stacks.count(1) == K
+    assert calls.count("to_field") == K
+    assert calls.count("extract") == K
+
+
 @pytest.mark.parametrize("problem", [
     EigenProblem(Rectangle(1, 1), 1 / 16),
     EigenProblem(Disk(0.5), 1 / 16),
@@ -678,13 +737,15 @@ def test_nodal_counts_match_nodal_count_per_member(problem):
     vecs[2, : op.n // 2] = 0.0      # exact zeros inside the mask
     values = op.cell_values(vecs)
     assert (values[2][op.mask] == 0.0).any()
-    signs, kappas = spectral.nodal_counts(values, op.mask)
-    assert signs.shape == values.shape and kappas.shape == (len(vecs),)
-    for v, cells, sign, kappa in zip(vecs, values, signs, kappas):
+    kappas = spectral.nodal_counts(values, op.mask)
+    assert kappas.shape == (len(vecs),)
+    for v, cells, kappa in zip(vecs, values, kappas):
         f = op.to_field(v)
         assert np.array_equal(f.values, cells)
-        assert np.array_equal(nodal_count(f)[0], sign)
-        assert nodal_count(f)[1] == kappa
+        sign, count = nodal_count(f)
+        assert sign.shape == cells.shape
+        assert np.array_equal(sign, np.where(cells > 0, 1, -1) * op.mask)
+        assert count == kappa
     values[4] = 0.0
     values[4][~op.mask] = 1.0       # vanishes on the mask only
     with pytest.raises(AllZeroField):
@@ -717,13 +778,14 @@ def test_nodal_counts_match_flood_fill(problem, B):
             member[:, col] = edge[: member.shape[0]]
     # one member of constant sign: an image with no component at all
     values[B // 2] = np.abs(values[B // 2]) + 1.0
-    signs, kappas = spectral.nodal_counts(values, op.mask)
-    for cells, sign, kappa in zip(values, signs, kappas):
+    kappas = spectral.nodal_counts(values, op.mask)
+    for cells, kappa in zip(values, kappas):
         expect = helpers.reference_kappa(cells.tolist(), op.mask.tolist())
         assert kappa == expect
-        assert np.array_equal(sign, np.where(cells > 0, 1, -1) * op.mask)
         f = GridField(cells, op.mask, op.origin, problem.grid_step)
-        assert nodal_count(f)[1] == expect
+        sign, count = nodal_count(f)
+        assert np.array_equal(sign, np.where(cells > 0, 1, -1) * op.mask)
+        assert count == expect
 
 
 def test_ray_fit_monomials():
@@ -972,6 +1034,20 @@ def test_law_report_matches_index_by_index_reference(domain):
     ref = helpers.reference_law_report(sol, p, seed=1, n_combos=10)
     assert json.dumps(rep.to_json()) == json.dumps(ref.to_json())
     assert rep.combo_checks
+
+
+@pytest.mark.parametrize("domain", [Rectangle(1, 1), Disk(0.5)],
+                         ids=["nodes", "masked-cells"])
+def test_law_report_matches_reference_over_several_blocks(domain):
+    # 37 members per cluster: three full COMBO_BLOCK blocks and a partial
+    # one, formed on the cell grid here and in vector space by the reference
+    p = EigenProblem(domain, 1 / 32)
+    sol = solve_eigen(assemble_operator(p), 8)
+    for seed in (1, 2):
+        rep = verify_spectral_laws(sol, p, seed=seed, n_combos=37)
+        ref = helpers.reference_law_report(sol, p, seed=seed, n_combos=37)
+        assert json.dumps(rep.to_json()) == json.dumps(ref.to_json())
+        assert rep.combo_checks
 
 
 @pytest.mark.parametrize("bc", ["Neumann", "Robin"])
