@@ -12,7 +12,11 @@ Subcommands:
     plot SOLUTION K -o OUT.svg  SVG rendering of the nodal extract
     bounds SURFACE -k K         classical multiplicity bounds + Pleijel data
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
+Exit codes: 0 all checks pass, 1 a check the subcommand reports failed
+(Euler, boundary parity, normalize invariants, rotating limit, rotate-check
+count), 2 bad input or usage.  main turns every NodalkitError into exit 2
+as `error: [FILE: ]KIND: message`; no handler repeats a library check.  -p
+is required by the parser; a solution file needs every key `solve` writes.
 Every subcommand writes its text through one writer, `_emit`: to the file
 named by -o when it is given, else to stdout.
 Every subcommand that reads a file parses and validates it through one
@@ -51,7 +55,7 @@ from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
                         enumerate_interior, labeling_from_type, parse_tau_text,
                         rotating_limit_check, shift_invariant_types)
-from .errors import InvalidProblem, NodalkitError
+from .errors import NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
@@ -76,6 +80,13 @@ def _read_text(path):
         raise InputError("%s: %s: %s" % (path, type(exc).__name__, exc))
 
 
+def _describe(args, exc):
+    """`FILE: KIND: message` for what a command's input raised, without
+    `FILE: ` when the command reads no file."""
+    where = [args.file] if hasattr(args, "file") else []
+    return ": ".join(where + [type(exc).__name__, str(exc)])
+
+
 def _load(args, parse):
     """Read args.file, parse and validate it with parse(text) -> (value,
     digest source), record the command's inputDigest and return the value.
@@ -87,7 +98,7 @@ def _load(args, parse):
         value, key = parse(text)
     except (NodalkitError, LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError, RecursionError) as exc:
-        raise InputError("%s: %s: %s" % (args.file, type(exc).__name__, exc))
+        raise InputError(_describe(args, exc))
     args._digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return value
 
@@ -125,8 +136,8 @@ def _solution(obj):
     if not (np.isfinite(evs).all() and np.isfinite(vecs).all()):
         raise ValueError("eigenvalues and vector entries must be finite")
     return EigenSolution(evs, vecs, [list(c) for c in obj["clusters"]],
-                         float(obj.get("clusterRelTol", 1e-3)),
-                         np.array(obj.get("residuals", [0] * len(evs))), op)
+                         float(obj["clusterRelTol"]),
+                         np.array(obj["residuals"], float), op)
 
 
 def _partition(obj):
@@ -197,7 +208,7 @@ def _exit_code(checks):
 def cmd_partition_euler(args):
     p = _load(args, _parse_partition)
     er = verify_euler(p)
-    parity = check_boundary_parity(p) if p.surface.has_boundary else []
+    parity = check_boundary_parity(p)
     checks = [{"name": "euler", "passed": er.passed,
                "relation": er.relation, "predicted": str(er.predicted),
                "kappa": er.kappa}]
@@ -224,12 +235,7 @@ def cmd_partition_normalize(args):
 
 
 def cmd_types_enum(args):
-    if args.p is None:
-        raise InputError("-p is required")
-    try:
-        types = enumerate_interior(args.p)
-    except NodalkitError as exc:
-        raise InputError(str(exc))
+    types = enumerate_interior(args.p)
     _emit(args, _report(args, [], {"p": args.p, "count": len(types),
                                    "types": [list(t.tau) for t in types]}))
     return 0
@@ -243,12 +249,7 @@ def cmd_types_label(args):
 
 
 def cmd_types_rotate_check(args):
-    if args.p is None:
-        raise InputError("-p is required")
-    try:
-        invariant = shift_invariant_types(args.p)
-    except NodalkitError as exc:
-        raise InputError(str(exc))
+    invariant = shift_invariant_types(args.p)
     total = catalan(args.p)
     expected = 1 if args.p == 1 else 0
     _emit(args, "%d shift-invariant types among %d\n"
@@ -274,10 +275,7 @@ def cmd_types_words(args):
 
 def cmd_solve(args):
     op = _load(args, _parse_json(_operator))
-    try:
-        sol = solve_eigen(op, args.k, tol=args.tol)
-    except NodalkitError as exc:
-        raise InputError(str(exc))
+    sol = solve_eigen(op, args.k, tol=args.tol)
     out = sol.to_json()
     out["vectors"] = np.ascontiguousarray(sol.vectors.T)
     _emit(args, orjson.dumps(out, option=orjson.OPT_APPEND_NEWLINE
@@ -288,13 +286,7 @@ def cmd_solve(args):
 
 def _extract_for_index(args):
     sol = _load(args, _parse_solution)
-    if not 1 <= args.index <= len(sol.eigenvalues):
-        raise InputError("index %d out of range 1..%d"
-                         % (args.index, len(sol.eigenvalues)))
-    try:
-        return sol, extract_nodal(sol.field(args.index))
-    except InvalidProblem as exc:   # a mask that extraction cannot walk
-        raise InputError("%s: %s" % (args.file, exc))
+    return sol, extract_nodal(sol.field(args.index))
 
 
 def cmd_nodal_report(args):
@@ -325,7 +317,7 @@ def cmd_bounds(args):
     try:
         surface = parse_surface(args.surface)
         bs = classical_bounds(surface, args.k)
-    except (NodalkitError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc))
     out = {"formatVersion": FORMAT_VERSION, "surface": surface.to_json(),
            "bounds": bs.to_json(), "gamma": pleijel_gamma()}
@@ -352,10 +344,11 @@ def _build_parser():
     for words, fn, arguments in [
             ("partition euler", cmd_partition_euler, {"file": {}}),
             ("partition normalize", cmd_partition_normalize, {"file": {}}),
-            ("types enum", cmd_types_enum, {"-p": {"type": int}}),
+            ("types enum", cmd_types_enum,
+             {"-p": {"type": int, "required": True}}),
             ("types label", cmd_types_label, {"file": {}}),
             ("types rotate-check", cmd_types_rotate_check,
-             {"-p": {"type": int}}),
+             {"-p": {"type": int, "required": True}}),
             ("types words", cmd_types_words, {"file": {}}),
             ("solve", cmd_solve,
              {"file": {}, "-k": {"type": int, "default": 6},
@@ -388,11 +381,11 @@ def main(argv=None):
     try:
         return globals()[args.handler](args)
     except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        message = str(exc)
     except NodalkitError as exc:
-        print("check failed: %s" % exc, file=sys.stderr)
-        return 1
+        message = _describe(args, exc)
+    print("error: %s" % message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -546,9 +546,8 @@ def verify_euler(p: EmbeddedPartition) -> EulerReport:
 
 def check_boundary_parity(p: EmbeddedPartition):
     """Per boundary component: if the partition boundary meets it, the total
-    hitting index must be even and >= 2 (nodal partitions)."""
-    if not p.surface.has_boundary:
-        raise MalformedEmbedding("surface has no boundary")
+    hitting index must be even and >= 2 (nodal partitions).  A closed
+    surface has no components, so its list is []."""
     reports = []
     for ci in range(len(p.boundary_components)):
         rho_sum = sum(v.rho for v in p.vertices

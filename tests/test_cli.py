@@ -114,6 +114,13 @@ def test_bounds_bad_surface(capsys):
     assert main(["bounds", "widget", "-k", "1"]) == 2
 
 
+def test_p_beyond_the_cap_exits_2(capsys):
+    for group in ("enum", "rotate-check"):
+        assert main(["types", group, "-p", "11"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: CapExceeded: ")
+
+
 def test_partition_euler(partition_file, tmp_path):
     out = tmp_path / "rep.json"
     assert main(["partition", "euler", partition_file, "-o", str(out)]) == 0
@@ -318,11 +325,14 @@ def test_plot(solution_file, tmp_path):
 
 
 def test_no_command_shows_help(capsys):
-    # a missing subcommand is a usage error: usage and an error line on
-    # stderr, nothing on stdout
+    # a missing subcommand, or a types command without -p, is a usage
+    # error: usage and an error line on stderr, nothing on stdout
     for argv, usage in [([], "usage: nodalkit ["),
                         (["types"], "usage: nodalkit types "),
-                        (["partition"], "usage: nodalkit partition ")]:
+                        (["partition"], "usage: nodalkit partition "),
+                        (["types", "enum"], "usage: nodalkit types enum "),
+                        (["types", "rotate-check"],
+                         "usage: nodalkit types rotate-check ")]:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -419,6 +429,43 @@ def _edited_solution(solution_file, tmp_path, **fields):
     f = tmp_path / "edited.json"
     f.write_text(json.dumps(obj))
     return str(f)
+
+
+def test_zero_vector_solution_exits_2(solution_file, tmp_path, capsys):
+    # an all-zero eigenvector is bad input, not a failed check
+    obj = json.loads(open(solution_file).read())
+    vectors = [list(v) for v in obj["vectors"]]
+    vectors[1] = [0.0] * len(vectors[1])
+    sol = _edited_solution(solution_file, tmp_path, vectors=vectors)
+    svg = tmp_path / "out.svg"
+    for argv in (["nodal", "report", sol, "2"],
+                 ["plot", sol, "2", "-o", str(svg)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: %s: AllZeroField: " % sol)
+    assert not svg.exists()
+
+
+@pytest.mark.parametrize("key", ["clusterRelTol", "residuals"])
+def test_solution_without_a_key_solve_writes_exits_2(solution_file, tmp_path,
+                                                     capsys, key):
+    obj = json.loads(open(solution_file).read())
+    del obj[key]
+    sol = tmp_path / "partial.json"
+    sol.write_text(json.dumps(obj))
+    assert main(["nodal", "report", str(sol), "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s: KeyError: " % sol) and key in err
+
+
+def test_report_index_out_of_range_exits_2(solution_file, capsys):
+    # the solution checks the index: k in 1..K
+    for index in ("0", "5"):
+        assert main(["nodal", "report", solution_file, index]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: %s: InvalidProblem: " % solution_file)
 
 
 def test_null_vectors_exit_2(solution_file, tmp_path, capsys):

@@ -69,6 +69,8 @@ def test_boundary_parity():
     reports = check_boundary_parity(helpers.disk_with_diameter())
     assert len(reports) == 1
     assert reports[0]["rhoSum"] == 2 and reports[0]["met"] and reports[0]["passed"]
+    # a closed surface has no boundary components to check
+    assert check_boundary_parity(helpers.circle_on_sphere()) == []
     # a circle marker boundary (no singular points) is fine: component not met
     reports = check_boundary_parity(helpers.moebius_core_circle())
     assert reports[0]["met"] is False and reports[0]["passed"]

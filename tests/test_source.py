@@ -102,6 +102,28 @@ def test_cli_writes_stdout_only_through_emit():
         ("cli.py", "_emit", "sys.stdout.write")]
 
 
+def test_cli_maps_library_errors_in_main_only():
+    # main turns every NodalkitError a handler raises into exit 2; besides
+    # it only _load catches one, among what a malformed file raises.  The
+    # one handler that catches anything is bounds, whose surface parser and
+    # bound table raise ValueError; no failure of the library is reported
+    # as a failed check
+    text = (SRC / "cli.py").read_text()
+    tree = ast.parse(text)
+    catchers = sorted(f.name for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef)
+                      for node in ast.walk(f)
+                      if isinstance(node, ast.ExceptHandler)
+                      and "NodalkitError" in ast.unparse(node.type))
+    assert catchers == ["_load", "main"]
+    assert [(f.name, ast.unparse(h.type)) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef)
+            and (f.name.startswith("cmd_") or f.name == "_extract_for_index")
+            for node in ast.walk(f) if isinstance(node, ast.Try)
+            for h in node.handlers] == [("cmd_bounds", "ValueError")]
+    assert "check failed" not in text
+
+
 def test_user_callables_called_only_in_sampler():
     # fields are evaluated on point arrays: a user callable is called at
     # points only through _sampler's one np.frompyfunc, and every jet
