@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import UnknownFamily
+from .errors import InvalidProblem, UnknownFamily
 from .surface import (CLOSED_NON_ORIENTABLE, CLOSED_ORIENTABLE, SurfaceSpec)
 
 J0_ZERO_TOL = 1e-12  # width of the bisection bracket around j01
@@ -50,9 +50,9 @@ def pleijel_gamma() -> float:
 
 
 def pleijel_bound(lam: float, area: float):
-    """(mult bound 2*lam*area/(pi j01^2) - 1, gamma)."""
-    if lam <= 0 or area <= 0:
-        raise ValueError("lambda and area must be positive")
+    """(mult bound 2*lam*area/(pi j01^2) - 1, gamma); lam, area > 0."""
+    if not (lam > 0 and area > 0):
+        raise InvalidProblem("lambda and area must be positive")
     j01 = bessel_j0_first_zero()
     return 2.0 * lam * area / (math.pi * j01 * j01) - 1.0, pleijel_gamma()
 
@@ -85,10 +85,10 @@ class BoundSet:
 def classical_bounds(surface: SurfaceSpec, k: int) -> BoundSet:
     """Multiplicity upper bounds per the classical table.
 
-    Absent table cells are encoded as None, never 0.
+    Absent table cells are None, never 0; k < 1 is InvalidProblem.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidProblem("k must be >= 1")
     cheng = besson = nadir = hhn = None
     if surface.kind == CLOSED_ORIENTABLE:
         g = surface.param

@@ -14,19 +14,19 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a check the subcommand reports failed
 (Euler, boundary parity, normalize invariants, rotating limit, rotate-check
-count), 2 bad input or usage.  main turns every NodalkitError into exit 2
-as `error: [FILE: ]KIND: message`; no handler repeats a library check.  -p
-is required by the parser; a solution file needs every key `solve` writes.
-Every subcommand writes its text through one writer, `_emit`: to the file
-named by -o when it is given, else to stdout.
-Every subcommand that reads a file parses and validates it through one
-loader, `_load`, which turns whatever a malformed file raises into exit 2;
-a file that cannot be read, or is not UTF-8, exits 2 as well.  A partition
-file is loaded with its stats, so one whose boundary cycle bounds no face
-exits 2 too.  `solve` assembles its problem's operator.  `nodal report`
-and `plot` read the solution's grid (sites, mask, origin) and evaluate its
-potential, but they only map vectors to grid cells, so they never build
-the matrix.  A solution whose mask is in more than one piece solves, but
+count), 2 bad input or usage.  The library raises a NodalkitError for bad
+input where it makes the value, and main alone turns it into exit 2 as
+`error: [FILE: ]KIND: message`; no handler re-checks or translates.  The
+parser requires -p and plot's -o.  Every subcommand writes its text
+through one writer, `_emit`: to -o when it is given, else to stdout.
+Every subcommand that reads a file reads, parses and validates it through
+one loader, `_load`, so a missing, unreadable, non-UTF-8 or malformed file
+exits 2 (a solution file needs every key `solve` writes, and EigenSolution
+checks them).  A partition file is loaded with its stats, so one whose
+boundary cycle bounds no face exits 2 too.  `solve` assembles its problem's
+operator.  `nodal report` and `plot` read the solution's grid (sites, mask,
+origin) and evaluate its potential, but they only map vectors to grid
+cells, so they never build the matrix.  A solution whose mask is in more than one piece solves, but
 its extraction raises InvalidProblem, and they exit 2.
 The argument parser is built once per process; a command group without a
 subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
@@ -55,7 +55,7 @@ from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
                         enumerate_interior, labeling_from_type, parse_tau_text,
                         rotating_limit_check, shift_invariant_types)
-from .errors import NodalkitError
+from .errors import InvalidProblem, InvalidType, NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
@@ -71,13 +71,8 @@ class InputError(Exception):
 
 
 def _read_text(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(str(exc))
-    except UnicodeDecodeError as exc:
-        raise InputError("%s: %s: %s" % (path, type(exc).__name__, exc))
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _describe(args, exc):
@@ -92,12 +87,12 @@ def _load(args, parse):
     digest source), record the command's inputDigest and return the value.
 
     Every file-reading subcommand loads through here, so this is the one
-    place where what a malformed file raises becomes InputError."""
-    text = _read_text(args.file)
+    place where what a missing, unreadable or malformed file raises becomes
+    InputError (a UnicodeDecodeError is a ValueError)."""
     try:
-        value, key = parse(text)
-    except (NodalkitError, LookupError, TypeError, ValueError, AttributeError,
-            ArithmeticError, RecursionError) as exc:
+        value, key = parse(_read_text(args.file))
+    except (NodalkitError, OSError, LookupError, TypeError, ValueError,
+            AttributeError, ArithmeticError, RecursionError) as exc:
         raise InputError(_describe(args, exc))
     args._digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return value
@@ -121,22 +116,14 @@ def _operator(obj):
 def _solution(obj):
     """The loader of nodal report and plot.  They only map vectors to grid
     cells, so the operator's matrix is never built; its layout and the
-    potential are still read and checked."""
+    potential are still read and checked, and EigenSolution checks the rest."""
     if not isinstance(obj, dict):
-        raise ValueError("the top level must be a JSON object, got %s"
-                         % type(obj).__name__)
+        raise InvalidProblem("the top level must be a JSON object, got %s"
+                             % type(obj).__name__)
     op = AssembledOperator(EigenProblem.from_json(obj["problem"]))
-    vecs = np.array(obj["vectors"], float).T
-    evs = np.array(obj["eigenvalues"], float)
-    if evs.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != len(evs):
-        raise ValueError("solution needs one vector per eigenvalue, got "
-                         "vectors of shape %s" % (vecs.T.shape,))
-    if vecs.shape[0] != op.n:
-        raise ValueError("solution vectors do not match the problem grid")
-    if not (np.isfinite(evs).all() and np.isfinite(vecs).all()):
-        raise ValueError("eigenvalues and vector entries must be finite")
-    return EigenSolution(evs, vecs, [list(c) for c in obj["clusters"]],
-                         float(obj["clusterRelTol"]),
+    return EigenSolution(np.array(obj["eigenvalues"], float),
+                         np.array(obj["vectors"], float).T, obj["clusters"],
+                         obj["clusterRelTol"],
                          np.array(obj["residuals"], float), op)
 
 
@@ -159,7 +146,7 @@ _parse_solution = _parse_json(_solution,
 def _load_type(args, cls, need):
     t = _load(args, lambda text: (parse_tau_text(text), text))
     if not isinstance(t, cls):
-        raise InputError(need)
+        raise InvalidType(need)
     return t
 
 
@@ -179,7 +166,7 @@ def _write_text(path, text):
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(str(exc))
+        raise InputError("%s: %s" % (type(exc).__name__, exc))
 
 
 def _pretty(obj):
@@ -306,19 +293,14 @@ def cmd_nodal_report(args):
 
 
 def cmd_plot(args):
-    if not args.output:
-        raise InputError("-o OUT.svg is required")
     _, ext = _extract_for_index(args)
     _write_text(args.output, render_svg(ext))
     return 0
 
 
 def cmd_bounds(args):
-    try:
-        surface = parse_surface(args.surface)
-        bs = classical_bounds(surface, args.k)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    surface = parse_surface(args.surface)
+    bs = classical_bounds(surface, args.k)
     out = {"formatVersion": FORMAT_VERSION, "surface": surface.to_json(),
            "bounds": bs.to_json(), "gamma": pleijel_gamma()}
     _emit(args, _pretty(out))
@@ -354,7 +336,8 @@ def _build_parser():
              {"file": {}, "-k": {"type": int, "default": 6},
               "--tol": {"type": float, "default": 1e-9}}),
             ("nodal report", cmd_nodal_report, file_index),
-            ("plot", cmd_plot, file_index),
+            ("plot", cmd_plot,
+             {**file_index, "-o": {"dest": "output", "required": True}}),
             ("bounds", cmd_bounds,
              {"surface": {}, "-k": {"type": int, "default": 1}})]:
         group, _, name = words.rpartition(" ")
@@ -364,7 +347,8 @@ def _build_parser():
         p = groups[group].add_parser(name)
         for arg, kwargs in arguments.items():
             p.add_argument(arg, **kwargs)
-        p.add_argument("-o", dest="output", default=None)
+        if "-o" not in arguments:
+            p.add_argument("-o", dest="output", default=None)
         p.set_defaults(handler=fn.__name__)
     return top
 

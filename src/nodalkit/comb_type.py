@@ -427,24 +427,28 @@ def format_tau_text(t) -> str:
 def parse_tau_text(text: str):
     """Parse the 2-row matrix format: rays are 0-based and an arrow token
     stands for ray 0.  Returns a BoundaryType when an arrow token appears,
-    else an InteriorType.
+    else an InteriorType.  InvalidType names a token that is neither an
+    integer nor an arrow.
     """
     rows = [line.split() for line in text.strip().splitlines()
             if line.strip() and not line.lstrip().startswith("#")]
     if len(rows) != 2 or len(rows[0]) != len(rows[1]):
         raise InvalidType("expected two rows of equal length")
 
-    def is_arrow(tok):
-        return tok.lower() in ARROW_TOKENS
+    def ray(tok):
+        try:
+            return 0 if tok.lower() in ARROW_TOKENS else int(tok)
+        except ValueError:
+            raise InvalidType("ray token %.40r is neither an integer nor an "
+                              "arrow" % tok) from None
 
-    idx, img = ([0 if is_arrow(tok) else int(tok) for tok in row]
-                for row in rows)
+    idx, img = ([ray(tok) for tok in row] for row in rows)
     n = len(idx)
     if sorted(idx) != list(range(n)):
         raise InvalidType("first row must list rays 0..%d" % (n - 1))
     tau = [0] * n
     for i, j in zip(idx, img):
         tau[i] = j
-    if any(is_arrow(tok) for tok in rows[0] + rows[1]):
+    if any(tok.lower() in ARROW_TOKENS for tok in rows[0] + rows[1]):
         return BoundaryType((n + 2) // 2, tuple(tau))
     return InteriorType(n // 2, tuple(tau))

@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types.  Every input the package refuses raises one,
+where the value is made; the CLI turns each into exit code 2."""
 
 
 class NodalkitError(Exception):
@@ -23,6 +24,10 @@ class NoRepeat(NodalkitError):
 
 class CapExceeded(NodalkitError):
     """Enumeration request beyond the configured cap."""
+
+
+class InvalidSurface(NodalkitError):
+    """Unknown surface kind or name, or a count out of range."""
 
 
 class UnknownFamily(NodalkitError):

@@ -251,7 +251,7 @@ def _per_element(fn):
         for i, xs in enumerate(zip(*(a.ravel().tolist() for a in args))):
             v = fn(*xs)
             if not isinstance(v, float):   # negative base, fractional power
-                raise ValueError("%s%r is not real" % (fn.__name__, xs))
+                raise InvalidProblem("%s%r is not real" % (fn.__name__, xs))
             flat[i] = v
         return out
     return apply
@@ -274,17 +274,17 @@ _NAMES = {"x": lambda x, y: x, "y": lambda x, y: y,
 
 def _compile_potential(node):
     """Closure f(x, y) for one node of a potential's syntax tree; anything
-    outside the grammar raises ValueError."""
+    outside the grammar raises InvalidProblem."""
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
             c = float(node.value)
         except OverflowError:
-            raise ValueError("integer constant in potential is too large "
-                             "for a float") from None
+            raise InvalidProblem("integer constant in potential is too "
+                                 "large for a float") from None
         return lambda x, y: c
     if isinstance(node, ast.Name):
         if node.id not in _NAMES:
-            raise ValueError("unknown name %r in potential" % node.id)
+            raise InvalidProblem("unknown name %r in potential" % node.id)
         return _NAMES[node.id]
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         fn, a = _UNARY[type(node.op)], _compile_potential(node.operand)
@@ -296,10 +296,11 @@ def _compile_potential(node):
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS \
                 or len(node.args) != 1 or node.keywords:
-            raise ValueError("unknown function or arity in potential")
+            raise InvalidProblem("unknown function or arity in potential")
         fn, a = _FUNCS[node.func.id], _compile_potential(node.args[0])
         return lambda x, y: fn(a(x, y))
-    raise ValueError("disallowed token in potential: %r" % type(node).__name__)
+    raise InvalidProblem("disallowed token in potential: %r"
+                         % type(node).__name__)
 
 
 def parse_potential(expr):
@@ -309,7 +310,8 @@ def parse_potential(expr):
     Number literals are floats.  V takes coordinate arrays (or floats) and
     gives, element for element, the bits a Python float evaluation gives.
     Division by zero, overflow, domain errors and non-finite values raise
-    ValueError.  V._source is expr, which EigenProblem.to_json writes back.
+    InvalidProblem, as does an expression outside the grammar.  V._source
+    is expr, which EigenProblem.to_json writes back.
     """
     if expr is None:
         return None
@@ -323,18 +325,21 @@ def parse_potential(expr):
     try:
         tree = ast.parse(str(expr), mode="eval")
     except SyntaxError as exc:
-        raise ValueError("potential %r: %s" % (expr, exc.msg)) from None
+        raise InvalidProblem("potential %r: %s" % (expr, exc.msg)) from None
     f = _compile_potential(tree.body)
 
     def V(x, y):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 v = f(x, y)
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError("potential %r fails on the grid: %s"
-                             % (expr, exc)) from None
+        # libm raises ValueError outside a function's domain, and
+        # _per_element InvalidProblem for a complex power
+        except (ArithmeticError, ValueError, InvalidProblem) as exc:
+            raise InvalidProblem("potential %r fails on the grid: %s"
+                                 % (expr, exc)) from None
         if not np.all(np.isfinite(v)):
-            raise ValueError("potential %r is not finite on the grid" % expr)
+            raise InvalidProblem("potential %r is not finite on the grid"
+                                 % expr)
         return v
     V._source = expr
     return V
@@ -475,11 +480,11 @@ class GridField:
 
     def sample(self, x, y):
         """Bilinear interpolation between cell centers, element for element
-        on coordinate arrays or at one point; ValueError at a non-finite one."""
+        on arrays or at a point; InvalidProblem at a non-finite one."""
         fx = (np.asarray(x) - self.origin[0]) / self.h - 0.5
         fy = (np.asarray(y) - self.origin[1]) / self.h - 0.5
         if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
-            raise ValueError("cannot sample a field at a non-finite point")
+            raise InvalidProblem("cannot sample a field at a non-finite point")
         ny, nx = self.values.shape
         ix = np.clip(np.floor(fx), 0, nx - 2).astype(int)
         iy = np.clip(np.floor(fy), 0, ny - 2).astype(int)
@@ -624,14 +629,41 @@ def assemble_operator(problem: EigenProblem) -> AssembledOperator:
 # eigensolution
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSolution:
+    """K >= 1 eigenpairs of one operator, checked when made (`replace` too):
+    finite real arrays of shapes (K,), (operator.n, K) and (K,), residuals
+    >= 0, cluster_rel_tol as _tolerance reads it, and clusters non-empty
+    lists of ints that concatenate to 1..K; else InvalidProblem."""
     eigenvalues: np.ndarray       # nondecreasing, 1-based labels in reports
     vectors: np.ndarray           # column per eigenpair, orthonormal
     clusters: list                # list of lists of 1-based indices
     cluster_rel_tol: float
     residuals: np.ndarray
     operator: AssembledOperator
+
+    def __post_init__(self):
+        arrays = evs, vecs, res = (self.eigenvalues, self.vectors,
+                                   self.residuals)
+        n, K = self.operator.n, len(evs) if np.ndim(evs) == 1 else 0
+        if not K or (np.shape(vecs), np.shape(res)) != ((n, K), (K,)):
+            raise InvalidProblem(
+                "a solution needs K >= 1 eigenvalues, one vector per "
+                "eigenvalue (of %d entries) and one residual per eigenvalue, "
+                "got shapes %s, %s and %s" % (n, *map(np.shape, arrays)))
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
+                   and np.isfinite(a).all() for a in arrays) or min(res) < 0:
+            raise InvalidProblem("eigenvalues, vector entries and residuals "
+                                 "must be finite real numbers, residuals >= 0")
+        object.__setattr__(self, "cluster_rel_tol",
+                           _tolerance(self.cluster_rel_tol, "cluster"))
+        c = self.clusters
+        # (type, index) pairs: 1.0 and True equal 1 but index nothing
+        if not (isinstance(c, list) and all(type(x) is list and x for x in c)
+                and [(type(k), k) for x in c for k in x]
+                == [(int, k) for k in range(1, K + 1)]):
+            raise InvalidProblem("clusters must be non-empty lists that "
+                                 "concatenate to 1..%d, got %.60r" % (K, c))
 
     def field(self, k) -> GridField:
         """Cell field of the k-th eigenfunction (1-based).  InvalidProblem
@@ -1030,8 +1062,9 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     Raises InfeasibleOrder when fewer than 2 basis fields are given, q is
     not an integer >= 1 (a numpy integer counts, a bool does not), the
     constraints (q(q + 1)/2 interior, q boundary) are not fewer than the
-    basis fields, h is not finite and positive, or the suppressed jet's
-    residual is above PRESCRIBE_REL_TOL."""
+    basis fields, the site is not two finite numbers or h is not finite and
+    positive (_placed), or the suppressed jet's residual is above
+    PRESCRIBE_REL_TOL."""
     m = len(basis)
     if m < 2:
         raise InfeasibleOrder("need at least 2 basis fields, got %d" % m)
@@ -1042,9 +1075,9 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
                               "fields" % (q, count, m))
     if h is None:
         h = basis[0].h if isinstance(basis[0], GridField) else 1e-3
-    if not 0 < h < math.inf:
-        raise InfeasibleOrder("step h must be finite and positive, got %r"
-                              % (h,))
+    if not _placed(site, h):
+        raise InfeasibleOrder("need a site of two finite numbers and h finite "
+                              "and positive, got %r and %r" % (site, h))
     t = np.arange(1 - q, q) * h
     if boundary is None:
         x, y = site[0] + t, site[1] + t[:, None]
@@ -1106,18 +1139,13 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
     `passed` needs every combination check and the GATING_KEYS of every
     entry: courant, multBound, euler, parity and, on Dirichlet problems
     only, faberKrahn; pleijel and weyl are reported but do not gate.
-    InvalidProblem unless seed and n_combos are integers >= 0, `problem`
-    is the one `sol` solves, and the clusters are non-empty and concatenate
-    to 1..K."""
+    InvalidProblem unless seed and n_combos are integers >= 0 and `problem`
+    is the one `sol` solves; the solution checked its own clusters when it
+    was made (EigenSolution)."""
     seed = _integer(seed, 0, "seed")
     n_combos = _integer(n_combos, 0, "n_combos")
     if problem != sol.operator.problem:
         raise InvalidProblem("problem differs from the solved problem")
-    K = len(sol.eigenvalues)
-    if not all(sol.clusters) or [k for cluster in sol.clusters
-                                 for k in cluster] != list(range(1, K + 1)):
-        raise InvalidProblem("clusters must be non-empty and concatenate to "
-                             "1..%d, got %.60r" % (K, sol.clusters))
     area = problem.domain.area(problem.grid_step)
     rng = np.random.default_rng(seed)
     entries, combo_checks = [], []
@@ -1159,6 +1187,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
                                  "passed": worst <= k_hi})
     lam_max = float(sol.eigenvalues[-1])
     w = weyl_term(lam_max, area)
+    K = len(sol.eigenvalues)
     weyl = {"lambda": lam_max, "count": K, "weylTerm": w,
             "relativeDeviation": abs(K - w) / K}
     gates = [key for key in GATING_KEYS

@@ -7,12 +7,14 @@ A surface is one of:
                                              boundary component 1 is the outer one)
   - Moebius strip                           (projective plane minus a disk)
 
-Immutable value type, safe to share.
+Immutable value type, checked when made (InvalidSurface), safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import InvalidSurface
 
 CLOSED_ORIENTABLE = "ClosedOrientable"
 CLOSED_NON_ORIENTABLE = "ClosedNonOrientable"
@@ -29,13 +31,13 @@ class SurfaceSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError("unknown surface kind: %r" % (self.kind,))
+            raise InvalidSurface("unknown surface kind: %r" % (self.kind,))
         if self.kind == CLOSED_ORIENTABLE and self.param < 0:
-            raise ValueError("genus must be >= 0")
+            raise InvalidSurface("genus must be >= 0")
         if self.kind == CLOSED_NON_ORIENTABLE and self.param < 1:
-            raise ValueError("crossCaps must be >= 1")
+            raise InvalidSurface("crossCaps must be >= 1")
         if self.kind == PLANAR_DOMAIN and self.param < 0:
-            raise ValueError("holes must be >= 0")
+            raise InvalidSurface("holes must be >= 0")
 
     # -- convenience constructors ------------------------------------------
 
@@ -109,7 +111,7 @@ def euler_characteristic(spec: SurfaceSpec) -> int:
 
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse CLI-style surface names: sphere, torus, projective, klein,
-    genus-G, crosscaps-C, planar-Q (Q holes), moebius."""
+    genus-G, crosscaps-C, planar-Q (Q holes), moebius; else InvalidSurface."""
     t = text.strip().lower()
     if t in ("sphere", "s2"):
         return SurfaceSpec.sphere()
@@ -128,6 +130,7 @@ def parse_surface(text: str) -> SurfaceSpec:
     for prefix, kind in (("genus-", CLOSED_ORIENTABLE),
                          ("crosscaps-", CLOSED_NON_ORIENTABLE),
                          ("planar-", PLANAR_DOMAIN)):
-        if t.startswith(prefix):
-            return SurfaceSpec(kind, int(t[len(prefix):]))
-    raise ValueError("cannot parse surface name: %r" % (text,))
+        count = t[len(prefix):] if t.startswith(prefix) else ""
+        if count.removeprefix("-").isdecimal():
+            return SurfaceSpec(kind, int(count))
+    raise InvalidSurface("cannot parse surface name: %r" % (text,))

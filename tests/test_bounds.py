@@ -7,7 +7,7 @@ import pytest
 from nodalkit.bounds import (BoundSet, bessel_j0_first_zero, classical_bounds,
                              faber_krahn_threshold, pleijel_bound,
                              pleijel_gamma, weyl_term)
-from nodalkit.errors import UnknownFamily
+from nodalkit.errors import InvalidProblem, UnknownFamily
 from nodalkit.surface import SurfaceSpec
 
 
@@ -89,14 +89,21 @@ def test_unknown_family():
         classical_bounds(SurfaceSpec.moebius_strip(), 1)
 
 
+def test_bounds_need_k_at_least_1():
+    for k in (0, -3):
+        with pytest.raises(InvalidProblem, match="k must be >= 1"):
+            classical_bounds(SurfaceSpec.sphere(), k)
+
+
 def test_pleijel_bound():
     j01 = bessel_j0_first_zero()
     lam = 5 * math.pi ** 2  # second cluster of the unit square
     bound, gamma = pleijel_bound(lam, 1.0)
     assert abs(bound - (2 * lam / (math.pi * j01 ** 2) - 1)) < 1e-12
     assert gamma == pleijel_gamma()
-    with pytest.raises(ValueError):
-        pleijel_bound(-1.0, 1.0)
+    for lam, area in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(InvalidProblem, match="must be positive"):
+            pleijel_bound(lam, area)
 
 
 def test_faber_krahn_threshold():

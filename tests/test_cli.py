@@ -114,6 +114,43 @@ def test_bounds_bad_surface(capsys):
     assert main(["bounds", "widget", "-k", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "genus--1"], "InvalidSurface: genus must be >= 0"),
+    (["bounds", "genus-x"], "InvalidSurface: cannot parse surface name: "
+                            "'genus-x'"),
+    (["bounds", "widget"], "InvalidSurface: cannot parse surface name: "
+                           "'widget'"),
+    (["bounds", "sphere", "-k", "0"], "InvalidProblem: k must be >= 1"),
+    (["bounds", "moebius"], "UnknownFamily: no classical table row for "
+                            "MoebiusStrip")],
+    ids=["genus-minus-1", "genus-x", "widget", "k-0", "moebius"])
+def test_bounds_bad_input_names_its_kind(capsys, argv, message):
+    # bounds reads no file: error: KIND: message, from main
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: %s\n" % message
+
+
+def test_missing_file_names_its_kind(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["partition", "euler", "missing.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: missing.json: FileNotFoundError: ")
+
+
+def test_wrong_kind_of_type_exits_2(tau_file, boundary_tau_file, capsys):
+    for argv, message in [
+            (["types", "label", boundary_tau_file],
+             "labeling needs an interior type"),
+            (["types", "words", tau_file],
+             "words need a boundary type (arrow row entry)")]:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s: InvalidType: %s\n" % (argv[2], message)
+
+
 def test_p_beyond_the_cap_exits_2(capsys):
     for group in ("enum", "rotate-check"):
         assert main(["types", group, "-p", "11"]) == 2
@@ -324,6 +361,17 @@ def test_plot(solution_file, tmp_path):
     assert svg.read_bytes() == svg2.read_bytes()
 
 
+def test_plot_requires_output(solution_file, tmp_path, monkeypatch, capsys):
+    # the parser requires -o: usage on stderr, and nothing written
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["plot", solution_file, "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: nodalkit plot ")
+    assert "error: the following arguments are required: -o" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_no_command_shows_help(capsys):
     # a missing subcommand, or a types command without -p, is a usage
     # error: usage and an error line on stderr, nothing on stdout
@@ -484,6 +532,23 @@ def test_fewer_vectors_than_eigenvalues_exit_2(solution_file, tmp_path,
     assert "one vector per eigenvalue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("residuals", [1.0]), ("clusterRelTol", -5), ("clusters", [[1]])])
+def test_solution_solve_never_writes_exits_2(solution_file, tmp_path, capsys,
+                                             field, value):
+    # the K = 4 square's solution with one residual, a negative cluster
+    # tolerance, or clusters that stop at 1: EigenSolution refuses each
+    sol = _edited_solution(solution_file, tmp_path, **{field: value})
+    svg = tmp_path / "out.svg"
+    for argv in (["nodal", "report", sol, "1"],
+                 ["plot", sol, "1", "-o", str(svg)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: %s: InvalidProblem: " % sol)
+    assert not svg.exists()
+
+
 def _partition_doc(p, **changes):
     doc = p.to_json()
     doc.update(changes)
@@ -553,7 +618,8 @@ def test_unwritable_output_exits_2(solution_file, tmp_path, capsys):
     for argv in (["solve", prob, "-k", "3", "-o", str(missing / "x.json")],
                  ["plot", solution_file, "1", "-o", str(missing / "x.svg")]):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            "error: FileNotFoundError: ")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])

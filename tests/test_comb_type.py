@@ -323,10 +323,12 @@ def test_tau_text_round_trip(tmp_path, capsys):
     bad = {"0 1 1 3\n1 0 3 2\n": InvalidType,        # first row repeats ray 1
            "v 1 1 3\n1 v 3 2\n": InvalidType,
            "0 1 2\n1 0 2\n": InvalidType,            # odd interior row
-           "0 1 x 3\n1 0 3 2\n": ValueError,         # non-integer tokens
-           "v 1 2 3\n1 v 3 2.0\n": ValueError}
+           # non-integer tokens, named in the message
+           "0 1 x 3\n1 0 3 2\n": (InvalidType, "ray token 'x'"),
+           "v 1 2 3\n1 v 3 2.0\n": (InvalidType, "ray token '2.0'")}
     for i, (text, error) in enumerate(bad.items()):
-        with pytest.raises(error):
+        error, match = error if isinstance(error, tuple) else (error, None)
+        with pytest.raises(error, match=match):
             parse_tau_text(text)
         path = tmp_path / ("bad%d.tau" % i)
         path.write_text(text)

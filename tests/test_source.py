@@ -104,10 +104,10 @@ def test_cli_writes_stdout_only_through_emit():
 
 def test_cli_maps_library_errors_in_main_only():
     # main turns every NodalkitError a handler raises into exit 2; besides
-    # it only _load catches one, among what a malformed file raises.  The
-    # one handler that catches anything is bounds, whose surface parser and
-    # bound table raise ValueError; no failure of the library is reported
-    # as a failed check
+    # it only _load catches one, among what a missing or malformed file
+    # raises.  No handler contains a try: the library raises a
+    # NodalkitError for every bad input, so a handler has nothing to
+    # translate, and no failure of the library is reported as a failed check
     text = (SRC / "cli.py").read_text()
     tree = ast.parse(text)
     catchers = sorted(f.name for f in ast.walk(tree)
@@ -116,12 +116,20 @@ def test_cli_maps_library_errors_in_main_only():
                       if isinstance(node, ast.ExceptHandler)
                       and "NodalkitError" in ast.unparse(node.type))
     assert catchers == ["_load", "main"]
-    assert [(f.name, ast.unparse(h.type)) for f in ast.walk(tree)
-            if isinstance(f, ast.FunctionDef)
+    assert [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
             and (f.name.startswith("cmd_") or f.name == "_extract_for_index")
-            for node in ast.walk(f) if isinstance(node, ast.Try)
-            for h in node.handlers] == [("cmd_bounds", "ValueError")]
+            for node in ast.walk(f) if isinstance(node, ast.Try)] == []
     assert "check failed" not in text
+
+
+def test_src_raises_no_value_error():
+    # bad input is a NodalkitError, raised where the library makes the
+    # value, so no module raises a bare ValueError of its own
+    raises = [(path.name, ast.unparse(node.exc)) for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "ValueError" in ast.unparse(node.exc)]
+    assert raises == []
 
 
 def test_user_callables_called_only_in_sampler():

@@ -124,9 +124,9 @@ def test_potential_parsing():
     assert V(0.5, 2.0) == pytest.approx(1.0 + 4.0)
     assert parse_potential(None) is None
     assert parse_potential(0) is None
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProblem, match="unknown function"):
         parse_potential("__import__('os')")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProblem, match="unknown function"):
         parse_potential("open('x')")
 
 
@@ -244,14 +244,23 @@ def test_potential_array_bits_equal_scalar_eval(expr):
 def test_bad_potential_values_raise(expr):
     # on the node lattice of h = 1/8 the site x = 0.5 exists
     p = _with_potential(EigenProblem(Rectangle(1, 1), 1 / 8), expr)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProblem, match="potential"):
+        assemble_operator(p)
+
+
+def test_potential_off_its_domain_on_a_disk():
+    # the disk's cells reach x < 0, where math.log raises ValueError; the
+    # potential reports it as InvalidProblem
+    p = _with_potential(EigenProblem(Disk(0.5), 1 / 16), "log(x)")
+    with pytest.raises(InvalidProblem,
+                       match="'log\\(x\\)' fails on the grid: math domain"):
         assemble_operator(p)
 
 
 @pytest.mark.parametrize("expr", ["x +", "True", "'a'", "sin", "sin(x, y)",
                                   "x // 2", "x if y else 1", "z"])
 def test_bad_potential_syntax_raises(expr):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProblem, match="potential"):
         parse_potential(expr)
 
 
@@ -882,6 +891,20 @@ def test_prescribe_order_below_one():
                                    boundary=boundary, h=1e-3)
 
 
+@pytest.mark.parametrize("site", [(math.nan, 0), (math.inf, 0), ("a", 0)],
+                         ids=["nan", "inf", "str"])
+def test_prescribe_needs_a_site_of_two_finite_numbers(site):
+    # the site is checked before any jet is sampled, on callables and on
+    # GridFields alike
+    fns = [lambda x, y: x, lambda x, y: y, lambda x, y: x * y]
+    p = EigenProblem(Rectangle(1, 1), 1 / 16)
+    for basis in (fns, [sample_field(p, f) for f in fns]):
+        for boundary in (None, ((1, 0), (0, 1))):
+            with pytest.raises(InfeasibleOrder,
+                               match="site of two finite numbers"):
+                prescribe_singular(basis, site, 1, boundary=boundary)
+
+
 @pytest.mark.parametrize("x0, radius", [
     ((0, 0), -0.1), ((0, 0), 0.0), ((0, 0), math.nan), ((0, 0), math.inf),
     ((math.nan, 0), 0.1), ((0, -math.inf), 0.1),
@@ -905,7 +928,7 @@ def test_grid_field_sample_on_arrays():
         for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
     assert f.sample(0.1, -0.2) == helpers.reference_sample(f, 0.1, -0.2)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(InvalidProblem, match="non-finite"):
             f.sample(np.array([0.0, bad]), np.zeros(2))
 
 
@@ -1085,11 +1108,72 @@ def test_law_report_rejects_another_problem(other):
     [[1], [2, 3], [4], []], [[], [1], [2, 3], [4]]],
     ids=["short", "reversed", "overlap", "trailing-empty", "leading-empty"])
 def test_law_report_rejects_malformed_clusters(clusters):
+    # the solution checks its clusters when made, so no law report sees them
     p = EigenProblem(Rectangle(1, 1), 1 / 16)
-    sol = dataclasses.replace(solve_eigen(assemble_operator(p), 4),
-                              clusters=clusters)
+    sol = solve_eigen(assemble_operator(p), 4)
     with pytest.raises(InvalidProblem, match="clusters"):
-        verify_spectral_laws(sol, p, n_combos=2)
+        dataclasses.replace(sol, clusters=clusters)
+
+
+@pytest.fixture(scope="module")
+def square_solution():
+    p = EigenProblem(Rectangle(1, 1), 1 / 16)
+    return solve_eigen(assemble_operator(p), 4)
+
+
+def _replaced(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("eigenvalues", lambda s: s.eigenvalues[:3], "one vector per eigenvalue"),
+    ("eigenvalues", lambda s: s.eigenvalues[None], "one vector per"),
+    ("eigenvalues", lambda s: s.eigenvalues[:0], "K >= 1 eigenvalues"),
+    ("eigenvalues", lambda s: _replaced(s.eigenvalues, 1, math.nan),
+     "must be finite"),
+    ("eigenvalues", lambda s: list(s.eigenvalues), "finite real numbers"),
+    ("vectors", lambda s: s.vectors[:, :3], "one vector per eigenvalue"),
+    ("vectors", lambda s: s.vectors[1:], "one vector per eigenvalue"),
+    ("vectors", lambda s: _replaced(s.vectors, (0, 0), math.inf),
+     "must be finite"),
+    ("vectors", lambda s: s.vectors + 0j, "finite real numbers"),
+    ("residuals", lambda s: np.array([1.0]), "one residual per eigenvalue"),
+    ("residuals", lambda s: _replaced(s.residuals, 2, -1e-12),
+     "residuals >= 0"),
+    ("residuals", lambda s: _replaced(s.residuals, 0, math.nan),
+     "must be finite"),
+    ("cluster_rel_tol", lambda s: -5, "cluster tolerance"),
+    ("cluster_rel_tol", lambda s: math.nan, "cluster tolerance"),
+    ("cluster_rel_tol", lambda s: True, "cluster tolerance"),
+    ("cluster_rel_tol", lambda s: "0.1", "cluster tolerance"),
+    ("clusters", lambda s: [[1]], "clusters"),
+    ("clusters", lambda s: [[1.0], [2, 3], [4]], "clusters"),
+    ("clusters", lambda s: [[True], [2, 3], [4]], "clusters"),
+    ("clusters", lambda s: [(1,), (2, 3), (4,)], "clusters"),
+    ("clusters", lambda s: None, "clusters"),
+    # an operator of another grid: the vectors no longer fit it
+    ("operator", lambda s: assemble_operator(
+        EigenProblem(Rectangle(1, 1), 1 / 8)), "one vector per eigenvalue"),
+], ids=["K-3", "2-D", "K-0", "nan-eigenvalue", "list", "3-vectors",
+        "short-vectors", "inf-entry", "complex", "one-residual",
+        "negative-residual", "nan-residual", "tol-negative", "tol-nan",
+        "tol-bool", "tol-str", "short-clusters", "float-index",
+        "bool-index", "tuples", "no-clusters", "other-operator"])
+def test_solution_checks_itself(square_solution, field, value, message):
+    with pytest.raises(InvalidProblem, match=message):
+        dataclasses.replace(square_solution,
+                            **{field: value(square_solution)})
+
+
+def test_solution_is_frozen_and_stores_a_float_tolerance(square_solution):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        square_solution.clusters = [[1, 2, 3, 4]]
+    sol = dataclasses.replace(square_solution, cluster_rel_tol=0,
+                              clusters=[[1, 2, 3, 4]])
+    assert type(sol.cluster_rel_tol) is float and sol.cluster_rel_tol == 0.0
+    assert sol.to_json()["clusters"] == [[1, 2, 3, 4]]
 
 
 @pytest.mark.parametrize("domain, message", [

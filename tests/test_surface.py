@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from nodalkit.errors import InvalidSurface
 from nodalkit.surface import SurfaceSpec, euler_characteristic, parse_surface
 
 
@@ -58,14 +59,22 @@ def test_parse_surface_names():
     assert parse_surface("genus-3") == SurfaceSpec.closed_orientable(3)
     assert parse_surface("crosscaps-4") == SurfaceSpec.closed_non_orientable(4)
     assert parse_surface("planar-2") == SurfaceSpec.planar_domain(2)
-    with pytest.raises(ValueError):
-        parse_surface("dodecahedron")
+    # any other name, and a count that is not a decimal integer, is
+    # InvalidSurface
+    for name in ("dodecahedron", "genus-x", "genus-", "planar-1.5",
+                 "genus---1", "crosscaps-+1"):
+        with pytest.raises(InvalidSurface, match="cannot parse"):
+            parse_surface(name)
+    with pytest.raises(InvalidSurface, match="genus must be >= 0"):
+        parse_surface("genus--1")
 
 
 def test_invalid_params():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSurface, match="genus"):
         SurfaceSpec.closed_orientable(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSurface, match="crossCaps"):
         SurfaceSpec.closed_non_orientable(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSurface, match="holes"):
         SurfaceSpec.planar_domain(-1)
+    with pytest.raises(InvalidSurface, match="unknown surface kind"):
+        SurfaceSpec("Sphere")
