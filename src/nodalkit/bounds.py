@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidProblem, UnknownFamily
+from .errors import InvalidProblem, UnknownFamily, _integer
 from .surface import (CLOSED_NON_ORIENTABLE, CLOSED_ORIENTABLE, SurfaceSpec)
 
 J0_ZERO_TOL = 1e-12  # width of the bisection bracket around j01
@@ -85,10 +85,9 @@ class BoundSet:
 def classical_bounds(surface: SurfaceSpec, k: int) -> BoundSet:
     """Multiplicity upper bounds per the classical table.
 
-    Absent table cells are None, never 0; k < 1 is InvalidProblem.
+    Absent cells are None, never 0; InvalidProblem unless k is an integer >= 1.
     """
-    if k < 1:
-        raise InvalidProblem("k must be >= 1")
+    k = _integer(k, 1, "k")
     cheng = besson = nadir = hhn = None
     if surface.kind == CLOSED_ORIENTABLE:
         g = surface.param

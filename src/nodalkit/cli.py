@@ -21,13 +21,12 @@ parser requires -p and plot's -o.  Every subcommand writes its text
 through one writer, `_emit`: to -o when it is given, else to stdout.
 Every subcommand that reads a file reads, parses and validates it through
 one loader, `_load`, so a missing, unreadable, non-UTF-8 or malformed file
-exits 2 (a solution file needs every key `solve` writes, and EigenSolution
-checks them).  A partition file is loaded with its stats, so one whose
-boundary cycle bounds no face exits 2 too.  `solve` assembles its problem's
-operator.  `nodal report` and `plot` read the solution's grid (sites, mask,
-origin) and evaluate its potential, but they only map vectors to grid
-cells, so they never build the matrix.  A solution whose mask is in more than one piece solves, but
-its extraction raises InvalidProblem, and they exit 2.
+exits 2.  A partition file is loaded with its stats, so one whose boundary
+cycle bounds no face exits 2 too.  `solve` prints a solution's to_json and
+assembles its problem's operator; `nodal report` and `plot` read it with
+EigenSolution.from_json, which checks it whole, and only map vectors to grid
+cells, so they never build the matrix.  A solution whose mask is in more
+than one piece solves, but its extraction raises InvalidProblem (exit 2).
 The argument parser is built once per process; a command group without a
 subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
 Input files are parsed by orjson, whose correctly rounded decimal reader
@@ -47,7 +46,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
 import orjson
 
 from . import __version__
@@ -55,12 +53,12 @@ from .bounds import classical_bounds, pleijel_gamma
 from .comb_type import (BoundaryType, InteriorType, boundary_words, catalan,
                         enumerate_interior, labeling_from_type, parse_tau_text,
                         rotating_limit_check, shift_invariant_types)
-from .errors import InvalidProblem, InvalidType, NodalkitError
+from .errors import InvalidType, NodalkitError
 from .partition import (EmbeddedPartition, check_boundary_parity, normalize,
                         partition_stats, verify_euler)
 from .plotting import render_svg
-from .spectral import (AssembledOperator, EigenProblem, EigenSolution,
-                       assemble_operator, extract_nodal, solve_eigen)
+from .spectral import (EigenProblem, EigenSolution, assemble_operator,
+                       extract_nodal, solve_eigen)
 from .surface import parse_surface
 
 FORMAT_VERSION = 1
@@ -113,20 +111,6 @@ def _operator(obj):
     return assemble_operator(EigenProblem.from_json(obj))
 
 
-def _solution(obj):
-    """The loader of nodal report and plot.  They only map vectors to grid
-    cells, so the operator's matrix is never built; its layout and the
-    potential are still read and checked, and EigenSolution checks the rest."""
-    if not isinstance(obj, dict):
-        raise InvalidProblem("the top level must be a JSON object, got %s"
-                             % type(obj).__name__)
-    op = AssembledOperator(EigenProblem.from_json(obj["problem"]))
-    return EigenSolution(np.array(obj["eigenvalues"], float),
-                         np.array(obj["vectors"], float).T, obj["clusters"],
-                         obj["clusterRelTol"],
-                         np.array(obj["residuals"], float), op)
-
-
 def _partition(obj):
     """The loader of partition euler and normalize: the partition with its
     stats, so that a boundary circle that bounds no face exits 2."""
@@ -139,7 +123,7 @@ _parse_partition = _parse_json(_partition)
 
 
 # a solution is digested by its eigenvalues alone
-_parse_solution = _parse_json(_solution,
+_parse_solution = _parse_json(EigenSolution.from_json,
                               lambda obj: json.dumps(obj["eigenvalues"]))
 
 
@@ -263,9 +247,7 @@ def cmd_types_words(args):
 def cmd_solve(args):
     op = _load(args, _parse_json(_operator))
     sol = solve_eigen(op, args.k, tol=args.tol)
-    out = sol.to_json()
-    out["vectors"] = np.ascontiguousarray(sol.vectors.T)
-    _emit(args, orjson.dumps(out, option=orjson.OPT_APPEND_NEWLINE
+    _emit(args, orjson.dumps(sol.to_json(), option=orjson.OPT_APPEND_NEWLINE
                              | orjson.OPT_SORT_KEYS
                              | orjson.OPT_SERIALIZE_NUMPY).decode())
     return 0

@@ -1,5 +1,8 @@
-"""Shared exception types.  Every input the package refuses raises one,
-where the value is made; the CLI turns each into exit code 2."""
+"""Shared exception types and the one integer rule (`_integer`).  Every
+input the package refuses raises one, where the value is made; the CLI
+turns each into exit code 2."""
+
+import numpy as np
 
 
 class NodalkitError(Exception):
@@ -56,3 +59,13 @@ class InfeasibleOrder(NodalkitError):
 
 class InvalidProblem(NodalkitError):
     """An eigenproblem or its operator violates a stated precondition."""
+
+
+def _integer(value, least, name, error=InvalidProblem):
+    """value as an int: an int or numpy integer (a bool is not one) at least
+    `least`, else `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise error("%s must be >= %d and an integer, got %r"
+                    % (name, least, value))
+    return int(value)

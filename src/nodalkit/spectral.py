@@ -35,7 +35,8 @@ import scipy.sparse.linalg
 
 from .bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
-                     InvalidProblem, MalformedEmbedding, NoConvergence, NoFit)
+                     InvalidProblem, MalformedEmbedding, NoConvergence, NoFit,
+                     _integer)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
 from .surface import SurfaceSpec
 
@@ -207,16 +208,6 @@ def _check_pinch(mask):
         raise InvalidProblem("the domain mask pinches at lattice corner "
                              "(%d, %d): two cells meet only at that corner"
                              % (ix, iy))
-
-
-def _integer(value, least, name, error=InvalidProblem):
-    """value as an int: an int or numpy integer (a bool is not one) at least
-    `least`, else `error`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise error("%s must be >= %d and an integer, got %r"
-                    % (name, least, value))
-    return int(value)
 
 
 def _tolerance(value, name):
@@ -632,12 +623,12 @@ def assemble_operator(problem: EigenProblem) -> AssembledOperator:
 @dataclass(frozen=True)
 class EigenSolution:
     """K >= 1 eigenpairs of one operator, checked when made (`replace` too):
-    finite real arrays of shapes (K,), (operator.n, K) and (K,), residuals
-    >= 0, cluster_rel_tol as _tolerance reads it, and clusters non-empty
-    lists of ints that concatenate to 1..K; else InvalidProblem."""
+    finite real arrays of shapes (K,), (operator.n, K) and (K,), eigenvalues
+    nondecreasing, residuals >= 0 and cluster_rel_tol as _tolerance reads
+    it, else InvalidProblem; then `clusters` is derived from the eigenvalues
+    and cluster_rel_tol.  Only to_json and from_json know the document."""
     eigenvalues: np.ndarray       # nondecreasing, 1-based labels in reports
     vectors: np.ndarray           # column per eigenpair, orthonormal
-    clusters: list                # list of lists of 1-based indices
     cluster_rel_tol: float
     residuals: np.ndarray
     operator: AssembledOperator
@@ -655,15 +646,11 @@ class EigenSolution:
                    and np.isfinite(a).all() for a in arrays) or min(res) < 0:
             raise InvalidProblem("eigenvalues, vector entries and residuals "
                                  "must be finite real numbers, residuals >= 0")
-        object.__setattr__(self, "cluster_rel_tol",
-                           _tolerance(self.cluster_rel_tol, "cluster"))
-        c = self.clusters
-        # (type, index) pairs: 1.0 and True equal 1 but index nothing
-        if not (isinstance(c, list) and all(type(x) is list and x for x in c)
-                and [(type(k), k) for x in c for k in x]
-                == [(int, k) for k in range(1, K + 1)]):
-            raise InvalidProblem("clusters must be non-empty lists that "
-                                 "concatenate to 1..%d, got %.60r" % (K, c))
+        if (np.diff(evs) < 0).any():
+            raise InvalidProblem("eigenvalues must be nondecreasing")
+        tol = _tolerance(self.cluster_rel_tol, "cluster")
+        object.__setattr__(self, "cluster_rel_tol", tol)
+        object.__setattr__(self, "clusters", cluster_multiplicities(evs, tol))
 
     def field(self, k) -> GridField:
         """Cell field of the k-th eigenfunction (1-based).  InvalidProblem
@@ -675,12 +662,33 @@ class EigenSolution:
         return self.operator.to_field(self.vectors[:, k - 1])
 
     def to_json(self):
+        """The solution document; `vectors` is a C-contiguous (K, n) array."""
         return {"formatVersion": 1,
                 "problem": self.operator.problem.to_json(),
                 "eigenvalues": [float(v) for v in self.eigenvalues],
                 "clusters": [list(c) for c in self.clusters],
                 "clusterRelTol": self.cluster_rel_tol,
-                "residuals": [float(r) for r in self.residuals]}
+                "residuals": [float(r) for r in self.residuals],
+                "vectors": np.ascontiguousarray(self.vectors.T, float)}
+
+    @staticmethod
+    def from_json(obj):
+        """The solution of a document to_json wrote, its operator without a
+        matrix.  InvalidProblem unless its `clusters` are the derived ones."""
+        if not isinstance(obj, dict):
+            raise InvalidProblem("the top level must be a JSON object, got %s"
+                                 % type(obj).__name__)
+        op = AssembledOperator(EigenProblem.from_json(obj["problem"]))
+        sol = EigenSolution(np.array(obj["eigenvalues"], float),
+                            np.array(obj["vectors"], float).T,
+                            obj["clusterRelTol"],
+                            np.array(obj["residuals"], float), op)
+        c = obj["clusters"]
+        # 1.0 and True equal 1 but are not JSON integers
+        if c != sol.clusters or any(type(k) is not int for x in c for k in x):
+            raise InvalidProblem("clusters %.60r are not the clusters %s that "
+                                 "the eigenvalues give" % (c, sol.clusters))
+        return sol
 
 
 def cluster_multiplicities(evs, rel_tol=1e-3):
@@ -737,7 +745,6 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
     a failed eigsh or a residual above tolerance is a NoConvergence that
     names sigma, n and K."""
     tol = _tolerance(tol, "residual")
-    cluster_rel_tol = _tolerance(cluster_rel_tol, "cluster")
     K = _integer(K, 1, "K")
     A = op.matrix
     n = A.shape[0]
@@ -774,8 +781,7 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
         if not (evs[1] - evs[0]) / scale > 1e-12:
             raise InvalidProblem("ground state must be simple (is the domain "
                                  "connected?)")
-    clusters = cluster_multiplicities(evs, cluster_rel_tol)
-    return EigenSolution(evs, vecs, clusters, cluster_rel_tol, res, op)
+    return EigenSolution(evs, vecs, cluster_rel_tol, res, op)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,8 +1146,7 @@ def verify_spectral_laws(sol: EigenSolution, problem: EigenProblem,
     entry: courant, multBound, euler, parity and, on Dirichlet problems
     only, faberKrahn; pleijel and weyl are reported but do not gate.
     InvalidProblem unless seed and n_combos are integers >= 0 and `problem`
-    is the one `sol` solves; the solution checked its own clusters when it
-    was made (EigenSolution)."""
+    is the one `sol` solves, whose clusters are derived (EigenSolution)."""
     seed = _integer(seed, 0, "seed")
     n_combos = _integer(n_combos, 0, "n_combos")
     if problem != sol.operator.problem:

@@ -7,14 +7,14 @@ A surface is one of:
                                              boundary component 1 is the outer one)
   - Moebius strip                           (projective plane minus a disk)
 
-Immutable value type, checked when made (InvalidSurface), safe to share.
+Immutable value type with an int count, checked when made (InvalidSurface).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSurface
+from .errors import InvalidSurface, _integer
 
 CLOSED_ORIENTABLE = "ClosedOrientable"
 CLOSED_NON_ORIENTABLE = "ClosedNonOrientable"
@@ -32,12 +32,12 @@ class SurfaceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidSurface("unknown surface kind: %r" % (self.kind,))
-        if self.kind == CLOSED_ORIENTABLE and self.param < 0:
-            raise InvalidSurface("genus must be >= 0")
-        if self.kind == CLOSED_NON_ORIENTABLE and self.param < 1:
-            raise InvalidSurface("crossCaps must be >= 1")
-        if self.kind == PLANAR_DOMAIN and self.param < 0:
-            raise InvalidSurface("holes must be >= 0")
+        name, least = {CLOSED_ORIENTABLE: ("genus", 0),
+                       CLOSED_NON_ORIENTABLE: ("crossCaps", 1),
+                       PLANAR_DOMAIN: ("holes", 0),
+                       MOEBIUS_STRIP: ("param", 0)}[self.kind]
+        object.__setattr__(self, "param",
+                           _integer(self.param, least, name, InvalidSurface))
 
     # -- convenience constructors ------------------------------------------
 
@@ -100,7 +100,7 @@ class SurfaceSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceSpec":
-        return SurfaceSpec(obj["kind"], int(obj.get("param", 0)))
+        return SurfaceSpec(obj["kind"], obj.get("param", 0))
 
 
 def euler_characteristic(spec: SurfaceSpec) -> int:

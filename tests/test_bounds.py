@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from nodalkit.bounds import (BoundSet, bessel_j0_first_zero, classical_bounds,
@@ -93,6 +94,16 @@ def test_bounds_need_k_at_least_1():
     for k in (0, -3):
         with pytest.raises(InvalidProblem, match="k must be >= 1"):
             classical_bounds(SurfaceSpec.sphere(), k)
+
+
+def test_bounds_need_an_integer_k():
+    # 2.5 would give float bounds, and True would be read as 1
+    for k in (2.5, True, "3"):
+        with pytest.raises(InvalidProblem, match="an integer"):
+            classical_bounds(SurfaceSpec.sphere(), k)
+    bs = classical_bounds(SurfaceSpec.sphere(), np.int64(3))
+    assert bs == BoundSet(6, 5, 5, 3, 3)
+    assert all(type(v) is int for v in bs.to_json().values())
 
 
 def test_pleijel_bound():

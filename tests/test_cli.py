@@ -115,12 +115,14 @@ def test_bounds_bad_surface(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["bounds", "genus--1"], "InvalidSurface: genus must be >= 0"),
+    (["bounds", "genus--1"],
+     "InvalidSurface: genus must be >= 0 and an integer, got -1"),
     (["bounds", "genus-x"], "InvalidSurface: cannot parse surface name: "
                             "'genus-x'"),
     (["bounds", "widget"], "InvalidSurface: cannot parse surface name: "
                            "'widget'"),
-    (["bounds", "sphere", "-k", "0"], "InvalidProblem: k must be >= 1"),
+    (["bounds", "sphere", "-k", "0"],
+     "InvalidProblem: k must be >= 1 and an integer, got 0"),
     (["bounds", "moebius"], "UnknownFamily: no classical table row for "
                             "MoebiusStrip")],
     ids=["genus-minus-1", "genus-x", "widget", "k-0", "moebius"])
@@ -537,7 +539,8 @@ def test_fewer_vectors_than_eigenvalues_exit_2(solution_file, tmp_path,
 def test_solution_solve_never_writes_exits_2(solution_file, tmp_path, capsys,
                                              field, value):
     # the K = 4 square's solution with one residual, a negative cluster
-    # tolerance, or clusters that stop at 1: EigenSolution refuses each
+    # tolerance, or clusters that stop at 1: EigenSolution.from_json
+    # refuses each
     sol = _edited_solution(solution_file, tmp_path, **{field: value})
     svg = tmp_path / "out.svg"
     for argv in (["nodal", "report", sol, "1"],
@@ -547,6 +550,22 @@ def test_solution_solve_never_writes_exits_2(solution_file, tmp_path, capsys,
         assert out == ""
         assert err.startswith("error: %s: InvalidProblem: " % sol)
     assert not svg.exists()
+
+
+def test_solution_clusters_follow_the_eigenvalues(solution_file, tmp_path,
+                                                  capsys):
+    # the K = 4 square (lambda = 19.68, 48.81, 48.81, 77.95) has the
+    # clusters [[1], [2, 3], [4]]; a file that splits them otherwise, or
+    # whose eigenvalues decrease, exits 2
+    obj = json.loads(open(solution_file).read())
+    for edit in ({"clusters": [[1, 2], [3], [4]]}, {"clusters": [[1]]},
+                 {"clusters": [[1.0], [2, 3], [4]]},
+                 {"eigenvalues": obj["eigenvalues"][::-1]}):
+        sol = _edited_solution(solution_file, tmp_path, **edit)
+        assert main(["nodal", "report", sol, "1"]) == 2, edit
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            "error: %s: InvalidProblem: " % sol), edit
 
 
 def _partition_doc(p, **changes):
@@ -575,6 +594,19 @@ def test_malformed_boundary_exits_2(tmp_path, capsys, doc, message, command):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: %s: MalformedEmbedding: %s\n" % (bad, message)
+
+
+def test_non_integer_surface_count_exits_2(tmp_path, capsys):
+    # 1.7 is no genus; it is not read as genus 1
+    doc = _partition_doc(helpers.circle_on_sphere(),
+                         surface={"kind": "ClosedOrientable", "param": 1.7})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["partition", "euler", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: %s: InvalidSurface: genus must be >= 0 and an integer, got "
+        "1.7\n" % bad)
 
 
 def test_partition_normalize_bridge(tmp_path):

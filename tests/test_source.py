@@ -220,3 +220,21 @@ def test_one_edge_walker_and_one_euler_path():
                                "PlanarDomain", "MoebiusStrip"})
     assert sorted(strings - {euler.body[0].value.value}) == ["equality",
                                                              "inequality"]
+
+
+def test_solution_document_behind_one_module():
+    # EigenSolution alone writes and reads the solution document and derives
+    # its clusters: a solution is made by solve_eigen or from a document,
+    # the CLI names none of the document's keys, and no clusters are passed
+    assert sorted(_call_sites(lambda f: f == "EigenSolution")) == [
+        ("spectral.py", "from_json", "EigenSolution"),
+        ("spectral.py", "solve_eigen", "EigenSolution")]
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and node.value in ("vectors", "clusters")] == []
+    spectral = ast.parse((SRC / "spectral.py").read_text())
+    cls, = [node for node in ast.walk(spectral)
+            if isinstance(node, ast.ClassDef) and node.name == "EigenSolution"]
+    assert "clusters" not in [node.target.id for node in cls.body
+                              if isinstance(node, ast.AnnAssign)]

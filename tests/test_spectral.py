@@ -526,9 +526,15 @@ def _combo_case(case):
     p = EigenProblem(domain, 1 / 32)
     sol = solve_eigen(assemble_operator(p), 10)
     if case == "triple":
-        # an m = 3 cluster: the square's pair (2, 3) with the next mode
-        sol = dataclasses.replace(
-            sol, clusters=[[1], [2, 3, 4]] + [[k] for k in range(5, 11)])
+        # an m = 3 cluster: the square's first four modes with
+        # lambda_2 = lambda_3 = lambda_4, so the pair (2, 3) and the next
+        # mode make one cluster
+        evs = sol.eigenvalues[:4].copy()
+        evs[2:] = evs[1]
+        sol = dataclasses.replace(sol, eigenvalues=evs,
+                                  vectors=sol.vectors[:, :4],
+                                  residuals=sol.residuals[:4])
+        assert sol.clusters == [[1], [2, 3, 4]]
     return p, sol
 
 
@@ -1105,14 +1111,18 @@ def test_law_report_rejects_another_problem(other):
 
 @pytest.mark.parametrize("clusters", [
     [[1], [2, 3]], [[1], [3, 2], [4]], [[1], [2, 3, 4], [4]],
-    [[1], [2, 3], [4], []], [[], [1], [2, 3], [4]]],
-    ids=["short", "reversed", "overlap", "trailing-empty", "leading-empty"])
-def test_law_report_rejects_malformed_clusters(clusters):
-    # the solution checks its clusters when made, so no law report sees them
-    p = EigenProblem(Rectangle(1, 1), 1 / 16)
-    sol = solve_eigen(assemble_operator(p), 4)
+    [[1], [2, 3], [4], []], [[], [1], [2, 3], [4]], [[1]],
+    [[1, 2], [3], [4]], [[1.0], [2, 3], [4]], [[True], [2, 3], [4]],
+    [(1,), (2, 3), (4,)], None],
+    ids=["short", "reversed", "overlap", "trailing-empty", "leading-empty",
+         "short-clusters", "other-split", "float-index", "bool-index",
+         "tuples", "no-clusters"])
+def test_law_report_rejects_malformed_clusters(square_solution, clusters):
+    # clusters are derived from the eigenvalues, and a solution document
+    # must hold those, as JSON integers; so no law report sees other ones
+    doc = dict(square_solution.to_json(), clusters=clusters)
     with pytest.raises(InvalidProblem, match="clusters"):
-        dataclasses.replace(sol, clusters=clusters)
+        spectral.EigenSolution.from_json(doc)
 
 
 @pytest.fixture(scope="module")
@@ -1148,19 +1158,17 @@ def _replaced(array, index, value):
     ("cluster_rel_tol", lambda s: math.nan, "cluster tolerance"),
     ("cluster_rel_tol", lambda s: True, "cluster tolerance"),
     ("cluster_rel_tol", lambda s: "0.1", "cluster tolerance"),
-    ("clusters", lambda s: [[1]], "clusters"),
-    ("clusters", lambda s: [[1.0], [2, 3], [4]], "clusters"),
-    ("clusters", lambda s: [[True], [2, 3], [4]], "clusters"),
-    ("clusters", lambda s: [(1,), (2, 3), (4,)], "clusters"),
-    ("clusters", lambda s: None, "clusters"),
+    ("eigenvalues", lambda s: s.eigenvalues[::-1].copy(), "nondecreasing"),
+    ("eigenvalues", lambda s: _replaced(s.eigenvalues, 2, 40.0),
+     "nondecreasing"),
     # an operator of another grid: the vectors no longer fit it
     ("operator", lambda s: assemble_operator(
         EigenProblem(Rectangle(1, 1), 1 / 8)), "one vector per eigenvalue"),
 ], ids=["K-3", "2-D", "K-0", "nan-eigenvalue", "list", "3-vectors",
         "short-vectors", "inf-entry", "complex", "one-residual",
         "negative-residual", "nan-residual", "tol-negative", "tol-nan",
-        "tol-bool", "tol-str", "short-clusters", "float-index",
-        "bool-index", "tuples", "no-clusters", "other-operator"])
+        "tol-bool", "tol-str", "reversed-eigenvalues",
+        "decreasing-eigenvalue", "other-operator"])
 def test_solution_checks_itself(square_solution, field, value, message):
     with pytest.raises(InvalidProblem, match=message):
         dataclasses.replace(square_solution,
@@ -1170,10 +1178,31 @@ def test_solution_checks_itself(square_solution, field, value, message):
 def test_solution_is_frozen_and_stores_a_float_tolerance(square_solution):
     with pytest.raises(dataclasses.FrozenInstanceError):
         square_solution.clusters = [[1, 2, 3, 4]]
-    sol = dataclasses.replace(square_solution, cluster_rel_tol=0,
-                              clusters=[[1, 2, 3, 4]])
-    assert type(sol.cluster_rel_tol) is float and sol.cluster_rel_tol == 0.0
+    sol = dataclasses.replace(square_solution, cluster_rel_tol=1)
+    assert type(sol.cluster_rel_tol) is float and sol.cluster_rel_tol == 1.0
     assert sol.to_json()["clusters"] == [[1, 2, 3, 4]]
+
+
+def test_clusters_are_the_ones_the_eigenvalues_give(square_solution):
+    # after solve_eigen, after reading the document back and after replace
+    for sol in (square_solution,
+                spectral.EigenSolution.from_json(square_solution.to_json()),
+                dataclasses.replace(square_solution, cluster_rel_tol=0.5),
+                dataclasses.replace(square_solution, cluster_rel_tol=0)):
+        assert sol.clusters == cluster_multiplicities(sol.eigenvalues,
+                                                      sol.cluster_rel_tol)
+
+
+def test_solution_document_round_trip(square_solution):
+    sol = spectral.EigenSolution.from_json(square_solution.to_json())
+    for name in ("eigenvalues", "residuals", "vectors"):
+        a, b = getattr(sol, name), getattr(square_solution, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert sol.operator.problem == square_solution.operator.problem
+    assert "matrix" not in vars(sol.operator)
+    vectors = square_solution.to_json()["vectors"]
+    assert vectors.flags.c_contiguous and vectors.dtype == np.float64
+    assert vectors.shape == (4, square_solution.operator.n)
 
 
 @pytest.mark.parametrize("domain, message", [

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from nodalkit.errors import InvalidSurface
@@ -78,3 +79,23 @@ def test_invalid_params():
         SurfaceSpec.planar_domain(-1)
     with pytest.raises(InvalidSurface, match="unknown surface kind"):
         SurfaceSpec("Sphere")
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("ClosedOrientable", 1.5), ("ClosedOrientable", "a"),
+    ("ClosedOrientable", True), ("ClosedNonOrientable", 2.0),
+    ("PlanarDomain", None), ("MoebiusStrip", 0.5), ("MoebiusStrip", -1)],
+    ids=["float", "str", "bool", "whole-float", "none", "moebius-float",
+         "moebius-negative"])
+def test_count_must_be_an_integer(kind, param):
+    with pytest.raises(InvalidSurface, match="an integer"):
+        SurfaceSpec(kind, param)
+
+
+def test_from_json_reads_no_float_as_a_count():
+    # 1.7 was read as genus 1
+    with pytest.raises(InvalidSurface, match="genus"):
+        SurfaceSpec.from_json({"kind": "ClosedOrientable", "param": 1.7})
+    # a numpy integer is stored as an int
+    s = SurfaceSpec("PlanarDomain", np.int64(2))
+    assert type(s.param) is int and s == SurfaceSpec.planar_domain(2)
