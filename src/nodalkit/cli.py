@@ -14,28 +14,30 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a check the subcommand reports failed
 (Euler, boundary parity, normalize invariants, rotating limit, rotate-check
-count), 2 bad input or usage.  The library raises a NodalkitError for bad
-input where it makes the value, and main alone turns it into exit 2 as
+count), 2 bad input or usage.  The library's readers only look up keys,
+its constructors check every value where they make it, and both raise a
+NodalkitError for bad input, which main alone turns into exit 2 as
 `error: [FILE: ]KIND: message`; no handler re-checks or translates.  The
 parser requires -p and plot's -o.  Every subcommand writes its text
 through one writer, `_emit`: to -o when it is given, else to stdout.
-Every subcommand that reads a file reads, parses and validates it through
-one loader, `_load`, so a missing, unreadable, non-UTF-8 or malformed file
-exits 2.  A partition file is loaded with its stats, so one whose boundary
-cycle bounds no face exits 2 too.  `solve` prints a solution's to_json and
-assembles its problem's operator; `nodal report` and `plot` read it with
-EigenSolution.from_json, which checks it whole, and only map vectors to grid
-cells, so they never build the matrix.  A solution whose mask is in more
-than one piece solves, but its extraction raises InvalidProblem (exit 2).
-The argument parser is built once per process; a command group without a
-subcommand is a usage error (exit 2, usage and `error: ...` on stderr).
-Input files are parsed by orjson, whose correctly rounded decimal reader
-gives the same floats as `json.loads` several times faster; `NaN`,
-`Infinity` and numbers that overflow a double are not JSON and exit 2 at
-parse.  Reports are indented JSON with sorted keys (`json.dumps`), so fixed
-inputs give byte-identical output; `solve` writes its solution through
-orjson as sorted-key JSON on one line, with the shortest decimal spelling
-that reads back to each float.
+Every subcommand that reads a file reads and parses it through one loader,
+`_load`, which catches only what reading and parsing text raise, so a
+missing, unreadable, non-UTF-8 or non-JSON file exits 2 with a Python KIND
+and every other malformed file with the reader's.  A partition file is
+loaded with its stats, so one whose boundary cycle bounds no face exits 2
+too.  `solve` prints a solution's to_json and assembles its problem's
+operator; `nodal report` and `plot` read it with EigenSolution.from_json,
+which checks it whole, and only map vectors to grid cells, so they never
+build the matrix.  A solution whose mask is in more than one piece solves,
+but its extraction raises InvalidProblem (exit 2).  The argument parser is
+built once per process; a command group without a subcommand is a usage
+error (exit 2, usage and `error: ...` on stderr).  Input files are parsed
+by orjson, whose correctly rounded decimal reader gives the same floats as
+`json.loads` several times faster; `NaN`, `Infinity` and numbers that
+overflow a double are not JSON and exit 2 at parse.  Reports are indented
+JSON with sorted keys (`json.dumps`), so fixed inputs give byte-identical
+output; `solve` writes its solution through orjson as sorted-key JSON on
+one line, with the shortest decimal spelling that reads back to each float.
 """
 
 from __future__ import annotations
@@ -83,14 +85,13 @@ def _describe(args, exc):
 def _load(args, parse):
     """Read args.file, parse and validate it with parse(text) -> (value,
     digest source), record the command's inputDigest and return the value.
-
-    Every file-reading subcommand loads through here, so this is the one
-    place where what a missing, unreadable or malformed file raises becomes
-    InputError (a UnicodeDecodeError is a ValueError)."""
+    Only what reading and parsing text raise becomes InputError: OSError,
+    text that is not UTF-8 or not JSON, and JSON nested past the recursion
+    limit (orjson reads it; json.dumps cannot digest it)."""
     try:
         value, key = parse(_read_text(args.file))
-    except (NodalkitError, OSError, LookupError, TypeError, ValueError,
-            AttributeError, ArithmeticError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, orjson.JSONDecodeError,
+            RecursionError) as exc:
         raise InputError(_describe(args, exc))
     args._digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return value

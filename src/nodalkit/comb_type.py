@@ -40,7 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapExceeded, InconsistentLabeling, InvalidType, NoRepeat
+from .errors import (CapExceeded, InconsistentLabeling, InvalidType, NoRepeat,
+                     _decimal)
 
 ENUM_CAP = 10
 
@@ -428,7 +429,8 @@ def parse_tau_text(text: str):
     """Parse the 2-row matrix format: rays are 0-based and an arrow token
     stands for ray 0.  Returns a BoundaryType when an arrow token appears,
     else an InteriorType.  InvalidType names a token that is neither an
-    integer nor an arrow.
+    integer, spelled as str(n) spells it (not "+1", "01", "1_0" or "-0"),
+    nor an arrow.
     """
     rows = [line.split() for line in text.strip().splitlines()
             if line.strip() and not line.lstrip().startswith("#")]
@@ -436,11 +438,11 @@ def parse_tau_text(text: str):
         raise InvalidType("expected two rows of equal length")
 
     def ray(tok):
-        try:
-            return 0 if tok.lower() in ARROW_TOKENS else int(tok)
-        except ValueError:
+        n = 0 if tok.lower() in ARROW_TOKENS else _decimal(tok)
+        if n is None:
             raise InvalidType("ray token %.40r is neither an integer nor an "
-                              "arrow" % tok) from None
+                              "arrow" % tok)
+        return n
 
     idx, img = ([ray(tok) for tok in row] for row in rows)
     n = len(idx)

@@ -1,6 +1,9 @@
-"""Shared exception types and the one integer rule (`_integer`).  Every
-input the package refuses raises one, where the value is made; the CLI
-turns each into exit code 2."""
+"""Shared exception types and the rules every value is checked by: one for
+integers (`_integer`), one for integer tokens (`_decimal`) and one for the
+readers (`_fields`).  Every input the package refuses raises one of these
+types where the value is made, and the CLI turns each into exit code 2."""
+
+from reprlib import repr as _show  # bounded: JSON may nest past the stack
 
 import numpy as np
 
@@ -61,11 +64,47 @@ class InvalidProblem(NodalkitError):
     """An eigenproblem or its operator violates a stated precondition."""
 
 
+def _is_integer(value):
+    """Whether value is an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(value, least, name, error=InvalidProblem):
-    """value as an int: an int or numpy integer (a bool is not one) at least
-    `least`, else `error`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise error("%s must be >= %d and an integer, got %r"
-                    % (name, least, value))
+    """value as an int: an integer (_is_integer) >= least, else error."""
+    if not _is_integer(value) or value < least:
+        raise error("%s must be >= %d and an integer, got %s"
+                    % (name, least, _show(value)))
     return int(value)
+
+
+def _decimal(text, default=None):
+    """The int n whose decimal spelling str(n) is text, else default."""
+    try:
+        n = int(text)
+    except (TypeError, ValueError):
+        return default
+    return n if str(n) == text else default
+
+
+def _fields(obj, error, what, *keys, version=None, **defaults):
+    """A reader's values: those of JSON object obj at keys, then at the keys
+    of defaults (or the default), and formatVersion, if given, must be
+    version; else error naming `what`."""
+    if not isinstance(obj, dict):
+        raise error("%s must be a JSON object, got %s" % (what, _show(obj)))
+    for key in keys:
+        if key not in obj:
+            raise error("%s has no %r key" % (what, key))
+    v = obj.get("formatVersion", version)
+    if version is not None and (type(v) is not int or v != version):
+        raise error("%s has formatVersion %s, but only %d is read"
+                    % (what, _show(v), version))
+    return tuple(obj[k] for k in keys) + tuple(
+        obj.get(k, default) for k, default in defaults.items())
+
+
+def _array(value, error, what):
+    """value if it is a JSON array, else error naming `what`."""
+    if not isinstance(value, list):
+        raise error("%s must be a JSON array, got %s" % (what, _show(value)))
+    return value

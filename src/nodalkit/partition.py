@@ -37,16 +37,16 @@ region, which is then non-orientable); on orientable surfaces every region is
 orientable and omega = 0.
 
 Partitions are built with PartitionBuilder, either fresh or as a copy of
-another partition for surgery (the blow-ups of `normalize`, the subdivisions
-of `nodal_graph.simplify_to_graph`), or read with `from_json`.  A partition is
-frozen and validated once, when it is constructed (ids, kinds, signatures,
-rotations, degrees; one boundary component per boundary circle, and each
-boundary component is one non-empty cycle), so the functions here take a
-well-formed input for granted.  Its PartitionStats (one face trace, which
-also lists the vertices `normalize` blows up and finds each circle's hole
-face, so a circle that bounds no face fails there; the CLI's loader
-computes them) are computed once per partition, on first use, and kept for
-`partition_stats`, `verify_euler`, `normalize`, `simplify_to_graph` and
+another partition for surgery (the blow-ups of `normalize`, the subdivisions of
+`nodal_graph.simplify_to_graph`), or read with `from_json`, which only looks up
+keys.  A partition is frozen and validated once, when it is constructed (ids,
+counts and darts as ints, flags as bools, kinds, signatures, rotations,
+degrees; one boundary component per boundary circle, each one non-empty cycle),
+so the functions here take it as well formed.  Its PartitionStats (one face
+trace, which also lists the vertices `normalize` blows up and finds each
+circle's hole face, so a circle that bounds no face fails there; the CLI's
+loader computes them) are computed once per partition, on first use, and kept
+for `partition_stats`, `verify_euler`, `normalize`, `simplify_to_graph` and
 `build_multigraph`.  Only that small object is kept, not the face walks; a
 failure is raised again on every call.
 
@@ -56,11 +56,13 @@ All arithmetic is exact (int / Fraction).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import MalformedEmbedding
+from .errors import (MalformedEmbedding, _array, _decimal, _fields, _integer,
+                     _show)
 from .surface import SurfaceSpec
 
 INTERIOR = "InteriorSingular"   # interior singular point, index nu >= 3
@@ -79,6 +81,18 @@ class PartitionVertex:
     rho: int = 0         # hitting-arc index for boundary singular vertices
     component: int = 0   # boundary component, for boundary vertices
 
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise MalformedEmbedding("unknown vertex kind %s"
+                                     % _show(self.kind))
+        if not (type(self.id) is type(self.nu) is type(self.rho)
+                is type(self.component) is int
+                and min(self.id, self.nu, self.rho, self.component) >= 0):
+            for name in ("id", "nu", "rho", "component"):
+                object.__setattr__(self, name, _integer(
+                    getattr(self, name), 0, "vertex " + name,
+                    MalformedEmbedding))
+
     def to_json(self):
         d = {"id": self.id, "kind": self.kind}
         if self.kind == INTERIOR:
@@ -91,6 +105,29 @@ class PartitionVertex:
 
 def dart(edge: int, end: int) -> int:
     return 2 * edge + end
+
+
+def _rows(rows, what, kind=tuple):
+    """rows, a list of lists or tuples of ints >= 0 by the one integer rule,
+    as a list of `kind`s of ints; else MalformedEmbedding naming `what`."""
+    if not (isinstance(rows, (list, tuple))
+            and set(map(type, rows)) <= {list, tuple}):
+        raise MalformedEmbedding("%ss must be given in lists, got %s"
+                                 % (what, _show(rows)))
+    return [kind(_integer(x, 0, what, MalformedEmbedding) for x in r)
+            for r in rows]
+
+
+def _as_built(p):
+    """Whether p's ids and darts are as PartitionBuilder makes them: Python
+    ints, in tuples for edge ends and rotations and in lists for boundary
+    components (checked in one pass; validate checks their ranges)."""
+    ends, rots, comps = p.edge_ends, list(p.rotation.values()), \
+        p.boundary_components
+    return type(ends) is type(comps) is list \
+        and set(map(type, ends)) | set(map(type, rots)) <= {tuple} \
+        and set(map(type, comps)) <= {list} and set(map(type, chain(
+            p.rotation, *ends, *rots, *comps))) <= {int}
 
 
 @dataclass(frozen=True)
@@ -113,6 +150,24 @@ class EmbeddedPartition:
     nodal: bool = False             # flagged as coming from an eigenfunction
 
     def __post_init__(self):
+        # each value is stored as PartitionBuilder makes it: ints by the one
+        # integer rule, edge ends and rotations as tuples, flags as bools
+        if not set(map(type, [*self.edge_boundary, self.nodal])) <= {bool}:
+            raise MalformedEmbedding("edge boundary flags and the nodal flag "
+                                     "must be true or false")
+        if not (set(map(type, self.edge_signature)) <= {int}
+                and set(self.edge_signature) <= {1, -1}):
+            # face tracing multiplies by signatures and closes only on +-1
+            raise MalformedEmbedding("edge signatures must be +1 or -1")
+        if not _as_built(self):
+            keys, = _rows([list(self.rotation)], "rotation vertex")
+            for name, value in (
+                    ("edge_ends", _rows(self.edge_ends, "edge end")),
+                    ("rotation", dict(zip(keys, _rows(
+                        list(self.rotation.values()), "dart")))),
+                    ("boundary_components", _rows(self.boundary_components,
+                                                  "boundary edge", list))):
+                object.__setattr__(self, name, value)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -137,15 +192,12 @@ class EmbeddedPartition:
     def validate(self):
         nv, ne = len(self.vertices), self.n_edges
         for i, v in enumerate(self.vertices):
-            if v.id != i:
+            if not isinstance(v, PartitionVertex) or v.id != i:
                 raise MalformedEmbedding("vertex ids must be 0..n-1 in order")
-            if v.kind not in _KINDS:
-                raise MalformedEmbedding("unknown vertex kind %r" % v.kind)
+        if any(len(e) != 2 for e in self.edge_ends):
+            raise MalformedEmbedding("an edge must have two ends")
         if not (len(self.edge_boundary) == len(self.edge_signature) == ne):
             raise MalformedEmbedding("edge attribute lists disagree in length")
-        if not set(self.edge_signature) <= {1, -1}:
-            # face tracing multiplies by signatures and closes only on +-1
-            raise MalformedEmbedding("edge signatures must be +1 or -1")
         seen = {}
         for vid, rot in self.rotation.items():
             if not 0 <= vid < nv:
@@ -229,8 +281,8 @@ class EmbeddedPartition:
             "surface": self.surface.to_json(),
             "vertices": [v.to_json() for v in self.vertices],
             "edges": [{"ends": list(self.edge_ends[i]),
-                       "boundary": bool(self.edge_boundary[i]),
-                       "signature": int(self.edge_signature[i])}
+                       "boundary": self.edge_boundary[i],
+                       "signature": self.edge_signature[i]}
                       for i in range(self.n_edges)],
             "rotation": {str(v): list(rot) for v, rot in sorted(self.rotation.items())},
             "boundaryComponents": [list(c) for c in self.boundary_components],
@@ -239,22 +291,24 @@ class EmbeddedPartition:
 
     @staticmethod
     def from_json(obj):
-        surface = SurfaceSpec.from_json(obj["surface"])
-        vertices = []
-        for v in obj["vertices"]:
-            vertices.append(PartitionVertex(int(v["id"]), v["kind"],
-                                            nu=int(v.get("nu", 0)),
-                                            rho=int(v.get("rho", 0)),
-                                            component=int(v.get("component", 0))))
-        ends, bnd, sig = [], [], []
-        for e in obj["edges"]:
-            ends.append(tuple(int(x) for x in e["ends"]))
-            bnd.append(bool(e.get("boundary", False)))
-            sig.append(int(e.get("signature", 1)))
-        rot = {int(k): tuple(int(d) for d in v) for k, v in obj["rotation"].items()}
-        comps = [[int(e) for e in c] for c in obj.get("boundaryComponents", [])]
-        return EmbeddedPartition(surface, vertices, ends, bnd, sig, rot, comps,
-                                 nodal=bool(obj.get("nodal", False)))
+        surface, vertices, edges, rotation, comps, nodal = _fields(
+            obj, MalformedEmbedding, "a partition", "surface", "vertices",
+            "edges", "rotation", version=1, boundaryComponents=[],
+            nodal=False)
+        vertices = [PartitionVertex(*_fields(
+            v, MalformedEmbedding, "a vertex", "id", "kind", nu=0, rho=0,
+            component=0)) for v in _array(vertices, MalformedEmbedding,
+                                          "vertices")]
+        edges = [_fields(e, MalformedEmbedding, "an edge", "ends",
+                         boundary=False, signature=1)
+                 for e in _array(edges, MalformedEmbedding, "edges")]
+        ends, bnd, sig = [list(c) for c in zip(*edges)] or ([], [], [])
+        _fields(rotation, MalformedEmbedding, "the rotation")  # an object
+        # a key is a vertex id as str(id) spells it, else it stays the
+        # string, which the integer rule refuses
+        rot = {_decimal(k, k): v for k, v in rotation.items()}
+        return EmbeddedPartition(SurfaceSpec.from_json(surface), vertices,
+                                 ends, bnd, sig, rot, comps, nodal)
 
 
 class PartitionBuilder:

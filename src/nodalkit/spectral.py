@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.ndimage
@@ -36,7 +37,7 @@ import scipy.sparse.linalg
 from .bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                      InvalidProblem, MalformedEmbedding, NoConvergence, NoFit,
-                     _integer)
+                     _fields, _integer, _is_integer, _show)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
 from .surface import SurfaceSpec
 
@@ -71,29 +72,56 @@ PRESCRIBE_REL_TOL = 1e-6
 # domains and problems
 # ---------------------------------------------------------------------------
 
+def _real(value, name, positive=False):
+    """value as a float: a real number (a bool is not one), finite, and > 0
+    when positive, else >= 0; else InvalidProblem naming it."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) \
+            and not isinstance(value, bool) else math.nan
+    except OverflowError:           # an int beyond the largest float
+        x = math.inf
+    if not (0 < x < math.inf if positive else 0 <= x < math.inf):
+        raise InvalidProblem("%s must be finite and %s 0, got %s"
+                             % (name, ">" if positive else ">=", _show(value)))
+    return x
+
+
+def _tolerance(value, name):
+    """value as a float by _real's rule (>= 0), naming the `name` tolerance."""
+    return _real(value, name + " tolerance")
+
+
 def _cells(length, step):
-    """Number of cells of width step across length, which must be positive
-    and a multiple of the step; at most MAX_CELLS (InvalidProblem)."""
+    """Number of cells of width step across length, which must be a
+    multiple of the step; at most MAX_CELLS (InvalidProblem)."""
     n = length / step
     if not math.isfinite(n) or n > MAX_CELLS:
         raise InvalidProblem("grid step %g gives %g cells across length "
                              "%g; a grid may have at most MAX_CELLS = %d "
                              "cells" % (step, n, length, MAX_CELLS))
-    if not length > 0:
-        raise InvalidProblem("length must be positive, got %g" % length)
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise InvalidProblem("grid step %g does not divide length %g"
                              % (step, length))
     return round(n)
 
 
-# Each domain shape answers three questions: grid(step) gives nx, ny and the
-# lower-left corner of its cell grid (raising InvalidProblem for bad lengths
-# or bitmaps), inside(x, y) gives the cell mask from the cell-centre
-# coordinate arrays, and area(step) gives the area.
+# Each domain shape checks its fields when made (InvalidProblem), and
+# answers three questions: grid(step) gives nx, ny and the lower-left
+# corner of its cell grid, inside(x, y) gives the cell mask from the
+# cell-centre coordinate arrays, and area(step) gives the area.
+
+class _Lengths:
+    """A shape whose fields are lengths, stored as floats, finite and > 0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real(
+                getattr(self, f.name), type(self).__name__ + " " + f.name,
+                positive=True))
+
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Lengths):
     """[0, w] x [0, h]."""
     w: float
     h: float
@@ -112,7 +140,7 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Lengths):
     """Radius r about the origin; a cell is in when its centre is."""
     r: float
 
@@ -131,7 +159,7 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Lengths):
     """r_in < |(x, y)| < r_out; a cell is in when its centre is."""
     r_in: float
     r_out: float
@@ -140,7 +168,7 @@ class Annulus:
         return {"shape": "Annulus", "rIn": self.r_in, "rOut": self.r_out}
 
     def grid(self, step):
-        if not 0 < self.r_in < self.r_out:
+        if not self.r_in < self.r_out:
             raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
                                  % (self.r_in, self.r_out))
         n = _cells(2 * self.r_out, step)
@@ -156,25 +184,33 @@ class Annulus:
 
 @dataclass(frozen=True)
 class MaskedGrid:
-    """The cells marked 1 in a bitmap of one cell per grid step."""
+    """The cells marked 1 in a bitmap of one cell per grid step, stored as
+    a tuple of row tuples of ints."""
     bitmap: tuple  # tuple of row tuples, 0/1, row 0 = lowest y
+
+    def __post_init__(self):
+        rows = self.bitmap
+        if not (isinstance(rows, (tuple, list)) and all(
+                isinstance(row, (tuple, list)) for row in rows)):
+            raise InvalidProblem("a bitmap must be a sequence of rows of 0s "
+                                 "and 1s, got bitmap %s" % _show(rows))
+        widths = {len(row) for row in rows}
+        if len(widths) != 1 or 0 in widths:
+            raise InvalidProblem("a bitmap must be a non-empty list of rows "
+                                 "of one length, got row lengths %s"
+                                 % sorted(widths))
+        # integers by the one rule, so 1.0 and true are not cells
+        if not all(_is_integer(v) and v in (0, 1)
+                   for row in rows for v in row):
+            raise InvalidProblem("bitmap entries must be 0 or 1")
+        object.__setattr__(self, "bitmap", tuple(tuple(map(int, row))
+                                                 for row in rows))
 
     def to_json(self):
         return {"shape": "MaskedGrid", "bitmap": [list(r) for r in self.bitmap]}
 
     def grid(self, step):
-        if not (isinstance(self.bitmap, (tuple, list)) and all(
-                isinstance(row, (tuple, list)) for row in self.bitmap)):
-            raise InvalidProblem("a bitmap must be a sequence of rows of 0s "
-                                 "and 1s, got bitmap %.60r" % (self.bitmap,))
-        widths = {len(row) for row in self.bitmap}
-        if len(widths) != 1 or 0 in widths:
-            raise InvalidProblem("a bitmap must be a non-empty list of rows "
-                                 "of one length, got row lengths %s"
-                                 % sorted(widths))
-        if not set().union(*self.bitmap) <= {0, 1}:
-            raise InvalidProblem("bitmap entries must be 0 or 1")
-        return widths.pop(), len(self.bitmap), (0.0, 0.0)
+        return len(self.bitmap[0]), len(self.bitmap), (0.0, 0.0)
 
     def inside(self, x, y):
         return np.array(self.bitmap, bool)
@@ -184,9 +220,10 @@ class MaskedGrid:
 
 
 DOMAINS = (Rectangle, Disk, Annulus, MaskedGrid)
-# the numeric shapes of a problem file: class and the JSON keys of its fields
-_NUMERIC_SHAPES = {"Rectangle": (Rectangle, "w", "h"), "Disk": (Disk, "r"),
-                   "Annulus": (Annulus, "rIn", "rOut")}
+# the shapes of a problem file: name, class and the JSON keys of its fields
+_SHAPES = {"Rectangle": (Rectangle, "w", "h"), "Disk": (Disk, "r"),
+           "Annulus": (Annulus, "rIn", "rOut"),
+           "MaskedGrid": (MaskedGrid, "bitmap")}
 
 
 def _cell_centres(shape, origin, h):
@@ -208,19 +245,6 @@ def _check_pinch(mask):
         raise InvalidProblem("the domain mask pinches at lattice corner "
                              "(%d, %d): two cells meet only at that corner"
                              % (ix, iy))
-
-
-def _tolerance(value, name):
-    """value as a float: a real number (a bool is not one), finite and >= 0,
-    else InvalidProblem naming the `name` tolerance."""
-    try:
-        ok = not isinstance(value, bool) and 0 <= value < math.inf
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidProblem("%s tolerance must be finite and >= 0, got %r"
-                             % (name, value))
-    return float(value)
 
 
 def _placed(xy, step):
@@ -302,22 +326,21 @@ def parse_potential(expr):
     gives, element for element, the bits a Python float evaluation gives.
     Division by zero, overflow, domain errors and non-finite values raise
     InvalidProblem, as does an expression outside the grammar.  V._source
-    is expr, which EigenProblem.to_json writes back.
+    is expr, which EigenProblem.to_json writes back.  A number is read as
+    the expression it spells (0 is no potential); a bool is not a number.
     """
-    if expr is None:
+    if isinstance(expr, bool):
+        raise InvalidProblem("a potential is an expression or a number, got "
+                             "%r" % expr)
+    if expr is None or isinstance(expr, (int, float)) and expr == 0:
         return None
-    if isinstance(expr, (int, float)):
-        c = float(expr)
-        if c == 0.0:
-            return None
-        V = lambda x, y: c
-        V._source = expr
-        return V
     try:
-        tree = ast.parse(str(expr), mode="eval")
+        f = _compile_potential(ast.parse(str(expr), mode="eval").body)
     except SyntaxError as exc:
         raise InvalidProblem("potential %r: %s" % (expr, exc.msg)) from None
-    f = _compile_potential(tree.body)
+    except (RecursionError, MemoryError):
+        raise InvalidProblem("potential %s is nested too deeply"
+                             % _show(expr)) from None
 
     def V(x, y):
         try:
@@ -325,7 +348,8 @@ def parse_potential(expr):
                 v = f(x, y)
         # libm raises ValueError outside a function's domain, and
         # _per_element InvalidProblem for a complex power
-        except (ArithmeticError, ValueError, InvalidProblem) as exc:
+        except (ArithmeticError, ValueError, InvalidProblem,
+                RecursionError) as exc:
             raise InvalidProblem("potential %r fails on the grid: %s"
                                  % (expr, exc)) from None
         if not np.all(np.isfinite(v)):
@@ -341,6 +365,7 @@ class EigenProblem:
     """-Delta + V on a domain (one of DOMAINS) at grid step h with one
     boundary condition, validated once, when constructed: bad input raises
     InvalidProblem, and a grid under 3 sites across raises DegenerateGrid.
+    grid_step (> 0) and robin_h (>= 0) are stored as floats by _real.
 
     `potential` is None or a callable V(x, y) that receives the coordinate
     arrays of all grid sites at once and returns an array of the same shape
@@ -356,15 +381,13 @@ class EigenProblem:
             raise InvalidProblem("unknown domain %.60r; a domain is a "
                                  "Rectangle, Disk, Annulus or MaskedGrid"
                                  % (self.domain,))
-        if not self.grid_step > 0:
-            raise InvalidProblem("grid step must be positive, got %r"
-                                 % (self.grid_step,))
+        object.__setattr__(self, "grid_step",
+                           _real(self.grid_step, "grid step", positive=True))
         if self.bc not in (DIRICHLET, NEUMANN, ROBIN):
-            raise InvalidProblem("unknown boundary condition %r (choose from "
-                                 "Dirichlet, Neumann, Robin)" % (self.bc,))
-        if self.bc == ROBIN and not 0 <= self.robin_h < math.inf:
-            raise InvalidProblem("Robin coefficient must be finite and >= 0, "
-                                 "got %r" % (self.robin_h,))
+            raise InvalidProblem("unknown boundary condition %s (choose from "
+                                 "Dirichlet, Neumann, Robin)" % _show(self.bc))
+        object.__setattr__(self, "robin_h",
+                           _real(self.robin_h, "Robin coefficient"))
         if self.bc != DIRICHLET and not isinstance(self.domain, Rectangle):
             raise InvalidProblem("masked domains support Dirichlet conditions "
                                  "only, got %s" % self.bc)
@@ -401,7 +424,7 @@ class EigenProblem:
     def to_json(self):
         out = {"formatVersion": 1, "domain": self.domain.to_json(),
                "gridStep": self.grid_step, "bc": self.bc}
-        if self.bc == ROBIN:
+        if self.bc == ROBIN or self.robin_h:   # a set value reads back
             out["robinH"] = self.robin_h
         if getattr(self.potential, "_source", None) is not None:
             out["V"] = self.potential._source
@@ -409,30 +432,16 @@ class EigenProblem:
 
     @staticmethod
     def from_json(obj):
-        d = obj["domain"]
-        if not isinstance(d, dict):
-            raise InvalidProblem("a domain must be a JSON object, got domain "
-                                 "%.60r" % (d,))
-        shape = d["shape"]
-        if shape in _NUMERIC_SHAPES:
-            cls, *keys = _NUMERIC_SHAPES[shape]
-            dom = cls(*(float(d[key]) for key in keys))
-        elif shape == "MaskedGrid":
-            rows = d["bitmap"]
-            if not (isinstance(rows, list)
-                    and all(isinstance(row, list) for row in rows)):
-                raise InvalidProblem("a bitmap must be a list of lists of 0s "
-                                     "and 1s, got bitmap %.60r" % (rows,))
-            # checked before int(), which would read 1.9 as 1 and 0.7 as 0
-            if any(v not in (0, 1) for row in rows for v in row):
-                raise InvalidProblem("bitmap entries must be 0 or 1")
-            dom = MaskedGrid(tuple(tuple(int(v) for v in row) for row in rows))
-        else:
-            raise InvalidProblem("unknown domain shape %r" % (shape,))
-        return EigenProblem(dom, float(obj["gridStep"]),
-                            obj.get("bc", DIRICHLET),
-                            float(obj.get("robinH", 0.0)),
-                            parse_potential(obj.get("V")))
+        domain, step, bc, robin_h, V = _fields(
+            obj, InvalidProblem, "a problem", "domain", "gridStep", version=1,
+            bc=DIRICHLET, robinH=0.0, V=None)
+        shape, = _fields(domain, InvalidProblem, "a domain", "shape")
+        if not isinstance(shape, str) or shape not in _SHAPES:
+            raise InvalidProblem("unknown domain shape %s" % _show(shape))
+        cls, *keys = _SHAPES[shape]
+        return EigenProblem(cls(*_fields(domain, InvalidProblem,
+                                         "a %s domain" % shape, *keys)),
+                            step, bc, robin_h, parse_potential(V))
 
 
 # ---------------------------------------------------------------------------
@@ -675,20 +684,35 @@ class EigenSolution:
     def from_json(obj):
         """The solution of a document to_json wrote, its operator without a
         matrix.  InvalidProblem unless its `clusters` are the derived ones."""
-        if not isinstance(obj, dict):
-            raise InvalidProblem("the top level must be a JSON object, got %s"
-                                 % type(obj).__name__)
-        op = AssembledOperator(EigenProblem.from_json(obj["problem"]))
-        sol = EigenSolution(np.array(obj["eigenvalues"], float),
-                            np.array(obj["vectors"], float).T,
-                            obj["clusterRelTol"],
-                            np.array(obj["residuals"], float), op)
-        c = obj["clusters"]
+        problem, evs, c, tol, res, vecs = _fields(
+            obj, InvalidProblem, "a solution", "problem", "eigenvalues",
+            "clusters", "clusterRelTol", "residuals", "vectors", version=1)
+        op = AssembledOperator(EigenProblem.from_json(problem))
+        sol = EigenSolution(_reals(evs, "eigenvalues"),
+                            _reals(vecs, "vectors").T, tol,
+                            _reals(res, "residuals"), op)
         # 1.0 and True equal 1 but are not JSON integers
         if c != sol.clusters or any(type(k) is not int for x in c for k in x):
-            raise InvalidProblem("clusters %.60r are not the clusters %s that "
-                                 "the eigenvalues give" % (c, sol.clusters))
+            raise InvalidProblem("clusters %s are not the clusters %s that "
+                                 "the eigenvalues give"
+                                 % (_show(c), sol.clusters))
         return sol
+
+
+def _reals(value, name):
+    """A JSON array of numbers (of arrays, for a matrix) as a float array,
+    read by one np.array call, else InvalidProblem naming it.  A bool reads
+    as 0.0 or 1.0, so only entries of those values are looked at for one;
+    a string that spells a number is read as that number."""
+    try:
+        a = np.array(value, float)
+    except (TypeError, ValueError, OverflowError):
+        a = None
+    if a is None or a.ndim and any(
+            isinstance(reduce(operator.getitem, i, value), (bool, np.bool_))
+            for i in zip(*np.nonzero((a == 0) | (a == 1)))):
+        raise InvalidProblem("%s must be an array of numbers" % name)
+    return a
 
 
 def cluster_multiplicities(evs, rel_tol=1e-3):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSurface, _integer
+from .errors import InvalidSurface, _decimal, _fields, _integer, _show
 
 CLOSED_ORIENTABLE = "ClosedOrientable"
 CLOSED_NON_ORIENTABLE = "ClosedNonOrientable"
@@ -31,7 +31,7 @@ class SurfaceSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise InvalidSurface("unknown surface kind: %r" % (self.kind,))
+            raise InvalidSurface("unknown surface kind: %s" % _show(self.kind))
         name, least = {CLOSED_ORIENTABLE: ("genus", 0),
                        CLOSED_NON_ORIENTABLE: ("crossCaps", 1),
                        PLANAR_DOMAIN: ("holes", 0),
@@ -100,7 +100,8 @@ class SurfaceSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SurfaceSpec":
-        return SurfaceSpec(obj["kind"], obj.get("param", 0))
+        return SurfaceSpec(*_fields(obj, InvalidSurface, "a surface", "kind",
+                                    param=0))
 
 
 def euler_characteristic(spec: SurfaceSpec) -> int:
@@ -111,7 +112,8 @@ def euler_characteristic(spec: SurfaceSpec) -> int:
 
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse CLI-style surface names: sphere, torus, projective, klein,
-    genus-G, crosscaps-C, planar-Q (Q holes), moebius; else InvalidSurface."""
+    genus-G, crosscaps-C, planar-Q (Q holes), moebius, with each count
+    spelled as str(n) spells it (_decimal); else InvalidSurface."""
     t = text.strip().lower()
     if t in ("sphere", "s2"):
         return SurfaceSpec.sphere()
@@ -130,7 +132,7 @@ def parse_surface(text: str) -> SurfaceSpec:
     for prefix, kind in (("genus-", CLOSED_ORIENTABLE),
                          ("crosscaps-", CLOSED_NON_ORIENTABLE),
                          ("planar-", PLANAR_DOMAIN)):
-        count = t[len(prefix):] if t.startswith(prefix) else ""
-        if count.removeprefix("-").isdecimal():
-            return SurfaceSpec(kind, int(count))
+        count = _decimal(t[len(prefix):]) if t.startswith(prefix) else None
+        if count is not None:
+            return SurfaceSpec(kind, count)
     raise InvalidSurface("cannot parse surface name: %r" % (text,))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,9 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from nodalkit import cli, partition, spectral
 from nodalkit.cli import main
-from nodalkit.comb_type import BoundaryType, InteriorType, format_tau_text
-from nodalkit.errors import InvalidProblem
-from nodalkit.spectral import (Disk, EigenProblem, Rectangle,
+from nodalkit.comb_type import (BoundaryType, InteriorType, format_tau_text,
+                                parse_tau_text)
+from nodalkit.errors import InvalidProblem, NodalkitError
+from nodalkit.partition import EmbeddedPartition
+from nodalkit.spectral import (Disk, EigenProblem, EigenSolution, Rectangle,
                                assemble_operator, solve_eigen)
 from nodalkit.surface import SurfaceSpec
 
@@ -506,7 +509,8 @@ def test_solution_without_a_key_solve_writes_exits_2(solution_file, tmp_path,
     assert main(["nodal", "report", str(sol), "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: %s: KeyError: " % sol) and key in err
+    assert err == "error: %s: InvalidProblem: a solution has no %r key\n" % (
+        sol, key)
 
 
 def test_report_index_out_of_range_exits_2(solution_file, capsys):
@@ -921,3 +925,198 @@ def test_fuzzed_input_exit_codes(fuzz_inputs, command, data):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+_READERS = {"partition": EmbeddedPartition.from_json,
+            "problem": EigenProblem.from_json,
+            "solution": EigenSolution.from_json}
+
+
+def _keeps(written, held):
+    """Whether the document `written` holds every value of `held`
+    unchanged: the same strings and bools, and numbers of the same value
+    and kind, except that an int may be written as the float it equals.  A
+    potential of null or 0 is no potential, which is written as no "V"."""
+    if isinstance(written, np.ndarray):
+        written = written.tolist()
+    if isinstance(held, dict):
+        return isinstance(written, dict) and all(
+            _keeps(written[k], v) if k in written else k == "V" and (
+                v is None or type(v) in (int, float) and v == 0)
+            for k, v in held.items())
+    if isinstance(held, list):
+        return isinstance(written, (list, tuple)) \
+            and len(written) == len(held) and all(map(_keeps, written, held))
+    if type(held) in (int, float):
+        return type(written) in (int, float) and written == held \
+            and not (type(held) is float and type(written) is int)
+    return type(written) is type(held) and written == held
+
+
+def _rays(text):
+    """The token rows of a type's text, with the arrow spelled "0"."""
+    return [["0" if tok == "v" else tok for tok in line.split()]
+            for line in text.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("kind", ["partition", "type", "problem", "solution"])
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(data=st.data())
+def test_fuzzed_documents_raise_or_read_back(fuzz_inputs, kind, data):
+    # the library's four readers on the mutants of the exit-code fuzz: each
+    # either raises a NodalkitError, or is read with every value it holds
+    # unchanged in to_json(), so no reader coerces, truncates or drops one
+    _, bases = fuzz_inputs
+    base = data.draw(st.sampled_from(bases[kind]))
+    if kind == "type":
+        text = _mutated_tokens(data, base)
+        try:
+            t = parse_tau_text(text)
+        except NodalkitError:
+            return
+        assert _rays(format_tau_text(t)) == _rays(text)
+        return
+    doc = json.loads(_mutated_json(data, base))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "MAX_CELLS", 256)
+        try:
+            value = _READERS[kind](doc)
+        except NodalkitError:
+            return
+    assert _keeps(value.to_json(), doc), doc
+
+
+def _edited(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_THETA = helpers.theta_graph().to_json()
+_DISK = {"formatVersion": 1, "domain": {"shape": "Disk", "r": 0.5},
+         "gridStep": 0.125}
+_ROTATION_KEYS = {"plus-1": "+1", "space-1": " 1", "01": "01", "1_0": "1_0",
+                  "1.0": "1.0"}
+
+
+def _rekeyed(key):
+    """The theta graph with its rotation at vertex 1 under `key`."""
+    doc = json.loads(json.dumps(_THETA))
+    doc["rotation"][key] = doc["rotation"].pop("1")
+    return doc
+
+
+def _main_on(tmp_path, kind, doc):
+    """main's exit code for the command that reads a `kind` file holding
+    doc, and the file's path."""
+    f = tmp_path / ("%s.json" % kind)
+    f.write_text(json.dumps(doc))
+    argv = {"problem": ["solve", str(f)],
+            "solution": ["nodal", "report", str(f), "1"],
+            "partition": ["partition", "euler", str(f)]}[kind]
+    return main(argv), f
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    # each once raised a Python exception that only a catch-all in the CLI
+    # turned into exit 2, or was truncated and accepted
+    ("problem", [1], "InvalidProblem: a problem must be a JSON object, got "
+                     "[1]"),
+    ("solution", {"problem": 7},
+     "InvalidProblem: a solution has no 'eigenvalues' key"),
+    ("partition", _edited(_THETA, ["surface"], [1]),
+     "InvalidSurface: a surface must be a JSON object, got [1]"),
+    ("problem", _edited(_DISK, ["domain", "r"], "x"),
+     "InvalidProblem: Disk r must be finite and > 0, got 'x'"),
+    ("partition", _edited(_THETA, ["vertices", 0, "id"], 0.7),
+     "MalformedEmbedding: vertex id must be >= 0 and an integer, got 0.7"),
+    ("partition", _edited(_THETA, ["vertices", 1, "nu"], 3.9),
+     "MalformedEmbedding: vertex nu must be >= 0 and an integer, got 3.9"),
+    ("partition", _edited(_THETA, ["edges", 2, "signature"], 1.5),
+     "MalformedEmbedding: edge signatures must be +1 or -1"),
+    ("partition", _edited(_THETA, ["edges", 0, "ends"], [0.5, 1.5]),
+     "MalformedEmbedding: edge end must be >= 0 and an integer, got 0.5"),
+    ("partition", _edited(_THETA, ["nodal"], "false"),
+     "MalformedEmbedding: edge boundary flags and the nodal flag must be "
+     "true or false"),
+    ("partition", _edited(_THETA, ["edges", 1, "boundary"], 0),
+     "MalformedEmbedding: edge boundary flags and the nodal flag must be "
+     "true or false"),
+    ("problem", dict(_DISK, V=True), "InvalidProblem: a potential is an "
+                                     "expression or a number, got True"),
+    ("problem", dict(_DISK, gridStep="x"),
+     "InvalidProblem: grid step must be finite and > 0, got 'x'"),
+    ("problem", dict(_DISK, domain={"shape": "Rectangle", "w": 1, "h": 1},
+                     bc="Robin", robinH="x"),
+     "InvalidProblem: Robin coefficient must be finite and >= 0, got 'x'"),
+    ("problem", dict(_DISK, domain={"shape": "MaskedGrid",
+                                    "bitmap": [[True] * 8] * 8}),
+     "InvalidProblem: bitmap entries must be 0 or 1"),
+] + [
+    # int() read the first four as vertex 1 (and "1_0" as vertex 10)
+    ("partition", _rekeyed(key), "MalformedEmbedding: rotation vertex must "
+     "be >= 0 and an integer, got %r" % key)
+    for key in _ROTATION_KEYS.values()
+], ids=["problem-list", "solution-problem-7", "surface-list", "radius-x",
+        "vertex-id-0.7", "nu-3.9", "signature-1.5", "ends-0.5-1.5",
+        "nodal-string", "boundary-0", "V-true", "grid-step-x", "robin-x",
+        "bitmap-true"] + ["rotation-key-" + k for k in _ROTATION_KEYS])
+def test_reader_defects_raise_their_kind(tmp_path, capsys, kind, doc,
+                                         message):
+    name, text = message.split(": ", 1)
+    with pytest.raises(NodalkitError, match="^%s$" % re.escape(text)) as info:
+        _READERS[kind](doc)
+    assert type(info.value).__name__ == name
+    code, f = _main_on(tmp_path, kind, doc)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == "" and out.err == "error: %s: %s\n" % (f, message)
+
+
+def _version_edits(solution_file):
+    solution = json.loads(open(solution_file).read())
+    return [("problem", _DISK, "a problem"),
+            ("solution", solution, "a solution"),
+            ("partition", _THETA, "a partition")]
+
+
+@pytest.mark.parametrize("version", ["x", 2, 1.0, True, None])
+def test_readers_read_only_their_format_version(solution_file, tmp_path,
+                                                capsys, version):
+    # no reader read formatVersion: "x" was solved as version 1
+    for kind, doc, what in _version_edits(solution_file):
+        doc = dict(doc, formatVersion=version)
+        message = "%s has formatVersion %r, but only 1 is read" % (what,
+                                                                   version)
+        with pytest.raises(NodalkitError, match="^%s$" % re.escape(message)):
+            _READERS[kind](doc)
+        assert _main_on(tmp_path, kind, doc)[0] == 2
+        assert capsys.readouterr().err.endswith(message + "\n")
+    # without formatVersion a document is read as version 1
+    for kind, doc, _ in _version_edits(solution_file):
+        doc = dict(doc)
+        del doc["formatVersion"]
+        assert _READERS[kind](doc).to_json()["formatVersion"] == 1
+
+
+def test_readers_refuse_deep_nesting(tmp_path, capsys):
+    # orjson reads JSON of any depth, deeper than repr() can print
+    deep = orjson.loads("[" * 100000 + "]" * 100000)
+    for kind, reader in _READERS.items():
+        with pytest.raises(NodalkitError, match="must be a JSON object"):
+            reader(deep)
+    with pytest.raises(InvalidProblem, match="must be a JSON object"):
+        EigenProblem.from_json(dict(_DISK, domain=deep))
+    with pytest.raises(NodalkitError, match="must be a JSON array"):
+        EmbeddedPartition.from_json(dict(_THETA, vertices={"a": deep}))
+    # a deep value under a key no reader reads is digested by json.dumps,
+    # which exceeds the recursion limit: exit 2 at load
+    f = tmp_path / "deep.json"
+    f.write_text(json.dumps(_THETA)[:-1] + ', "notes": '
+                 + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["partition", "euler", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: %s: RecursionError: " % f)

@@ -366,3 +366,12 @@ def test_type_from_labeling_rejects_garbage():
     with pytest.raises(InconsistentLabeling):
         type_from_labeling(labeling_from_type(InteriorType(2, (1, 0, 3, 2)))
                            .__class__((1, 1, 2, 1)))
+
+
+@pytest.mark.parametrize("text", ["0 +1\n1 0", "0 1\n0_1 0", "0 1\n01 00",
+                                  "0 1\n1 -0", "0 1\n 1\t٠\n", "0 1\n1 ０"])
+def test_ray_tokens_are_spelled_as_str_writes_them(text):
+    # int() read each as tau = (1, 0); a token must be str(n) of its ray
+    with pytest.raises(InvalidType, match="is neither an integer nor an arrow"):
+        parse_tau_text(text)
+    assert parse_tau_text("0 1\n1 0").tau == (1, 0)

@@ -725,3 +725,48 @@ def test_normalize_traces_no_input(traced):
     n = normalize(f)
     assert partition_stats(n).locally_disconnected == ()
     assert [id(q) for q in traced] == [id(n)]
+
+
+def test_partition_stores_the_builders_types():
+    # a partition made from JSON-like lists is the one the builder makes:
+    # edge ends and rotations as tuples of ints
+    p = helpers.theta_graph()
+    q = EmbeddedPartition(p.surface, list(p.vertices),
+                          [list(e) for e in p.edge_ends],
+                          list(p.edge_boundary), list(p.edge_signature),
+                          {v: list(r) for v, r in p.rotation.items()},
+                          [list(c) for c in p.boundary_components])
+    assert q == p and type(q.edge_ends[0]) is tuple
+    assert EmbeddedPartition.from_json(p.to_json()) == p
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(edge_ends=[(0, 1), (0, 1.0), (0, 1)]), "edge end must be >= 0"),
+    (dict(edge_ends=[(0, 1), (0, 1, 1), (0, 1)]), "two ends"),
+    (dict(edge_ends=[(0, 1), 5, (0, 1)]), "edge ends must be given in lists"),
+    (dict(edge_signature=[1, True, 1]), "signatures must be"),
+    (dict(edge_boundary=[False, 0, False]), "must be true or false"),
+    (dict(nodal=1), "must be true or false"),
+    (dict(rotation={0: (0, 2, 4), 1.0: (1, 5, 3)}), "rotation vertex"),
+    (dict(rotation={0: (0, 2, 4), 1: (1, 5, 3.0)}), "dart must be >= 0"),
+    (dict(boundary_components=[[0.0]]), "boundary edge must be >= 0"),
+    (dict(boundary_components={}), "boundary edges must be given in lists"),
+], ids=["float-end", "three-ends", "end-not-a-list", "bool-signature",
+        "int-flag", "int-nodal", "float-key", "float-dart",
+        "float-component-edge", "components-dict"])
+def test_partition_values_are_checked_when_made(change, message):
+    # 1.0 and True equal 1, so each once passed the structural checks
+    p = helpers.theta_graph()
+    with pytest.raises(MalformedEmbedding, match=message):
+        dataclasses.replace(p, **change)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(id=0.7), "vertex id must be >= 0 and an integer, got 0.7"),
+    (dict(nu=3.9), "vertex nu must be >= 0 and an integer, got 3.9"),
+    (dict(rho=True), "vertex rho"), (dict(component=-1), "vertex component"),
+    (dict(kind=["x"]), "unknown vertex kind"),
+], ids=["id", "nu", "rho", "component", "kind"])
+def test_vertex_checks_itself(fields, message):
+    with pytest.raises(MalformedEmbedding, match=message):
+        PartitionVertex(**dict(dict(id=0, kind=INTERIOR, nu=3), **fields))

@@ -103,11 +103,11 @@ def test_cli_writes_stdout_only_through_emit():
 
 
 def test_cli_maps_library_errors_in_main_only():
-    # main turns every NodalkitError a handler raises into exit 2; besides
-    # it only _load catches one, among what a missing or malformed file
-    # raises.  No handler contains a try: the library raises a
-    # NodalkitError for every bad input, so a handler has nothing to
-    # translate, and no failure of the library is reported as a failed check
+    # main alone turns every NodalkitError a handler raises into exit 2.
+    # _load catches only what reading and parsing text raise, and no handler
+    # contains a try: the library raises a NodalkitError for every bad
+    # input, so a handler has nothing to translate, and no failure of the
+    # library is reported as a failed check
     text = (SRC / "cli.py").read_text()
     tree = ast.parse(text)
     catchers = sorted(f.name for f in ast.walk(tree)
@@ -115,7 +115,11 @@ def test_cli_maps_library_errors_in_main_only():
                       for node in ast.walk(f)
                       if isinstance(node, ast.ExceptHandler)
                       and "NodalkitError" in ast.unparse(node.type))
-    assert catchers == ["_load", "main"]
+    assert catchers == ["main"]
+    load = _function("cli.py", "_load")
+    assert [ast.unparse(node.type) for node in ast.walk(load)
+            if isinstance(node, ast.ExceptHandler)] == [
+        "(OSError, UnicodeDecodeError, orjson.JSONDecodeError, RecursionError)"]
     assert [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
             and (f.name.startswith("cmd_") or f.name == "_extract_for_index")
             for node in ast.walk(f) if isinstance(node, ast.Try)] == []
@@ -238,3 +242,20 @@ def test_solution_document_behind_one_module():
             if isinstance(node, ast.ClassDef) and node.name == "EigenSolution"]
     assert "clusters" not in [node.target.id for node in cls.body
                               if isinstance(node, ast.AnnAssign)]
+
+
+def test_readers_only_look_up_keys():
+    # a reader checks its JSON object through errors._fields and passes the
+    # raw values to the constructors, which check them; so no from_json
+    # calls int, float or bool, which would truncate 0.7 to 0 and read
+    # "false" as True
+    readers = [(path.name, f) for path in sorted(SRC.glob("*.py"))
+               for f in ast.walk(ast.parse(path.read_text()))
+               if isinstance(f, ast.FunctionDef) and f.name == "from_json"]
+    assert sorted(name for name, _ in readers) == [
+        "partition.py", "spectral.py", "spectral.py", "surface.py"]
+    calls = [(name, [ast.unparse(node.func) for node in ast.walk(f)
+                     if isinstance(node, ast.Call)]) for name, f in readers]
+    assert [(name, c) for name, cs in calls for c in cs
+            if c in ("int", "float", "bool")] == []
+    assert all("_fields" in cs for _, cs in calls)

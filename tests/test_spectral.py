@@ -1206,23 +1206,26 @@ def test_solution_document_round_trip(square_solution):
 
 
 @pytest.mark.parametrize("domain, message", [
-    (Rectangle(0, 1), "length must be positive, got 0"),
-    (Rectangle(-1, 1), "length must be positive, got -1"),
-    (Disk(0), "length must be positive, got 0"),
-    (Disk(-0.5), "length must be positive, got -1"),
-    (MaskedGrid(()), "non-empty list of rows of one length"),
-    (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7,)), r"row lengths \[7, 8\]"),
-    (MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7 + (2,),)), "must be 0 or 1"),
-    (MaskedGrid((5,)), "bitmap must be a sequence of rows"),
-    (MaskedGrid(5), "bitmap must be a sequence of rows"),
+    (lambda: Rectangle(0, 1), "Rectangle w must be finite and > 0, got 0$"),
+    (lambda: Rectangle(-1, 1), "Rectangle w must be finite and > 0, got -1"),
+    (lambda: Disk(0), "Disk r must be finite and > 0, got 0$"),
+    (lambda: Disk(-0.5), r"Disk r must be finite and > 0, got -0\.5"),
+    (lambda: MaskedGrid(()), "non-empty list of rows of one length"),
+    (lambda: MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7,)),
+     r"row lengths \[7, 8\]"),
+    (lambda: MaskedGrid(((1,) * 8,) * 7 + ((1,) * 7 + (2,),)),
+     "must be 0 or 1"),
+    (lambda: MaskedGrid((5,)), "bitmap must be a sequence of rows"),
+    (lambda: MaskedGrid(5), "bitmap must be a sequence of rows"),
 ], ids=["zero-width", "negative-width", "zero-radius", "negative-radius",
         "empty-bitmap", "ragged-bitmap", "bitmap-entry-2", "bitmap-row-5",
         "bitmap-5"])
 def test_bad_domain_rejected_at_construction(domain, message):
     # each once got past EigenProblem and failed later, or named the wrong
-    # cause ("grid step 0.125 does not divide length 0")
+    # cause ("grid step 0.125 does not divide length 0"); a shape now checks
+    # its own fields, so each is refused when the shape is made
     with pytest.raises(InvalidProblem, match=message):
-        EigenProblem(domain, 1 / 8)
+        EigenProblem(domain(), 1 / 8)
 
 
 def test_masked_grid_domain():
@@ -1386,7 +1389,7 @@ def test_non_finite_potential_rejected(value):
 def test_bitmap_rows_must_be_lists(bitmap):
     doc = {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
            "domain": {"shape": "MaskedGrid", "bitmap": bitmap}}
-    with pytest.raises(InvalidProblem, match="bitmap must be a list of lists"):
+    with pytest.raises(InvalidProblem, match="bitmap must be a sequence of rows"):
         EigenProblem.from_json(doc)
 
 
@@ -1421,7 +1424,66 @@ def test_grid_size_capped_before_allocation():
     too_big = [(Rectangle(1, 1), 1 / (side + 1)), (Disk(0.5), 1 / (side + 1)),
                (Annulus(0.2, 0.5), 1 / (side + 1)),
                (MaskedGrid((row,) * (side + 1)), 1.0),
-               (Rectangle(1e308, 1.0), 1e-300), (Rectangle(-1e308, 1.0), 1e-300)]
+               (Rectangle(1e308, 1.0), 1e-300)]
     for dom, h in too_big:
         with pytest.raises(InvalidProblem, match="MAX_CELLS"):
             EigenProblem(dom, h)
+    # a negative width once reached the cell count as -inf cells; the
+    # rectangle now refuses it when it is made
+    with pytest.raises(InvalidProblem, match="w must be finite and > 0"):
+        Rectangle(-1e308, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: spectral._tolerance(10 ** 400, "cluster"),
+     "cluster tolerance must be finite and >= 0"),
+    (lambda: EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h="x"),
+     "Robin coefficient must be finite and >= 0, got 'x'"),
+    (lambda: EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin",
+                          robin_h=10 ** 400), "Robin coefficient"),
+    (lambda: EigenProblem(Rectangle(1, 1), 1 / 8, robin_h=-1.0),
+     "Robin coefficient"),
+    (lambda: EigenProblem(Rectangle(1, 1), "x"), "grid step must be finite"),
+    (lambda: EigenProblem(Rectangle(1, 1), True), "grid step must be finite"),
+    (lambda: Rectangle("1", 1), "Rectangle w must be finite and > 0"),
+    (lambda: Annulus(0.2, math.inf), "Annulus r_out must be finite"),
+    (lambda: Disk(10 ** 400), "Disk r must be finite"),
+    (lambda: MaskedGrid(((1.0,) * 8,) * 8), "must be 0 or 1"),
+    (lambda: parse_potential(True), "expression or a number, got True"),
+    (lambda: parse_potential(math.nan), "unknown name 'nan'"),
+    (lambda: parse_potential(-math.inf), "unknown name 'inf'"),
+    (lambda: parse_potential(10 ** 400), "too large for a float"),
+    (lambda: parse_potential("-" * 100000 + "1"), "nested too deeply"),
+    (lambda: parse_potential("1+" * 100000 + "1"), "nested too deeply"),
+], ids=["tolerance-10e400", "robin-str", "robin-10e400", "robin-negative",
+        "step-str", "step-bool", "width-str", "radius-inf", "radius-10e400", "bitmap-floats", "potential-true", "potential-nan",
+        "potential-inf", "potential-10e400", "potential-deep-unary", "potential-deep-sum"])
+def test_values_are_checked_where_they_are_made(make, message):
+    # each once raised OverflowError, TypeError, MemoryError or
+    # RecursionError, or was accepted (a Robin coefficient of 10**400, the
+    # potential True as V = 1)
+    with pytest.raises(InvalidProblem, match=message):
+        make()
+
+
+def test_constant_potentials_keep_their_bits():
+    # a number is read as the expression it spells
+    for c in (2.5, -3, 2 ** 64, 1e-320):
+        V = parse_potential(c)
+        assert V._source == c and float(V(0.5, 0.5)).hex() == float(c).hex()
+    assert parse_potential(0) is None and parse_potential(-0.0) is None
+
+
+def test_shapes_store_float_lengths():
+    # as a file-read shape always did: "w": 1 writes back 1.0
+    for shape, fields in ((Rectangle(1, np.int64(2)), ("w", "h")),
+                          (Disk(1), ("r",)), (Annulus(1, 2), ("r_in", "r_out"))):
+        assert all(type(getattr(shape, f)) is float for f in fields)
+    p = EigenProblem(Rectangle(2, 1), np.float32(0.125), bc="Robin",
+                     robin_h=2)
+    assert type(p.grid_step) is float and type(p.robin_h) is float
+    assert p.to_json()["domain"] == {"shape": "Rectangle", "w": 2.0, "h": 1.0}
+    assert MaskedGrid([[np.int64(1)] * 8] * 8).bitmap == ((1,) * 8,) * 8
+    # a Robin coefficient is written back whenever it is not 0
+    q = EigenProblem(Rectangle(1, 1), 1 / 8, robin_h=2.5)
+    assert EigenProblem.from_json(q.to_json()) == q

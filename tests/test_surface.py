@@ -99,3 +99,19 @@ def test_from_json_reads_no_float_as_a_count():
     # a numpy integer is stored as an int
     s = SurfaceSpec("PlanarDomain", np.int64(2))
     assert type(s.param) is int and s == SurfaceSpec.planar_domain(2)
+
+
+def test_counts_are_spelled_as_str_writes_them():
+    # "genus-01" was read as genus 1
+    for name in ("genus-01", "planar-00", "crosscaps-1_0", "genus--0"):
+        with pytest.raises(InvalidSurface, match="cannot parse"):
+            parse_surface(name)
+    assert parse_surface("genus-10") == SurfaceSpec.closed_orientable(10)
+    assert parse_surface("planar-0") == SurfaceSpec.planar_domain(0)
+
+
+@pytest.mark.parametrize("obj", [[1], None, "sphere", {"param": 0}])
+def test_from_json_needs_an_object_with_a_kind(obj):
+    # a list once raised TypeError, an object without "kind" KeyError
+    with pytest.raises(InvalidSurface, match="a surface"):
+        SurfaceSpec.from_json(obj)
