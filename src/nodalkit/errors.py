@@ -64,14 +64,11 @@ class InvalidProblem(NodalkitError):
     """An eigenproblem or its operator violates a stated precondition."""
 
 
-def _is_integer(value):
-    """Whether value is an int or a numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _integer(value, least, name, error=InvalidProblem):
-    """value as an int: an integer (_is_integer) >= least, else error."""
-    if not _is_integer(value) or value < least:
+    """value as an int: an int or numpy integer (a bool is not one) at least
+    `least`, else `error`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
         raise error("%s must be >= %d and an integer, got %s"
                     % (name, least, _show(value)))
     return int(value)
@@ -102,9 +99,3 @@ def _fields(obj, error, what, *keys, version=None, **defaults):
     return tuple(obj[k] for k in keys) + tuple(
         obj.get(k, default) for k, default in defaults.items())
 
-
-def _array(value, error, what):
-    """value if it is a JSON array, else error naming `what`."""
-    if not isinstance(value, list):
-        raise error("%s must be a JSON array, got %s" % (what, _show(value)))
-    return value

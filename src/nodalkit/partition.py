@@ -56,13 +56,11 @@ All arithmetic is exact (int / Fraction).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (MalformedEmbedding, _array, _decimal, _fields, _integer,
-                     _show)
+from .errors import MalformedEmbedding, _decimal, _fields, _integer, _show
 from .surface import SurfaceSpec
 
 INTERIOR = "InteriorSingular"   # interior singular point, index nu >= 3
@@ -85,13 +83,9 @@ class PartitionVertex:
         if self.kind not in _KINDS:
             raise MalformedEmbedding("unknown vertex kind %s"
                                      % _show(self.kind))
-        if not (type(self.id) is type(self.nu) is type(self.rho)
-                is type(self.component) is int
-                and min(self.id, self.nu, self.rho, self.component) >= 0):
-            for name in ("id", "nu", "rho", "component"):
-                object.__setattr__(self, name, _integer(
-                    getattr(self, name), 0, "vertex " + name,
-                    MalformedEmbedding))
+        for name in ("id", "nu", "rho", "component"):
+            object.__setattr__(self, name, _integer(
+                getattr(self, name), 0, "vertex " + name, MalformedEmbedding))
 
     def to_json(self):
         d = {"id": self.id, "kind": self.kind}
@@ -114,20 +108,8 @@ def _rows(rows, what, kind=tuple):
             and set(map(type, rows)) <= {list, tuple}):
         raise MalformedEmbedding("%ss must be given in lists, got %s"
                                  % (what, _show(rows)))
-    return [kind(_integer(x, 0, what, MalformedEmbedding) for x in r)
+    return [kind([_integer(x, 0, what, MalformedEmbedding) for x in r])
             for r in rows]
-
-
-def _as_built(p):
-    """Whether p's ids and darts are as PartitionBuilder makes them: Python
-    ints, in tuples for edge ends and rotations and in lists for boundary
-    components (checked in one pass; validate checks their ranges)."""
-    ends, rots, comps = p.edge_ends, list(p.rotation.values()), \
-        p.boundary_components
-    return type(ends) is type(comps) is list \
-        and set(map(type, ends)) | set(map(type, rots)) <= {tuple} \
-        and set(map(type, comps)) <= {list} and set(map(type, chain(
-            p.rotation, *ends, *rots, *comps))) <= {int}
 
 
 @dataclass(frozen=True)
@@ -159,15 +141,14 @@ class EmbeddedPartition:
                 and set(self.edge_signature) <= {1, -1}):
             # face tracing multiplies by signatures and closes only on +-1
             raise MalformedEmbedding("edge signatures must be +1 or -1")
-        if not _as_built(self):
-            keys, = _rows([list(self.rotation)], "rotation vertex")
-            for name, value in (
-                    ("edge_ends", _rows(self.edge_ends, "edge end")),
-                    ("rotation", dict(zip(keys, _rows(
-                        list(self.rotation.values()), "dart")))),
-                    ("boundary_components", _rows(self.boundary_components,
-                                                  "boundary edge", list))):
-                object.__setattr__(self, name, value)
+        keys, = _rows([list(self.rotation)], "rotation vertex")
+        for name, value in (
+                ("edge_ends", _rows(self.edge_ends, "edge end")),
+                ("rotation", dict(zip(keys, _rows(
+                    list(self.rotation.values()), "dart")))),
+                ("boundary_components", _rows(self.boundary_components,
+                                              "boundary edge", list))):
+            object.__setattr__(self, name, value)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -295,13 +276,13 @@ class EmbeddedPartition:
             obj, MalformedEmbedding, "a partition", "surface", "vertices",
             "edges", "rotation", version=1, boundaryComponents=[],
             nodal=False)
+        if not (isinstance(vertices, list) and isinstance(edges, list)):
+            raise MalformedEmbedding("vertices and edges must be JSON arrays")
         vertices = [PartitionVertex(*_fields(
             v, MalformedEmbedding, "a vertex", "id", "kind", nu=0, rho=0,
-            component=0)) for v in _array(vertices, MalformedEmbedding,
-                                          "vertices")]
+            component=0)) for v in vertices]
         edges = [_fields(e, MalformedEmbedding, "an edge", "ends",
-                         boundary=False, signature=1)
-                 for e in _array(edges, MalformedEmbedding, "edges")]
+                         boundary=False, signature=1) for e in edges]
         ends, bnd, sig = [list(c) for c in zip(*edges)] or ([], [], [])
         _fields(rotation, MalformedEmbedding, "the rotation")  # an object
         # a key is a vertex id as str(id) spells it, else it stays the

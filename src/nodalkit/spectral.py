@@ -37,7 +37,7 @@ import scipy.sparse.linalg
 from .bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                      InvalidProblem, MalformedEmbedding, NoConvergence, NoFit,
-                     _fields, _integer, _is_integer, _show)
+                     _fields, _integer, _show)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
 from .surface import SurfaceSpec
 
@@ -200,8 +200,8 @@ class MaskedGrid:
                                  "of one length, got row lengths %s"
                                  % sorted(widths))
         # integers by the one rule, so 1.0 and true are not cells
-        if not all(_is_integer(v) and v in (0, 1)
-                   for row in rows for v in row):
+        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool
+                   and v in (0, 1) for row in rows for v in row):
             raise InvalidProblem("bitmap entries must be 0 or 1")
         object.__setattr__(self, "bitmap", tuple(tuple(map(int, row))
                                                  for row in rows))
@@ -336,8 +336,8 @@ def parse_potential(expr):
         return None
     try:
         f = _compile_potential(ast.parse(str(expr), mode="eval").body)
-    except SyntaxError as exc:
-        raise InvalidProblem("potential %r: %s" % (expr, exc.msg)) from None
+    except (SyntaxError, ValueError) as exc:   # a NUL is ValueError on 3.10
+        raise InvalidProblem("potential %r: %s" % (expr, exc.args[0])) from None
     except (RecursionError, MemoryError):
         raise InvalidProblem("potential %s is nested too deeply"
                              % _show(expr)) from None
@@ -365,7 +365,7 @@ class EigenProblem:
     """-Delta + V on a domain (one of DOMAINS) at grid step h with one
     boundary condition, validated once, when constructed: bad input raises
     InvalidProblem, and a grid under 3 sites across raises DegenerateGrid.
-    grid_step (> 0) and robin_h (>= 0) are stored as floats by _real.
+    grid_step (> 0) and a Robin problem's robin_h (>= 0) are floats (_real).
 
     `potential` is None or a callable V(x, y) that receives the coordinate
     arrays of all grid sites at once and returns an array of the same shape
@@ -386,8 +386,9 @@ class EigenProblem:
         if self.bc not in (DIRICHLET, NEUMANN, ROBIN):
             raise InvalidProblem("unknown boundary condition %s (choose from "
                                  "Dirichlet, Neumann, Robin)" % _show(self.bc))
-        object.__setattr__(self, "robin_h",
-                           _real(self.robin_h, "Robin coefficient"))
+        if self.bc == ROBIN:
+            object.__setattr__(self, "robin_h",
+                               _real(self.robin_h, "Robin coefficient"))
         if self.bc != DIRICHLET and not isinstance(self.domain, Rectangle):
             raise InvalidProblem("masked domains support Dirichlet conditions "
                                  "only, got %s" % self.bc)
@@ -424,7 +425,7 @@ class EigenProblem:
     def to_json(self):
         out = {"formatVersion": 1, "domain": self.domain.to_json(),
                "gridStep": self.grid_step, "bc": self.bc}
-        if self.bc == ROBIN or self.robin_h:   # a set value reads back
+        if self.bc == ROBIN:
             out["robinH"] = self.robin_h
         if getattr(self.potential, "_source", None) is not None:
             out["V"] = self.potential._source

@@ -936,13 +936,15 @@ def _keeps(written, held):
     """Whether the document `written` holds every value of `held`
     unchanged: the same strings and bools, and numbers of the same value
     and kind, except that an int may be written as the float it equals.  A
-    potential of null or 0 is no potential, which is written as no "V"."""
+    potential of null or 0 is no potential, which is written as no "V", and
+    a Robin coefficient is read, and written, under Robin conditions only."""
     if isinstance(written, np.ndarray):
         written = written.tolist()
     if isinstance(held, dict):
         return isinstance(written, dict) and all(
             _keeps(written[k], v) if k in written else k == "V" and (
                 v is None or type(v) in (int, float) and v == 0)
+            or k == "robinH" and written.get("bc") != "Robin"
             for k, v in held.items())
     if isinstance(held, list):
         return isinstance(written, (list, tuple)) \
@@ -965,7 +967,10 @@ def _rays(text):
 def test_fuzzed_documents_raise_or_read_back(fuzz_inputs, kind, data):
     # the library's four readers on the mutants of the exit-code fuzz: each
     # either raises a NodalkitError, or is read with every value it holds
-    # unchanged in to_json(), so no reader coerces, truncates or drops one
+    # unchanged in to_json(), so no reader coerces, truncates or drops one.
+    # One exception is known and not probed here: a string that spells a
+    # number inside a solution's eigenvalues, vectors or residuals is read as
+    # that number, since each array is decoded by one np.array(value, float)
     _, bases = fuzz_inputs
     base = data.draw(st.sampled_from(bases[kind]))
     if kind == "type":
@@ -1047,6 +1052,10 @@ def _main_on(tmp_path, kind, doc):
      "true or false"),
     ("problem", dict(_DISK, V=True), "InvalidProblem: a potential is an "
                                      "expression or a number, got True"),
+    # Python 3.10's ast.parse raises ValueError for a NUL, later ones
+    # SyntaxError
+    ("problem", dict(_DISK, V="x\u0000"), "InvalidProblem: potential "
+     "'x\\x00': source code string cannot contain null bytes"),
     ("problem", dict(_DISK, gridStep="x"),
      "InvalidProblem: grid step must be finite and > 0, got 'x'"),
     ("problem", dict(_DISK, domain={"shape": "Rectangle", "w": 1, "h": 1},
@@ -1062,7 +1071,7 @@ def _main_on(tmp_path, kind, doc):
     for key in _ROTATION_KEYS.values()
 ], ids=["problem-list", "solution-problem-7", "surface-list", "radius-x",
         "vertex-id-0.7", "nu-3.9", "signature-1.5", "ends-0.5-1.5",
-        "nodal-string", "boundary-0", "V-true", "grid-step-x", "robin-x",
+        "nodal-string", "boundary-0", "V-true", "V-nul", "grid-step-x", "robin-x",
         "bitmap-true"] + ["rotation-key-" + k for k in _ROTATION_KEYS])
 def test_reader_defects_raise_their_kind(tmp_path, capsys, kind, doc,
                                          message):
@@ -1110,7 +1119,7 @@ def test_readers_refuse_deep_nesting(tmp_path, capsys):
             reader(deep)
     with pytest.raises(InvalidProblem, match="must be a JSON object"):
         EigenProblem.from_json(dict(_DISK, domain=deep))
-    with pytest.raises(NodalkitError, match="must be a JSON array"):
+    with pytest.raises(NodalkitError, match="must be JSON arrays"):
         EmbeddedPartition.from_json(dict(_THETA, vertices={"a": deep}))
     # a deep value under a key no reader reads is digested by json.dumps,
     # which exceeds the recursion limit: exit 2 at load
