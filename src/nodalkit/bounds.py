@@ -1,8 +1,8 @@
 """Closed-form multiplicity and counting bounds (classical table, Pleijel).
 
-The first zero of the order-zero Bessel function is computed here by
-bisection on the power series, not hard-coded; everything downstream
-(Pleijel constant, Faber-Krahn threshold, Weyl term) uses that value.
+The first zero j01 of the order-zero Bessel function comes from
+scipy.special.jn_zeros; everything downstream (Pleijel constant,
+Faber-Krahn threshold, Weyl term) uses that value.
 """
 
 from __future__ import annotations
@@ -11,36 +11,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import scipy.special
+
 from .errors import InvalidProblem, UnknownFamily, _integer
 from .surface import (CLOSED_NON_ORIENTABLE, CLOSED_ORIENTABLE, SurfaceSpec)
-
-J0_ZERO_TOL = 1e-12  # width of the bisection bracket around j01
-
-
-def _j0_series(x: float) -> float:
-    """J0 via its power series; fine for 0 <= x <= 4."""
-    term = 1.0
-    total = 1.0
-    q = x * x / 4.0
-    for m in range(1, 60):
-        term *= -q / (m * m)
-        total += term
-        if abs(term) < 1e-18:
-            break
-    return total
 
 
 @lru_cache(maxsize=1)
 def bessel_j0_first_zero() -> float:
-    """First positive zero of J0 by bisection on [2, 3]."""
-    lo, hi = 2.0, 3.0   # J0(2) > 0 > J0(3)
-    while hi - lo > J0_ZERO_TOL:
-        mid = 0.5 * (lo + hi)
-        if _j0_series(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """First positive zero of J0."""
+    return float(scipy.special.jn_zeros(0, 1)[0])
 
 
 def pleijel_gamma() -> float:

@@ -177,16 +177,21 @@ def _exit_code(checks):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_partition_euler(args):
-    p = _load(args, _parse_partition)
+def _euler_checks(p, *parity_keys):
+    """p's Euler report and checks: the Euler check, then one boundary
+    parity check per component, with those keys of its parity report."""
     er = verify_euler(p)
-    parity = check_boundary_parity(p)
     checks = [{"name": "euler", "passed": er.passed,
                "relation": er.relation, "predicted": str(er.predicted),
                "kappa": er.kappa}]
     checks += [{"name": "boundary-parity-%d" % r["component"],
-                "passed": r["passed"], "rhoSum": r["rhoSum"], "met": r["met"]}
-               for r in parity]
+                "passed": r["passed"], **{k: r[k] for k in parity_keys}}
+               for r in check_boundary_parity(p)]
+    return er, checks
+
+
+def cmd_partition_euler(args):
+    er, checks = _euler_checks(_load(args, _parse_partition), "rhoSum", "met")
     _emit(args, _report(args, checks, {"stats": er.stats.to_json()}))
     return _exit_code(checks)
 
@@ -261,13 +266,7 @@ def _extract_for_index(args):
 
 def cmd_nodal_report(args):
     sol, ext = _extract_for_index(args)
-    er = verify_euler(ext.as_partition)
-    parity = check_boundary_parity(ext.as_partition)
-    checks = [{"name": "euler", "passed": er.passed,
-               "relation": er.relation, "predicted": str(er.predicted),
-               "kappa": er.kappa}]
-    checks += [{"name": "boundary-parity-%d" % r["component"],
-                "passed": r["passed"]} for r in parity]
+    _, checks = _euler_checks(ext.as_partition)
     _emit(args, _report(args, checks, {
         "index": args.index,
         "eigenvalue": float(sol.eigenvalues[args.index - 1]),

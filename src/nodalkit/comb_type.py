@@ -37,11 +37,11 @@ as ray 0.  The two-row text format writes both kinds that way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (CapExceeded, InconsistentLabeling, InvalidType, NoRepeat,
-                     _decimal)
+                     _decimal, _integer, _show)
 
 ENUM_CAP = 10
 
@@ -61,15 +61,24 @@ def _raise_if(problems, error=InvalidType):
 @dataclass(frozen=True)
 class InteriorType:
     """Fixed-point-free non-crossing involution on {0..2p-1} with odd
-    differences; validated once, when constructed."""
+    differences; validated once, when constructed (p an int by the one
+    integer rule, tau a tuple)."""
     p: int
     tau: tuple  # tau[j] = image of ray j, length 2p
 
     def __post_init__(self):
-        if self.p < 1 or len(self.tau) != 2 * self.p:
-            raise InvalidType("tau must have length 2p >= 2, got p=%r and %d "
-                              "rays" % (self.p, len(self.tau)))
+        _store_count(self, "p", 1, 0)
         _raise_if(_matching_problems(self.tau))
+
+
+def _store_count(t, name, least, less):
+    """Store t's count `name` as an int >= least by the one integer rule;
+    InvalidType unless t.tau is a tuple of 2 * count - less rays."""
+    n = _integer(getattr(t, name), least, name, InvalidType)
+    object.__setattr__(t, name, n)
+    if type(t.tau) is not tuple or len(t.tau) != 2 * n - less:
+        raise InvalidType("tau must be a tuple of %d rays for %s=%d, got %s"
+                          % (2 * n - less, name, n, _show(t.tau)))
 
 
 def _matching_problems(tau):
@@ -106,11 +115,12 @@ def _matching_problems(tau):
 
 
 def _check_size(name, value, least):
-    """InvalidType below `least`, CapExceeded above ENUM_CAP."""
-    if value < least:
-        raise InvalidType("%s must be >= %d" % (name, least))
+    """value as an int by the one integer rule: InvalidType below `least`
+    or for a non-integer, CapExceeded above ENUM_CAP."""
+    value = _integer(value, least, name, InvalidType)
     if value > ENUM_CAP:
         raise CapExceeded("%s=%d exceeds cap %d" % (name, value, ENUM_CAP))
+    return value
 
 
 def _matching_taus(p: int):
@@ -138,16 +148,12 @@ def _matching_taus(p: int):
 
 def enumerate_interior(p: int):
     """All valid InteriorTypes for p loops, lexicographically sorted by tau."""
-    _check_size("p", p, 1)
+    p = _check_size("p", p, 1)
     return [InteriorType(p, tau) for tau in _matching_taus(p)]
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
+    return math.comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ def shift_invariant_types(p: int):
     on the sphere predicts the empty list for p >= 2.  The census compares
     tau tuples and builds a type only for a hit.  A fixed tau has
     tau[1] = tau[0] + 1 (mod 2p), so that entry is compared first."""
-    _check_size("p", p, 1)
+    p = _check_size("p", p, 1)
     n = 2 * p
     return [InteriorType(p, tau) for tau in _matching_taus(p)
             if tau[1] == (tau[0] + 1) % n and _rotated_tau(tau, 1) == tau]
@@ -280,9 +286,7 @@ class BoundaryType:
     tau: tuple  # length 2k-2, index 0 = arrow
 
     def __post_init__(self):
-        if self.k < 3 or len(self.tau) != 2 * self.k - 2:
-            raise InvalidType("tau must have length 2k-2 >= 4, got k=%r and "
-                              "%d entries" % (self.k, len(self.tau)))
+        _store_count(self, "k", 3, 2)
         _raise_if(_matching_problems(self.tau))
 
     @property
@@ -302,7 +306,7 @@ def enumerate_boundary(k: int):
     K- are the blocks inside and after that loop.  So the count is
     Catalan(k-1), the sum over odd a of Catalan((a-1)/2) *
     Catalan((2k-3-a)/2)."""
-    _check_size("k", k, 3)
+    k = _check_size("k", k, 3)
     return [BoundaryType(k, tau) for tau in _matching_taus(k - 1)]
 
 

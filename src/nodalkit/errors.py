@@ -1,8 +1,11 @@
-"""Shared exception types and the rules every value is checked by: one for
-integers (`_integer`), one for integer tokens (`_decimal`) and one for the
-readers (`_fields`).  Every input the package refuses raises one of these
-types where the value is made, and the CLI turns each into exit code 2."""
+"""Shared exception types and the one implementation of each rule a value
+is checked by: integers (`_integer`), finite reals (`_real`), real arrays
+(`_real_array`), integer tokens (`_decimal`) and the readers' JSON objects
+(`_fields`).  Every input the package refuses raises one of these types
+where the value is made, and the CLI turns each into exit code 2."""
 
+import math
+import numbers
 from reprlib import repr as _show  # bounded: JSON may nest past the stack
 
 import numpy as np
@@ -72,6 +75,29 @@ def _integer(value, least, name, error=InvalidProblem):
         raise error("%s must be >= %d and an integer, got %s"
                     % (name, least, _show(value)))
     return int(value)
+
+
+def _real(value, message, error=InvalidProblem, sign=">="):
+    """value as a float: a real number (a bool or a string is not one),
+    finite, and `sign` 0 (">=" or ">"; None: any sign), else `error` with
+    the caller's message and the value."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:       # an int beyond the largest float
+            x = math.inf
+        if math.isfinite(x) and {None: True, ">=": x >= 0, ">": x > 0}[sign]:
+            return x
+    raise error("%s, got %s" % (message, _show(value)))
+
+
+def _real_array(a, message, error=InvalidProblem):
+    """a, a numpy array of integers or reals (kind i, u or f) with every
+    entry finite, else `error` with the caller's message."""
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iuf" \
+            and np.isfinite(a).all():
+        return a
+    raise error(message)
 
 
 def _decimal(text, default=None):

@@ -86,6 +86,12 @@ class PartitionVertex:
         for name in ("id", "nu", "rho", "component"):
             object.__setattr__(self, name, _integer(
                 getattr(self, name), 0, "vertex " + name, MalformedEmbedding))
+        # to_json writes only its kind's fields, so the others must be 0
+        if self.nu and self.kind != INTERIOR or (self.rho or self.component) \
+                and self.kind != BOUNDARY:
+            raise MalformedEmbedding("vertex %d: a %s vertex must have 0 in "
+                                     "the fields its kind ignores, got %r"
+                                     % (self.id, self.kind, self))
 
     def to_json(self):
         d = {"id": self.id, "kind": self.kind}
@@ -137,12 +143,14 @@ class EmbeddedPartition:
         if not set(map(type, [*self.edge_boundary, self.nodal])) <= {bool}:
             raise MalformedEmbedding("edge boundary flags and the nodal flag "
                                      "must be true or false")
-        if not (set(map(type, self.edge_signature)) <= {int}
-                and set(self.edge_signature) <= {1, -1}):
+        signature = [_integer(s, -1, "edge signature", MalformedEmbedding)
+                     for s in self.edge_signature]
+        if not set(signature) <= {1, -1}:
             # face tracing multiplies by signatures and closes only on +-1
             raise MalformedEmbedding("edge signatures must be +1 or -1")
         keys, = _rows([list(self.rotation)], "rotation vertex")
         for name, value in (
+                ("edge_signature", signature),
                 ("edge_ends", _rows(self.edge_ends, "edge end")),
                 ("rotation", dict(zip(keys, _rows(
                     list(self.rotation.values()), "dart")))),
@@ -587,10 +595,9 @@ def check_boundary_parity(p: EmbeddedPartition):
     for ci in range(len(p.boundary_components)):
         rho_sum = sum(v.rho for v in p.vertices
                       if v.kind == BOUNDARY and v.component == ci)
-        met = rho_sum > 0
-        ok = (not met) or (rho_sum % 2 == 0 and rho_sum >= 2)
-        reports.append({"component": ci, "rhoSum": rho_sum, "met": met,
-                        "passed": ok})
+        # rho >= 1 at a boundary vertex, so an even sum > 0 is >= 2
+        reports.append({"component": ci, "rhoSum": rho_sum,
+                        "met": rho_sum > 0, "passed": rho_sum % 2 == 0})
     return reports
 
 

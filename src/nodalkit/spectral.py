@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import math
-import numbers
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property, reduce
@@ -37,7 +36,7 @@ import scipy.sparse.linalg
 from .bounds import faber_krahn_threshold, pleijel_bound, weyl_term
 from .errors import (AllZeroField, DegenerateGrid, InfeasibleOrder,
                      InvalidProblem, MalformedEmbedding, NoConvergence, NoFit,
-                     _fields, _integer, _show)
+                     _fields, _integer, _real, _real_array, _show)
 from .partition import PartitionBuilder, dart, verify_euler, check_boundary_parity
 from .surface import SurfaceSpec
 
@@ -72,25 +71,6 @@ PRESCRIBE_REL_TOL = 1e-6
 # domains and problems
 # ---------------------------------------------------------------------------
 
-def _real(value, name, positive=False):
-    """value as a float: a real number (a bool is not one), finite, and > 0
-    when positive, else >= 0; else InvalidProblem naming it."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) \
-            and not isinstance(value, bool) else math.nan
-    except OverflowError:           # an int beyond the largest float
-        x = math.inf
-    if not (0 < x < math.inf if positive else 0 <= x < math.inf):
-        raise InvalidProblem("%s must be finite and %s 0, got %s"
-                             % (name, ">" if positive else ">=", _show(value)))
-    return x
-
-
-def _tolerance(value, name):
-    """value as a float by _real's rule (>= 0), naming the `name` tolerance."""
-    return _real(value, name + " tolerance")
-
-
 def _cells(length, step):
     """Number of cells of width step across length, which must be a
     multiple of the step; at most MAX_CELLS (InvalidProblem)."""
@@ -116,8 +96,8 @@ class _Lengths:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _real(
-                getattr(self, f.name), type(self).__name__ + " " + f.name,
-                positive=True))
+                getattr(self, f.name), "%s %s must be finite and > 0"
+                % (type(self).__name__, f.name), sign=">"))
 
 
 @dataclass(frozen=True)
@@ -164,13 +144,16 @@ class Annulus(_Lengths):
     r_in: float
     r_out: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.r_in < self.r_out:
+            raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
+                                 % (self.r_in, self.r_out))
+
     def to_json(self):
         return {"shape": "Annulus", "rIn": self.r_in, "rOut": self.r_out}
 
     def grid(self, step):
-        if not self.r_in < self.r_out:
-            raise InvalidProblem("annulus needs 0 < rIn < rOut, got %r, %r"
-                                 % (self.r_in, self.r_out))
         n = _cells(2 * self.r_out, step)
         return n, n, (-self.r_out, -self.r_out)
 
@@ -200,11 +183,11 @@ class MaskedGrid:
                                  "of one length, got row lengths %s"
                                  % sorted(widths))
         # integers by the one rule, so 1.0 and true are not cells
-        if not all(isinstance(v, (int, np.integer)) and type(v) is not bool
-                   and v in (0, 1) for row in rows for v in row):
+        bitmap = tuple(tuple(_integer(v, 0, "bitmap entry") for v in row)
+                       for row in rows)
+        if max(map(max, bitmap)) > 1:
             raise InvalidProblem("bitmap entries must be 0 or 1")
-        object.__setattr__(self, "bitmap", tuple(tuple(map(int, row))
-                                                 for row in rows))
+        object.__setattr__(self, "bitmap", bitmap)
 
     def to_json(self):
         return {"shape": "MaskedGrid", "bitmap": [list(r) for r in self.bitmap]}
@@ -247,13 +230,11 @@ def _check_pinch(mask):
                              % (ix, iy))
 
 
-def _placed(xy, step):
-    """Whether xy is two finite numbers and step is finite and positive."""
-    try:
-        return len(xy) == 2 and all(map(math.isfinite, xy)) \
-            and 0 < step < math.inf
-    except TypeError:
-        return False
+def _point(xy, message, error):
+    """xy as two floats by the one real rule (any sign), else `error`."""
+    if not (isinstance(xy, (tuple, list, np.ndarray)) and len(xy) == 2):
+        raise error("%s, got %s" % (message, _show(xy)))
+    return tuple(_real(x, message, error, sign=None) for x in xy)
 
 
 def _per_element(fn):
@@ -365,7 +346,8 @@ class EigenProblem:
     """-Delta + V on a domain (one of DOMAINS) at grid step h with one
     boundary condition, validated once, when constructed: bad input raises
     InvalidProblem, and a grid under 3 sites across raises DegenerateGrid.
-    grid_step (> 0) and a Robin problem's robin_h (>= 0) are floats (_real).
+    grid_step (> 0) and a Robin problem's robin_h (>= 0) are floats by the
+    one real rule (errors._real).
 
     `potential` is None or a callable V(x, y) that receives the coordinate
     arrays of all grid sites at once and returns an array of the same shape
@@ -381,14 +363,14 @@ class EigenProblem:
             raise InvalidProblem("unknown domain %.60r; a domain is a "
                                  "Rectangle, Disk, Annulus or MaskedGrid"
                                  % (self.domain,))
-        object.__setattr__(self, "grid_step",
-                           _real(self.grid_step, "grid step", positive=True))
+        object.__setattr__(self, "grid_step", _real(
+            self.grid_step, "grid step must be finite and > 0", sign=">"))
         if self.bc not in (DIRICHLET, NEUMANN, ROBIN):
             raise InvalidProblem("unknown boundary condition %s (choose from "
                                  "Dirichlet, Neumann, Robin)" % _show(self.bc))
         if self.bc == ROBIN:
-            object.__setattr__(self, "robin_h",
-                               _real(self.robin_h, "Robin coefficient"))
+            object.__setattr__(self, "robin_h", _real(
+                self.robin_h, "Robin coefficient must be finite and >= 0"))
         if self.bc != DIRICHLET and not isinstance(self.domain, Rectangle):
             raise InvalidProblem("masked domains support Dirichlet conditions "
                                  "only, got %s" % self.bc)
@@ -455,9 +437,9 @@ class GridField:
     (origin + (ix+1/2)h, origin + (iy+1/2)h); mask marks cells in the domain.
 
     Checked when constructed: InvalidProblem unless values is a 2-D array
-    of finite real numbers, mask a boolean array of its shape that does not
-    pinch (_check_pinch), origin two finite numbers and h finite and
-    positive."""
+    of finite real numbers (errors._real_array), mask a boolean array of its
+    shape that does not pinch (_check_pinch), origin two finite numbers and
+    h finite and positive (errors._real)."""
     values: np.ndarray
     mask: np.ndarray
     origin: tuple
@@ -465,18 +447,17 @@ class GridField:
 
     def __post_init__(self):
         values, mask = self.values, self.mask
-        if not (isinstance(values, np.ndarray) and values.ndim == 2
-                and values.dtype.kind in "iuf" and np.isfinite(values).all()):
-            raise InvalidProblem("field values must be a 2-D array of finite "
-                                 "real numbers")
+        shaped = "field values must be a 2-D array of finite real numbers"
+        if _real_array(values, shaped).ndim != 2:
+            raise InvalidProblem(shaped)
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool
                 and mask.shape == values.shape):
             raise InvalidProblem("field mask must be a boolean array of the "
                                  "values' shape %s" % (values.shape,))
-        if not _placed(self.origin, self.h):
-            raise InvalidProblem("field origin must be two finite numbers and "
-                                 "h finite and positive, got %r and %r"
-                                 % (self.origin, self.h))
+        placed = "field origin must be two finite numbers and h finite and " \
+                 "positive"
+        _point(self.origin, placed, InvalidProblem)
+        _real(self.h, placed, sign=">")
         _check_pinch(mask)
 
     def sample(self, x, y):
@@ -545,13 +526,13 @@ class AssembledOperator:
             V = np.asarray(problem.potential(
                 self.origin[0] + (ix + offset) * h,
                 self.origin[1] + (iy + offset) * h))
-            if V.dtype.kind not in "iuf" or V.shape not in ((), ix.shape):
+            if V.shape not in ((), ix.shape):
                 raise InvalidProblem("the potential must be real, one value "
                                      "per site or a scalar, got %s of shape "
                                      "%s" % (V.dtype, V.shape))
-            if not np.isfinite(V).all():
-                raise InvalidProblem("the potential is not finite on the grid")
-            self._potential = V
+            self._potential = _real_array(
+                V, "the potential is not finite on the grid, or not real: it "
+                "must be one value per site or a scalar, got %s" % V.dtype)
 
     @property
     def n(self):
@@ -634,9 +615,10 @@ def assemble_operator(problem: EigenProblem) -> AssembledOperator:
 class EigenSolution:
     """K >= 1 eigenpairs of one operator, checked when made (`replace` too):
     finite real arrays of shapes (K,), (operator.n, K) and (K,), eigenvalues
-    nondecreasing, residuals >= 0 and cluster_rel_tol as _tolerance reads
-    it, else InvalidProblem; then `clusters` is derived from the eigenvalues
-    and cluster_rel_tol.  Only to_json and from_json know the document."""
+    nondecreasing, residuals >= 0 and cluster_rel_tol finite and >= 0 (the
+    array and real rules of errors), else InvalidProblem; then `clusters` is
+    derived from the eigenvalues and cluster_rel_tol.  Only to_json and
+    from_json know the document."""
     eigenvalues: np.ndarray       # nondecreasing, 1-based labels in reports
     vectors: np.ndarray           # column per eigenpair, orthonormal
     cluster_rel_tol: float
@@ -652,13 +634,15 @@ class EigenSolution:
                 "a solution needs K >= 1 eigenvalues, one vector per "
                 "eigenvalue (of %d entries) and one residual per eigenvalue, "
                 "got shapes %s, %s and %s" % (n, *map(np.shape, arrays)))
-        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
-                   and np.isfinite(a).all() for a in arrays) or min(res) < 0:
-            raise InvalidProblem("eigenvalues, vector entries and residuals "
-                                 "must be finite real numbers, residuals >= 0")
+        reals = "eigenvalues, vector entries and residuals must be finite " \
+                "real numbers, residuals >= 0"
+        evs, vecs, res = (_real_array(a, reals) for a in arrays)
+        if min(res) < 0:
+            raise InvalidProblem(reals)
         if (np.diff(evs) < 0).any():
             raise InvalidProblem("eigenvalues must be nondecreasing")
-        tol = _tolerance(self.cluster_rel_tol, "cluster")
+        tol = _real(self.cluster_rel_tol,
+                    "cluster tolerance must be finite and >= 0")
         object.__setattr__(self, "cluster_rel_tol", tol)
         object.__setattr__(self, "clusters", cluster_multiplicities(evs, tol))
 
@@ -692,22 +676,23 @@ class EigenSolution:
         sol = EigenSolution(_reals(evs, "eigenvalues"),
                             _reals(vecs, "vectors").T, tol,
                             _reals(res, "residuals"), op)
-        # 1.0 and True equal 1 but are not JSON integers
-        if c != sol.clusters or any(type(k) is not int for x in c for k in x):
+        if c != sol.clusters:
             raise InvalidProblem("clusters %s are not the clusters %s that "
                                  "the eigenvalues give"
                                  % (_show(c), sol.clusters))
+        for k in (k for x in c for k in x):  # 1.0 and True equal 1
+            _integer(k, 1, "an index in clusters")
         return sol
 
 
 def _reals(value, name):
-    """A JSON array of numbers (of arrays, for a matrix) as a float array,
-    read by one np.array call, else InvalidProblem naming it.  A bool reads
-    as 0.0 or 1.0, so only entries of those values are looked at for one;
-    a string that spells a number is read as that number."""
+    """A JSON array of numbers (of arrays, for a matrix) as an array of the
+    dtype numpy infers, which EigenSolution checks by the real array rule
+    (strings give a str array), else InvalidProblem naming it.  A bool among
+    numbers reads as 0 or 1, so only entries of those values are probed."""
     try:
-        a = np.array(value, float)
-    except (TypeError, ValueError, OverflowError):
+        a = np.array(value)
+    except ValueError:              # ragged
         a = None
     if a is None or a.ndim and any(
             isinstance(reduce(operator.getitem, i, value), (bool, np.bool_))
@@ -721,7 +706,7 @@ def cluster_multiplicities(evs, rel_tol=1e-3):
 
     Returns clusters as lists of 1-based indices.  InvalidProblem unless
     rel_tol is finite and >= 0."""
-    rel_tol = _tolerance(rel_tol, "cluster")
+    rel_tol = _real(rel_tol, "cluster tolerance must be finite and >= 0")
     evs = list(evs)
     if not evs:
         return []
@@ -769,7 +754,7 @@ def solve_eigen(op: AssembledOperator, K: int, tol: float = 1e-9,
     column ordering with partial pivoting.  A factor that pivoted anyway,
     a failed eigsh or a residual above tolerance is a NoConvergence that
     names sigma, n and K."""
-    tol = _tolerance(tol, "residual")
+    tol = _real(tol, "residual tolerance must be finite and >= 0")
     K = _integer(K, 1, "K")
     A = op.matrix
     n = A.shape[0]
@@ -1035,9 +1020,10 @@ def local_ray_fit(u, x0, radius):
     relative residual, the 2l equiangular zero angles of the fitted
     trigonometric polynomial, and the residual itself.  NoFit unless the
     radius is finite and positive and the centre two finite numbers."""
-    if not _placed(x0, radius):
-        raise NoFit("need a finite positive radius and a centre of two "
-                    "finite numbers, got radius %r about %r" % (radius, x0))
+    placed = "need a finite positive radius and a centre of two finite " \
+             "numbers"
+    x0 = _point(x0, placed, NoFit)
+    radius = _real(radius, placed, NoFit, sign=">")
     radii = np.array([0.5 * radius, 0.75 * radius, radius])[:, None]
     omegas = np.arange(RAY_FIT_ANGLES) * (2 * math.pi / RAY_FIT_ANGLES)
     # libm's sin, cos and pow, which numpy's may not match in the last bit
@@ -1094,7 +1080,7 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
     not an integer >= 1 (a numpy integer counts, a bool does not), the
     constraints (q(q + 1)/2 interior, q boundary) are not fewer than the
     basis fields, the site is not two finite numbers or h is not finite and
-    positive (_placed), or the suppressed jet's residual is above
+    positive (errors._real), or the suppressed jet's residual is above
     PRESCRIBE_REL_TOL."""
     m = len(basis)
     if m < 2:
@@ -1106,9 +1092,9 @@ def prescribe_singular(basis, site, target_order, boundary=None, h=None):
                               "fields" % (q, count, m))
     if h is None:
         h = basis[0].h if isinstance(basis[0], GridField) else 1e-3
-    if not _placed(site, h):
-        raise InfeasibleOrder("need a site of two finite numbers and h finite "
-                              "and positive, got %r and %r" % (site, h))
+    placed = "need a site of two finite numbers and h finite and positive"
+    site = _point(site, placed, InfeasibleOrder)
+    h = _real(h, placed, InfeasibleOrder, sign=">")
     t = np.arange(1 - q, q) * h
     if boundary is None:
         x, y = site[0] + t, site[1] + t[:, None]

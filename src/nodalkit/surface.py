@@ -7,7 +7,8 @@ A surface is one of:
                                              boundary component 1 is the outer one)
   - Moebius strip                           (projective plane minus a disk)
 
-Immutable value type with an int count, checked when made (InvalidSurface).
+Immutable value type with an int count, checked when made by the one
+integer rule (InvalidSurface); a Moebius strip's count is 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _KINDS = (CLOSED_ORIENTABLE, CLOSED_NON_ORIENTABLE, PLANAR_DOMAIN, MOEBIUS_STRIP
 @dataclass(frozen=True)
 class SurfaceSpec:
     kind: str
-    param: int = 0  # genus / crossCaps / holes; ignored for MoebiusStrip
+    param: int = 0  # genus / crossCaps / holes; 0 for MoebiusStrip
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -38,6 +39,9 @@ class SurfaceSpec:
                        MOEBIUS_STRIP: ("param", 0)}[self.kind]
         object.__setattr__(self, "param",
                            _integer(self.param, least, name, InvalidSurface))
+        if self.kind == MOEBIUS_STRIP and self.param:
+            raise InvalidSurface("a Moebius strip has no count: param must "
+                                 "be 0, got %d" % self.param)
 
     # -- convenience constructors ------------------------------------------
 
@@ -110,25 +114,24 @@ def euler_characteristic(spec: SurfaceSpec) -> int:
     return spec.closed_model_euler() - spec.boundary_components
 
 
+# the surface names parse_surface reads, with the kind and count of each
+_NAMED = {name: spec for names, spec in [
+    (("sphere", "s2"), (CLOSED_ORIENTABLE, 0)),
+    (("torus", "t2"), (CLOSED_ORIENTABLE, 1)),
+    (("projective", "projective-plane", "rp2"), (CLOSED_NON_ORIENTABLE, 1)),
+    (("klein", "klein-bottle", "k2"), (CLOSED_NON_ORIENTABLE, 2)),
+    (("moebius", "mobius", "moebius-strip"), (MOEBIUS_STRIP, 0)),
+    (("disk", "disc"), (PLANAR_DOMAIN, 0)), (("annulus",), (PLANAR_DOMAIN, 1))]
+    for name in names}
+
+
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse CLI-style surface names: sphere, torus, projective, klein,
     genus-G, crosscaps-C, planar-Q (Q holes), moebius, with each count
     spelled as str(n) spells it (_decimal); else InvalidSurface."""
     t = text.strip().lower()
-    if t in ("sphere", "s2"):
-        return SurfaceSpec.sphere()
-    if t in ("torus", "t2"):
-        return SurfaceSpec.closed_orientable(1)
-    if t in ("projective", "projective-plane", "rp2"):
-        return SurfaceSpec.closed_non_orientable(1)
-    if t in ("klein", "klein-bottle", "k2"):
-        return SurfaceSpec.closed_non_orientable(2)
-    if t in ("moebius", "mobius", "moebius-strip"):
-        return SurfaceSpec.moebius_strip()
-    if t in ("disk", "disc"):
-        return SurfaceSpec.planar_domain(0)
-    if t == "annulus":
-        return SurfaceSpec.planar_domain(1)
+    if t in _NAMED:
+        return SurfaceSpec(*_NAMED[t])
     for prefix, kind in (("genus-", CLOSED_ORIENTABLE),
                          ("crosscaps-", CLOSED_NON_ORIENTABLE),
                          ("planar-", PLANAR_DOMAIN)):

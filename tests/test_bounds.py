@@ -20,12 +20,6 @@ def test_bessel_zero():
     assert abs(j0(j01)) < 1e-10
 
 
-def test_bessel_bisection_bracket():
-    # bessel_j0_first_zero bisects on [2, 3]: J0 changes sign there
-    from nodalkit.bounds import _j0_series
-    assert _j0_series(2.0) > 0 > _j0_series(3.0)
-
-
 def test_gamma_value():
     g = pleijel_gamma()
     assert abs(g - 0.69166) < 1e-4

@@ -321,11 +321,12 @@ def test_fractional_bitmap_exits_2(tmp_path, capsys, entry):
     # int() would read 1.9 as 1 (the full square) and 0.7 as 0 (no cell)
     doc = {"formatVersion": 1, "gridStep": 0.125, "bc": "Dirichlet",
            "domain": {"shape": "MaskedGrid", "bitmap": [[entry] * 8] * 8}}
-    with pytest.raises(InvalidProblem, match="must be 0 or 1"):
+    message = "bitmap entry must be >= 0 and an integer, got %r" % entry
+    with pytest.raises(InvalidProblem, match=message):
         EigenProblem.from_json(doc)
     assert main(["solve", _problem_file(tmp_path, doc), "-k", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "must be 0 or 1" in err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("doc", [
@@ -689,12 +690,16 @@ def _null_vector_entry(obj):
      "JSONDecodeError"),
     ("eigenvalues", lambda obj: obj["eigenvalues"][:-1] + [float("inf")],
      "JSONDecodeError"),
-    # null is JSON, and reads as NaN
+    # null is JSON, but not a number
     ("vectors", _null_vector_entry, "must be finite"),
     ("eigenvalues", lambda obj: [None] + obj["eigenvalues"][1:],
      "must be finite"),
+    # a string that spells a number was once read as that number
+    ("eigenvalues", lambda obj: [str(v) for v in obj["eigenvalues"]],
+     "InvalidProblem: eigenvalues, vector entries and residuals must be "
+     "finite real numbers"),
 ], ids=["nan-vectors", "nan-eigenvalue", "infinity-eigenvalue",
-        "null-vector-entry", "null-eigenvalue"])
+        "null-vector-entry", "null-eigenvalue", "string-eigenvalues"])
 def test_non_finite_solution_exits_2(solution_file, tmp_path, capsys, field,
                                      value, message):
     obj = json.loads(open(solution_file).read())
@@ -1041,7 +1046,8 @@ def _main_on(tmp_path, kind, doc):
     ("partition", _edited(_THETA, ["vertices", 1, "nu"], 3.9),
      "MalformedEmbedding: vertex nu must be >= 0 and an integer, got 3.9"),
     ("partition", _edited(_THETA, ["edges", 2, "signature"], 1.5),
-     "MalformedEmbedding: edge signatures must be +1 or -1"),
+     "MalformedEmbedding: edge signature must be >= -1 and an integer, "
+     "got 1.5"),
     ("partition", _edited(_THETA, ["edges", 0, "ends"], [0.5, 1.5]),
      "MalformedEmbedding: edge end must be >= 0 and an integer, got 0.5"),
     ("partition", _edited(_THETA, ["nodal"], "false"),
@@ -1063,7 +1069,7 @@ def _main_on(tmp_path, kind, doc):
      "InvalidProblem: Robin coefficient must be finite and >= 0, got 'x'"),
     ("problem", dict(_DISK, domain={"shape": "MaskedGrid",
                                     "bitmap": [[True] * 8] * 8}),
-     "InvalidProblem: bitmap entries must be 0 or 1"),
+     "InvalidProblem: bitmap entry must be >= 0 and an integer, got True"),
 ] + [
     # int() read the first four as vertex 1 (and "1_0" as vertex 10)
     ("partition", _rekeyed(key), "MalformedEmbedding: rotation vertex must "

@@ -8,6 +8,7 @@ itertools, not against the Catalan recursion used by the library.
 import itertools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -88,6 +89,32 @@ def test_validate_interior_rejections():
                    (2, (1, 0, 3))):           # wrong length
         with pytest.raises(InvalidType):
             InteriorType(p, tau)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InteriorType("x", (1, 0)), "p must be >= 1 and an integer, "
+                                         "got 'x'"),
+    (lambda: enumerate_interior("x"), "p must be >= 1 and an integer"),
+    (lambda: InteriorType(1, None), "tau must be a tuple of 2 rays for p=1, "
+                                    "got None"),
+    (lambda: BoundaryType(3.0, (1, 0, 3, 2)), "k must be >= 3 and an "
+                                              "integer, got 3.0"),
+    (lambda: InteriorType(1, [1, 0]), "tau must be a tuple"),
+    (lambda: shift_invariant_types(True), "p must be >= 1 and an integer"),
+    (lambda: enumerate_boundary(4.0), "k must be >= 3 and an integer"),
+], ids=["str-p", "str-enumerate", "none-tau", "float-k", "list-tau",
+        "bool-shift-census", "float-enumerate-boundary"])
+def test_type_counts_follow_the_integer_rule(make, message):
+    # the first three once raised a bare TypeError, and a float k was stored
+    with pytest.raises(InvalidType, match=message):
+        make()
+
+
+def test_type_counts_are_stored_as_ints():
+    t = BoundaryType(np.int64(3), (1, 0, 3, 2))
+    assert type(t.k) is int and t == BoundaryType(3, (1, 0, 3, 2))
+    assert type(InteriorType(np.int64(1), (1, 0)).p) is int
+    assert enumerate_interior(np.int64(2)) == enumerate_interior(2)
 
 
 def _constructs(cls, n, tau):

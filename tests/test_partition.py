@@ -26,7 +26,8 @@ import helpers
 from nodalkit import partition
 from nodalkit.errors import MalformedEmbedding
 from nodalkit.nodal_graph import build_multigraph, simplify_to_graph
-from nodalkit.partition import (ADDED, INTERIOR, EmbeddedPartition, FaceWalk,
+from nodalkit.partition import (ADDED, BOUNDARY, CIRCLE, INTERIOR,
+                                EmbeddedPartition, FaceWalk,
                                 PartitionBuilder, PartitionVertex,
                                 check_boundary_parity, dart, normalize,
                                 partition_stats, trace_faces, verify_euler)
@@ -218,8 +219,9 @@ def test_invalid_partition_cannot_be_constructed():
         EmbeddedPartition(p.surface, vertices, p.edge_ends, p.edge_boundary,
                           p.edge_signature, p.rotation, p.boundary_components)
     # a signature other than +-1 would keep the face trace from closing up
-    for bad in (-2, 0):
-        with pytest.raises(MalformedEmbedding, match="signatures"):
+    for bad, message in ((-2, "edge signature must be >= -1 and an integer"),
+                         (0, r"edge signatures must be \+1 or -1")):
+        with pytest.raises(MalformedEmbedding, match=message):
             EmbeddedPartition(p.surface, p.vertices, p.edge_ends,
                               p.edge_boundary, [1, bad, 1], p.rotation,
                               p.boundary_components)
@@ -308,8 +310,10 @@ def _mutant(p, rng):
     boundary data: move or drop a component entry, list an edge (again) in
     a component or a new one, flip an edge's boundary flag (half the time
     adding or dropping its entry too), move one end of an edge (and its
-    dart) to another vertex, or relabel a vertex's component.  A move or
-    drop with no entry to take relabels a vertex instead."""
+    dart) to another vertex, or relabel a vertex's component (a vertex
+    that is not a boundary vertex keeps component 0, which its kind
+    requires).  A move or drop with no entry to take relabels a vertex
+    instead."""
     f = _fields(p, vertices=list(p.vertices), edge_ends=list(p.edge_ends),
                 edge_boundary=list(p.edge_boundary),
                 rotation={v: list(r) for v, r in p.rotation.items()},
@@ -355,9 +359,10 @@ def _mutant(p, rng):
             ends[d % 2] = w
             f["edge_ends"][e] = tuple(ends)
         else:                                           # relabel a vertex
-            v = pick(nv)
-            f["vertices"][v] = dataclasses.replace(
-                f["vertices"][v], component=pick(len(comps) + 1))
+            v, component = pick(nv), pick(len(comps) + 1)
+            if f["vertices"][v].kind == BOUNDARY:
+                f["vertices"][v] = dataclasses.replace(f["vertices"][v],
+                                                       component=component)
     f["rotation"] = {v: tuple(r) for v, r in f["rotation"].items()}
     return f
 
@@ -744,7 +749,8 @@ def test_partition_stores_the_builders_types():
     (dict(edge_ends=[(0, 1), (0, 1.0), (0, 1)]), "edge end must be >= 0"),
     (dict(edge_ends=[(0, 1), (0, 1, 1), (0, 1)]), "two ends"),
     (dict(edge_ends=[(0, 1), 5, (0, 1)]), "edge ends must be given in lists"),
-    (dict(edge_signature=[1, True, 1]), "signatures must be"),
+    (dict(edge_signature=[1, True, 1]),
+     "edge signature must be >= -1 and an integer, got True"),
     (dict(edge_boundary=[False, 0, False]), "must be true or false"),
     (dict(nodal=1), "must be true or false"),
     (dict(rotation={0: (0, 2, 4), 1.0: (1, 5, 3)}), "rotation vertex"),
@@ -766,7 +772,16 @@ def test_partition_values_are_checked_when_made(change, message):
     (dict(nu=3.9), "vertex nu must be >= 0 and an integer, got 3.9"),
     (dict(rho=True), "vertex rho"), (dict(component=-1), "vertex component"),
     (dict(kind=["x"]), "unknown vertex kind"),
-], ids=["id", "nu", "rho", "component", "kind"])
+    # to_json drops the fields a kind ignores, so each must hold its default
+    (dict(kind=CIRCLE, nu=7, rho=2, component=4),
+     "vertex 0: a CircleMarker vertex must have 0 in the fields its kind "
+     r"ignores, got PartitionVertex\(id=0, kind='CircleMarker', nu=7, rho=2, "
+     r"component=4\)"),
+    (dict(kind=BOUNDARY, rho=1, nu=3), "BoundarySingular vertex must have 0"),
+    (dict(rho=2), "InteriorSingular vertex must have 0"),
+    (dict(component=1), "InteriorSingular vertex must have 0"),
+], ids=["id", "nu", "rho", "component", "kind", "circle-fields",
+        "boundary-nu", "interior-rho", "interior-component"])
 def test_vertex_checks_itself(fields, message):
     with pytest.raises(MalformedEmbedding, match=message):
         PartitionVertex(**dict(dict(id=0, kind=INTERIOR, nu=3), **fields))

@@ -259,3 +259,25 @@ def test_readers_only_look_up_keys():
     assert [(name, c) for name, cs in calls for c in cs
             if c in ("int", "float", "bool")] == []
     assert all("_fields" in cs for _, cs in calls)
+
+
+def test_one_implementation_per_value_rule():
+    # integers, finite reals and real arrays are each tested by one rule in
+    # errors.py (_integer, _real, _real_array); a copy elsewhere would drift
+    # from it, as the bitmap's, the clusters' and the signatures' did
+    found, names = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {node: f.name for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            text = ast.unparse(node) if isinstance(node, ast.Attribute) else ""
+            if text in ("np.integer", "numbers.Real") \
+                    or text.endswith(".dtype.kind"):
+                found.append((path.name, owner.get(node), "dtype.kind"
+                              if text.endswith(".dtype.kind") else text))
+            names.add(getattr(node, "name", getattr(node, "id", None)))
+    assert sorted(found) == [("errors.py", "_integer", "np.integer"),
+                             ("errors.py", "_real", "numbers.Real"),
+                             ("errors.py", "_real_array", "dtype.kind")]
+    assert names.isdisjoint({"_placed", "_tolerance"})

@@ -876,7 +876,7 @@ def test_prescribe_infeasible():
     # inside the SVD or the jet indexing
     basis = [lambda x, y: x, lambda x, y: y, lambda x, y: x * y,
              lambda x, y: 1.0]
-    for h in (math.nan, 0.0, -1e-3, math.inf):
+    for h in (math.nan, 0.0, -1e-3, math.inf, True):
         with pytest.raises(InfeasibleOrder, match="finite and positive"):
             prescribe_singular(basis, (0.3, 0.2), 2, h=h)
     for order in (1.5, 2.0, True):
@@ -897,8 +897,9 @@ def test_prescribe_order_below_one():
                                    boundary=boundary, h=1e-3)
 
 
-@pytest.mark.parametrize("site", [(math.nan, 0), (math.inf, 0), ("a", 0)],
-                         ids=["nan", "inf", "str"])
+@pytest.mark.parametrize("site", [(math.nan, 0), (math.inf, 0), ("a", 0),
+                                  (True, 0)],
+                         ids=["nan", "inf", "str", "bool"])
 def test_prescribe_needs_a_site_of_two_finite_numbers(site):
     # the site is checked before any jet is sampled, on callables and on
     # GridFields alike
@@ -916,7 +917,7 @@ def test_prescribe_needs_a_site_of_two_finite_numbers(site):
     ((math.nan, 0), 0.1), ((0, -math.inf), 0.1),
     # a centre that is not two numbers once raised IndexError or TypeError
     ((0.5,), 0.1), ((0.5, 0.5, 0.5), 0.1), (0.5, 0.1), ("ab", 0.1),
-    ((0.5, 1j), 0.1)])
+    ((0.5, 1j), 0.1), ((True, 0), 0.1), ((0, 0), True)])
 def test_ray_fit_needs_finite_positive_radius_and_centre(x0, radius):
     with pytest.raises(NoFit, match="finite positive radius"):
         local_ray_fit(lambda x, y: x * y, x0, radius)
@@ -1193,6 +1194,16 @@ def test_clusters_are_the_ones_the_eigenvalues_give(square_solution):
                                                       sol.cluster_rel_tol)
 
 
+@pytest.mark.parametrize("field", ["eigenvalues", "residuals"])
+def test_solution_document_refuses_numbers_spelled_as_strings(
+        square_solution, field):
+    # "19.7" once read as 19.7
+    doc = square_solution.to_json()
+    doc[field] = [str(v) for v in doc[field]]
+    with pytest.raises(InvalidProblem, match="must be finite real numbers"):
+        spectral.EigenSolution.from_json(doc)
+
+
 def test_solution_document_round_trip(square_solution):
     sol = spectral.EigenSolution.from_json(square_solution.to_json())
     for name in ("eigenvalues", "residuals", "vectors"):
@@ -1226,6 +1237,14 @@ def test_bad_domain_rejected_at_construction(domain, message):
     # its own fields, so each is refused when the shape is made
     with pytest.raises(InvalidProblem, match=message):
         EigenProblem(domain(), 1 / 8)
+
+
+@pytest.mark.parametrize("r_in, r_out", [(0.5, 0.2), (0.5, 0.5)])
+def test_annulus_checked_when_made(r_in, r_out):
+    # Annulus(0.5, 0.2) once existed, with area(0.1) = -0.66, and only its
+    # grid was refused
+    with pytest.raises(InvalidProblem, match="annulus needs 0 < rIn < rOut"):
+        Annulus(r_in, r_out)
 
 
 def test_masked_grid_domain():
@@ -1311,7 +1330,9 @@ def test_grid_field_needs_finite_positive_step_and_origin():
     for origin, h in (((0.0, 0.0), math.nan), ((0.0, 0.0), 0.0),
                       ((0.0, 0.0), -1 / 8), ((0.0, 0.0), math.inf),
                       ((math.nan, 0.0), 1 / 8), ((0.0, -math.inf), 1 / 8),
-                      ((0.0,), 1 / 8), ((0.0, 0.0), "1/8")):
+                      ((0.0,), 1 / 8), ((0.0, 0.0), "1/8"),
+                      ((0.0, 0.0), True), ((True, False), True),
+                      ((0.0, True), 1 / 8)):
         with pytest.raises(InvalidProblem, match="finite and positive"):
             GridField(values, mask, origin, h)
 
@@ -1435,7 +1456,7 @@ def test_grid_size_capped_before_allocation():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: spectral._tolerance(10 ** 400, "cluster"),
+    (lambda: cluster_multiplicities([1.0], 10 ** 400),
      "cluster tolerance must be finite and >= 0"),
     (lambda: EigenProblem(Rectangle(1, 1), 1 / 8, bc="Robin", robin_h="x"),
      "Robin coefficient must be finite and >= 0, got 'x'"),
@@ -1448,7 +1469,8 @@ def test_grid_size_capped_before_allocation():
     (lambda: Rectangle("1", 1), "Rectangle w must be finite and > 0"),
     (lambda: Annulus(0.2, math.inf), "Annulus r_out must be finite"),
     (lambda: Disk(10 ** 400), "Disk r must be finite"),
-    (lambda: MaskedGrid(((1.0,) * 8,) * 8), "must be 0 or 1"),
+    (lambda: MaskedGrid(((1.0,) * 8,) * 8),
+     "bitmap entry must be >= 0 and an integer, got 1.0"),
     (lambda: parse_potential(True), "expression or a number, got True"),
     (lambda: parse_potential(math.nan), "unknown name 'nan'"),
     (lambda: parse_potential(-math.inf), "unknown name 'inf'"),

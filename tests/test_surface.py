@@ -92,6 +92,17 @@ def test_count_must_be_an_integer(kind, param):
         SurfaceSpec(kind, param)
 
 
+def test_moebius_strip_count_is_zero():
+    # the count was ignored, written back, and made a second Moebius strip
+    # unequal to SurfaceSpec.moebius_strip()
+    with pytest.raises(InvalidSurface, match="param must be 0, got 3"):
+        SurfaceSpec("MoebiusStrip", 3)
+    with pytest.raises(InvalidSurface, match="param must be 0"):
+        SurfaceSpec.from_json({"kind": "MoebiusStrip", "param": 1})
+    assert SurfaceSpec("MoebiusStrip", np.int64(0)) \
+        == SurfaceSpec.moebius_strip()
+
+
 def test_from_json_reads_no_float_as_a_count():
     # 1.7 was read as genus 1
     with pytest.raises(InvalidSurface, match="genus"):
