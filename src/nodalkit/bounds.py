@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import scipy.special
 
-from .errors import InvalidProblem, UnknownFamily, _integer
+from .errors import UnknownFamily, _integer, _real
 from .surface import (CLOSED_NON_ORIENTABLE, CLOSED_ORIENTABLE, SurfaceSpec)
 
 
@@ -30,22 +30,29 @@ def pleijel_gamma() -> float:
 
 
 def pleijel_bound(lam: float, area: float):
-    """(mult bound 2*lam*area/(pi j01^2) - 1, gamma); lam, area > 0."""
-    if not (lam > 0 and area > 0):
-        raise InvalidProblem("lambda and area must be positive")
+    """(mult bound 2*lam*area/(pi j01^2) - 1, gamma); lam and area finite
+    and > 0 by the one real rule, else InvalidProblem."""
+    lam = _real(lam, "lambda must be positive and finite", sign=">")
+    area = _real(area, "area must be positive and finite", sign=">")
     j01 = bessel_j0_first_zero()
     return 2.0 * lam * area / (math.pi * j01 * j01) - 1.0, pleijel_gamma()
 
 
 def faber_krahn_threshold(kappa: int) -> float:
     """Lower bound for lambda_k * |Omega| when the eigenfunction has kappa
-    nodal domains: kappa * pi * j01^2."""
+    nodal domains: kappa * pi * j01^2; InvalidProblem unless kappa is an
+    integer >= 1."""
+    kappa = _integer(kappa, 1, "kappa")
     j01 = bessel_j0_first_zero()
     return kappa * math.pi * j01 ** 2
 
 
 def weyl_term(lam: float, area: float) -> float:
-    """Leading Weyl asymptotics for the counting function N(lambda)."""
+    """Leading Weyl asymptotics for the counting function N(lambda); lam
+    finite of any sign (a Neumann lambda_1 may round below 0) and area
+    finite and > 0, else InvalidProblem."""
+    lam = _real(lam, "lambda must be finite", sign=None)
+    area = _real(area, "area must be positive and finite", sign=">")
     return area * lam / (4.0 * math.pi)
 
 

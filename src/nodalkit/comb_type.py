@@ -20,15 +20,18 @@ first-repeat positions drive the rotating-function argument.
 Both enumerations read one table: the tau tuples of all non-crossing
 matchings of a block of rays, built bottom-up from a Catalan table in
 lexicographic order (a boundary type is such a matching with the arrow as
-ray 0).  The shift census compares those tuples and builds a type only for
-a hit.
+ray 0).  The table is kept for the life of the process: a row is built the
+first time it is asked for, never rebuilt, and none past ENUM_CAP is (all
+rows up to p = 10 hold about 5.8 MB).  The shift census compares those
+tuples and builds a type only for a hit.
 
 Every InteriorType, BoundaryType, DomainLabeling and Word is validated
 once, in its constructor (InvalidType, or InconsistentLabeling for a
 labeling), so any such object that exists is valid and the functions here
 take it as it is.  Both type kinds run one matching check and one labeling
 sweep; the check, the sweep and its inverse scan the rays once with a stack
-of open loops.
+of open loops.  A type's count and tau's entries are ints by the one
+integer rule (errors._integer, tau through its bulk form _integers).
 
 Indexing: an interior type's rays and intervals are 0..2p-1; a boundary
 type's rays are 1..2k-3 (matching the half-circle picture), with the arrow
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (CapExceeded, InconsistentLabeling, InvalidType, NoRepeat,
-                     _decimal, _integer, _show)
+                     _decimal, _integer, _integers, _show)
 
 ENUM_CAP = 10
 
@@ -61,8 +64,8 @@ def _raise_if(problems, error=InvalidType):
 @dataclass(frozen=True)
 class InteriorType:
     """Fixed-point-free non-crossing involution on {0..2p-1} with odd
-    differences; validated once, when constructed (p an int by the one
-    integer rule, tau a tuple)."""
+    differences; validated once, when constructed (p and tau's entries ints
+    by the one integer rule, tau a tuple)."""
     p: int
     tau: tuple  # tau[j] = image of ray j, length 2p
 
@@ -72,13 +75,18 @@ class InteriorType:
 
 
 def _store_count(t, name, least, less):
-    """Store t's count `name` as an int >= least by the one integer rule;
-    InvalidType unless t.tau is a tuple of 2 * count - less rays."""
+    """Store t's count `name` as an int >= least and tau's entries as ints
+    >= 0, by the one integer rule; InvalidType unless t.tau is a tuple of
+    2 * count - less rays."""
     n = _integer(getattr(t, name), least, name, InvalidType)
     object.__setattr__(t, name, n)
-    if type(t.tau) is not tuple or len(t.tau) != 2 * n - less:
+    tau = t.tau
+    if type(tau) is not tuple or len(tau) != 2 * n - less:
         raise InvalidType("tau must be a tuple of %d rays for %s=%d, got %s"
-                          % (2 * n - less, name, n, _show(t.tau)))
+                          % (2 * n - less, name, n, _show(tau)))
+    entries = _integers(tau, 0, "tau entry", InvalidType)
+    if entries is not tau:
+        object.__setattr__(t, "tau", tuple(entries))
 
 
 def _matching_problems(tau):
@@ -88,24 +96,25 @@ def _matching_problems(tau):
     One pass with a stack of the open rays, those whose partner comes later:
     a ray whose partner comes earlier closes the loop on top of the stack,
     or else crosses that loop.  A valid matching has odd differences, since
-    each loop encloses whole loops.
+    each loop encloses whole loops.  The two branches a valid tau takes, a
+    ray opening a loop and a ray closing the loop on top, are tested first;
+    any other ray is a fault, named by the tests after them.
     """
     n = len(tau)
     problems = []
     stack = []
-    for j in range(n):
-        t = tau[j]
-        if not 0 <= t < n:
+    for j, t in enumerate(tau):
+        if j < t < n and tau[t] == j:
+            stack.append(j)
+        elif 0 <= t < j and tau[t] == j and stack[-1] == t:
+            stack.pop()
+        elif not 0 <= t < n:
             problems.append("ray %d pairs with %s, outside rays 0..%d"
                             % (j, t, n - 1))
         elif t == j:
             problems.append("fixed point at ray %d" % j)
         elif tau[t] != j:
             problems.append("not an involution at ray %d" % j)
-        elif j < t:
-            stack.append(j)
-        elif stack[-1] == t:
-            stack.pop()
         else:
             s = stack[-1]
             problems.append("crossing pairs (%d,%d) and (%d,%d)"
@@ -123,26 +132,31 @@ def _check_size(name, value, least):
     return value
 
 
-def _matching_taus(p: int):
-    """tau tuples of all non-crossing perfect matchings of the rays
-    0..2p-1, in lexicographic order.
+_MATCHINGS = [((),)]    # row q: the tau tuples of 2q rays, see _matching_taus
 
-    Built bottom-up from a Catalan table whose row q holds the matchings of
-    2q rays: ray 0 pairs with an odd ray 2i+1, which encloses a block of i
-    loops and leaves a block of q-1-i loops after it, both taken from
-    earlier rows and shifted into place.  Taking 2i+1 upward, then the inner
-    block, then the outer block, each in row order, gives lexicographic
-    order.  The table is built per call and dropped with it.
+
+def _matching_taus(p: int):
+    """The tuple of tau tuples of all non-crossing perfect matchings of the
+    rays 0..2p-1, in lexicographic order, for 0 <= p <= ENUM_CAP.
+
+    Read from a Catalan table whose row q holds the matchings of 2q rays:
+    ray 0 pairs with an odd ray 2i+1, which encloses a block of i loops and
+    leaves a block of q-1-i loops after it, both taken from earlier rows and
+    shifted into place.  Taking 2i+1 upward, then the inner block, then the
+    outer block, each in row order, gives lexicographic order.  The table
+    is kept for the life of the process: rows past the last one built are
+    added on demand and never rebuilt, and the callers' size checks stop it
+    at ENUM_CAP, where it holds about 5.8 MB (tracemalloc).
     """
-    table = [[()]]
-    for q in range(1, p + 1):
+    table = _MATCHINGS
+    for q in range(len(table), p + 1):
         row = []
         for i in range(q):
             heads = [(2 * i + 1,) + tuple(x + 1 for x in m) + (0,)
                      for m in table[i]]
             tails = [tuple(x + 2 * i + 2 for x in m) for m in table[q - 1 - i]]
             row.extend([h + t for h in heads for t in tails])
-        table.append(row)
+        table.append(tuple(row))
     return table[p]
 
 
@@ -183,20 +197,25 @@ class DomainLabeling:
 
 def _innermost(tau):
     """After each ray of a valid tau, in order, the opening ray of the
-    innermost loop still open (None outside every loop)."""
-    stack = []
-    for j in range(len(tau)):
-        if j < tau[j]:
-            stack.append(j)
-        else:
-            stack.pop()
-        yield stack[-1] if stack else None
+    innermost loop still open (None outside every loop), as a list.  Ray j
+    opens a loop, or closes the loop (t, j) that opened at t = tau[j]; as no
+    loops cross, that leaves open the loops that were open before ray t."""
+    keys = []
+    for j, t in enumerate(tau):
+        keys.append(j if j < t else keys[t - 1] if t else None)
+    return keys
 
 
 def _first_encounter(keys):
     """Number the keys 1, 2, ... in order of first appearance."""
     labels = {}
-    return tuple(labels.setdefault(key, len(labels) + 1) for key in keys)
+    out = []
+    for key in keys:
+        label = labels.get(key)
+        if label is None:
+            label = labels[key] = len(labels) + 1
+        out.append(label)
+    return tuple(out)
 
 
 def labeling_from_type(t: InteriorType) -> DomainLabeling:

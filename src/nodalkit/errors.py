@@ -1,5 +1,6 @@
 """Shared exception types and the one implementation of each rule a value
-is checked by: integers (`_integer`), finite reals (`_real`), real arrays
+is checked by: integers (`_integer`, with `_integers` its bulk form for a
+row of them, not a rule of its own), finite reals (`_real`), real arrays
 (`_real_array`), integer tokens (`_decimal`) and the readers' JSON objects
 (`_fields`).  Every input the package refuses raises one of these types
 where the value is made, and the CLI turns each into exit code 2."""
@@ -69,12 +70,28 @@ class InvalidProblem(NodalkitError):
 
 def _integer(value, least, name, error=InvalidProblem):
     """value as an int: an int or numpy integer (a bool is not one) at least
-    `least`, else `error`."""
+    `least`, else `error`.  An exact int at least `least`, the common case,
+    is returned at once."""
+    if type(value) is int and value >= least:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < least:
         raise error("%s must be >= %d and an integer, got %s"
                     % (name, least, _show(value)))
     return int(value)
+
+
+_INT = frozenset({int})
+
+
+def _integers(values, least, name, error=InvalidProblem):
+    """The bulk form of `_integer`, for a list or tuple: values itself when
+    one type census finds only exact ints and their min is at least `least`,
+    else a list of `_integer` of each entry, in order (so the first bad entry
+    is the one named)."""
+    if set(map(type, values)) <= _INT and (not values or min(values) >= least):
+        return values
+    return [_integer(v, least, name, error) for v in values]
 
 
 def _real(value, message, error=InvalidProblem, sign=">="):

@@ -59,8 +59,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
-from .errors import MalformedEmbedding, _decimal, _fields, _integer, _show
+from .errors import (MalformedEmbedding, _decimal, _fields, _integer,
+                     _integers, _show)
 from .surface import SurfaceSpec
 
 INTERIOR = "InteriorSingular"   # interior singular point, index nu >= 3
@@ -69,6 +71,9 @@ CIRCLE = "CircleMarker"         # marker on a singular-point-free circle
 ADDED = "Added"                 # auxiliary vertex from additions / blow-ups
 
 _KINDS = (INTERIOR, BOUNDARY, CIRCLE, ADDED)
+# a vertex's integer fields and the names their errors give
+_VERTEX_COUNTS = tuple((name, "vertex " + name)
+                       for name in ("id", "nu", "rho", "component"))
 
 
 @dataclass(frozen=True)
@@ -83,9 +88,13 @@ class PartitionVertex:
         if self.kind not in _KINDS:
             raise MalformedEmbedding("unknown vertex kind %s"
                                      % _show(self.kind))
-        for name in ("id", "nu", "rho", "component"):
-            object.__setattr__(self, name, _integer(
-                getattr(self, name), 0, "vertex " + name, MalformedEmbedding))
+        # each field by the one integer rule, whose exact-int case returns
+        # the value itself; only a converted value is stored again
+        for name, label in _VERTEX_COUNTS:
+            value = getattr(self, name)
+            count = _integer(value, 0, label, MalformedEmbedding)
+            if count is not value:
+                object.__setattr__(self, name, count)
         # to_json writes only its kind's fields, so the others must be 0
         if self.nu and self.kind != INTERIOR or (self.rho or self.component) \
                 and self.kind != BOUNDARY:
@@ -109,13 +118,18 @@ def dart(edge: int, end: int) -> int:
 
 def _rows(rows, what, kind=tuple):
     """rows, a list of lists or tuples of ints >= 0 by the one integer rule,
-    as a list of `kind`s of ints; else MalformedEmbedding naming `what`."""
+    as a list of `kind`s of ints; else MalformedEmbedding naming `what`.
+    The rule's bulk form checks every entry at once; only when one is not an
+    exact int (a numpy integer, or a value it refuses) is each row checked
+    and converted in turn."""
     if not (isinstance(rows, (list, tuple))
             and set(map(type, rows)) <= {list, tuple}):
         raise MalformedEmbedding("%ss must be given in lists, got %s"
                                  % (what, _show(rows)))
-    return [kind([_integer(x, 0, what, MalformedEmbedding) for x in r])
-            for r in rows]
+    flat = list(chain.from_iterable(rows))
+    if _integers(flat, 0, what, MalformedEmbedding) is flat:
+        return [kind(r) for r in rows]
+    return [kind(_integers(r, 0, what, MalformedEmbedding)) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -143,8 +157,8 @@ class EmbeddedPartition:
         if not set(map(type, [*self.edge_boundary, self.nodal])) <= {bool}:
             raise MalformedEmbedding("edge boundary flags and the nodal flag "
                                      "must be true or false")
-        signature = [_integer(s, -1, "edge signature", MalformedEmbedding)
-                     for s in self.edge_signature]
+        signature = list(_integers(self.edge_signature, -1, "edge signature",
+                                   MalformedEmbedding))
         if not set(signature) <= {1, -1}:
             # face tracing multiplies by signatures and closes only on +-1
             raise MalformedEmbedding("edge signatures must be +1 or -1")

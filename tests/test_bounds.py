@@ -111,6 +111,32 @@ def test_pleijel_bound():
             pleijel_bound(lam, area)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: pleijel_bound(math.inf, 1), "lambda must be positive and finite"),
+    (lambda: pleijel_bound(True, 1), "lambda must be positive and finite"),
+    (lambda: pleijel_bound(1, "2"), "area must be positive and finite"),
+    (lambda: weyl_term(math.nan, 1), "lambda must be finite"),
+    (lambda: weyl_term(1, 0), "area must be positive and finite"),
+    (lambda: weyl_term(1, -math.inf), "area must be positive and finite"),
+    (lambda: faber_krahn_threshold(0), "kappa must be >= 1 and an integer"),
+    (lambda: faber_krahn_threshold(2.0), "kappa must be >= 1 and an integer"),
+    (lambda: faber_krahn_threshold(True), "kappa must be >= 1 and an integer"),
+], ids=["inf-lambda", "bool-lambda", "str-area", "nan-weyl", "zero-area",
+        "inf-area", "zero-kappa", "float-kappa", "bool-kappa"])
+def test_bound_inputs_follow_the_value_rules(call, message):
+    # pleijel_bound once returned (inf, ...) and (-0.89, ...) for the first
+    # two, and weyl_term and faber_krahn_threshold checked nothing
+    with pytest.raises(InvalidProblem, match=message):
+        call()
+
+
+def test_weyl_term_takes_a_lambda_below_zero():
+    # a Neumann lambda_1 may round below 0, and a report with K = 1 takes
+    # the Weyl term at it
+    assert weyl_term(-1e-12, 2.0) == pytest.approx(-2e-12 / (4 * math.pi))
+    assert faber_krahn_threshold(np.int64(2)) == faber_krahn_threshold(2)
+
+
 def test_faber_krahn_threshold():
     j01 = bessel_j0_first_zero()
     assert abs(faber_krahn_threshold(1) - math.pi * j01 ** 2) < 1e-12

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from nodalkit import comb_type
 from nodalkit.cli import main
 from nodalkit.comb_type import (ARROW_TOKENS, BoundaryType, DomainLabeling,
                                 InteriorType, Word, boundary_words,
@@ -115,6 +116,45 @@ def test_type_counts_are_stored_as_ints():
     assert type(t.k) is int and t == BoundaryType(3, (1, 0, 3, 2))
     assert type(InteriorType(np.int64(1), (1, 0)).p) is int
     assert enumerate_interior(np.int64(2)) == enumerate_interior(2)
+
+
+@pytest.mark.parametrize("entry", ["x", 1.0, True, None],
+                         ids=["str", "float", "bool", "none"])
+def test_tau_entries_follow_the_integer_rule(entry):
+    # a string or a float once raised a bare TypeError, and a bool was kept
+    message = "tau entry must be >= 0 and an integer, got %r" % (entry,)
+    with pytest.raises(InvalidType, match=message):
+        InteriorType(1, (entry, 0))
+    with pytest.raises(InvalidType, match=message):
+        BoundaryType(3, (1, entry, 3, 2))
+
+
+def test_tau_entries_are_stored_as_ints():
+    t = InteriorType(1, (np.int64(1), np.int64(0)))
+    assert t.tau == (1, 0) and list(map(type, t.tau)) == [int, int]
+    b = BoundaryType(3, tuple(np.array([1, 0, 3, 2])))
+    assert b == BoundaryType(3, (1, 0, 3, 2))
+    assert set(map(type, b.tau)) == {int}
+
+
+def test_matching_table_is_kept(monkeypatch):
+    kept = comb_type._matching_taus(10)
+    assert comb_type._matching_taus(10) is kept
+    assert type(kept) is tuple and set(map(type, kept)) == {tuple}
+    three = comb_type._matching_taus(3)
+    # a fresh table, asked for p = 3 only, builds the same row
+    monkeypatch.setattr(comb_type, "_MATCHINGS", [((),)])
+    assert comb_type._matching_taus(3) == three
+    assert len(comb_type._MATCHINGS) == 4
+
+
+def test_enumerations_return_new_lists():
+    first = enumerate_interior(3)
+    first.clear()
+    assert len(enumerate_interior(3)) == catalan(3)
+    boundary = enumerate_boundary(4)
+    boundary.append(None)
+    assert enumerate_boundary(4) == boundary[:-1]
 
 
 def _constructs(cls, n, tau):

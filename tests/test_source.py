@@ -281,3 +281,17 @@ def test_one_implementation_per_value_rule():
                              ("errors.py", "_real", "numbers.Real"),
                              ("errors.py", "_real_array", "dtype.kind")]
     assert names.isdisjoint({"_placed", "_tolerance"})
+    # the exact-int test `type(x) is int` is the rule's fast common case, so
+    # it stays in errors.py too; and the bulk form `_integers` is not a rule
+    # of its own: whatever its census does not pass goes to `_integer`
+    exact = [path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Compare)
+             and ast.unparse(node.left).startswith("type(")
+             and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+             and "int" in map(ast.unparse, node.comparators)]
+    assert set(exact) == {"errors.py"}
+    bulk, = [f for f in ast.walk(ast.parse((SRC / "errors.py").read_text()))
+             if isinstance(f, ast.FunctionDef) and f.name == "_integers"]
+    assert "_integer" in [ast.unparse(node.func) for node in ast.walk(bulk)
+                          if isinstance(node, ast.Call)]
